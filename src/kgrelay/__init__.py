@@ -14,7 +14,6 @@ from .execute import (
     apply_constraint,
     evaluate_query,
     execute_full,
-    execute_skeleton,
     execute_with_relaxation,
 )
 from .kg import KnowledgeGraph, Literal, Triple, load_tsv
@@ -38,7 +37,6 @@ from .reasoning import (
     canonicalize,
     ground_reasoning_path,
     parse_reasoning_path,
-    predicted_depth,
     serialize_reasoning_path,
 )
 from .repair import Blueprint, PartialPath, RepairConfig, repair

@@ -7,7 +7,6 @@ the run completed), 2 configuration or input/output problems.
 from __future__ import annotations
 
 import json
-import random
 import re
 import sys
 from dataclasses import replace
@@ -16,12 +15,7 @@ from pathlib import Path
 import click
 
 from . import config as cfg
-from .errors import (
-    ConfigError,
-    DatasetError,
-    KgRelayError,
-    RepairFailed,
-)
+from .errors import ConfigError, DatasetError, KgRelayError
 from .evaluation import load_dataset, run_batch, write_results, write_summary
 from .kg import load_tsv, node_sort_key, node_text
 from .pipeline import answer_question, run_stage2_only
@@ -61,25 +55,19 @@ def _load_graph(settings):
 @click.option("--kg", "kg_path", default=None, metavar="TSV",
               help="Knowledge graph TSV file.")
 @click.option("--workers", type=int, default=None, help="Worker threads for eval.")
-@click.option("--seed", type=int, default=None, help="Random seed (default 42).")
 @click.option("--trace", is_flag=True, help="Emit per-step trace events.")
 @click.pass_context
-def main(ctx, config_path, kg_path, workers, seed, trace):
+def main(ctx, config_path, kg_path, workers, trace):
     """Knowledge-graph question answering with path repair."""
     overrides = {}
     if kg_path is not None:
         overrides["kg"] = kg_path
     if workers is not None:
         overrides["workers"] = workers
-    if seed is not None:
-        overrides["seed"] = seed
     try:
         settings = cfg.load_settings(config_path, overrides)
     except ConfigError as exc:
         _die(str(exc), 2)
-    # All tie-breaks in the pipeline are lexicographic, so the seed only
-    # matters to code that opts into randomness.
-    random.seed(settings.seed)
     ctx.obj = {"settings": settings, "trace": trace}
 
 

@@ -45,7 +45,6 @@ class Settings:
     max_depth_cap: int = 4
     relaxation: bool = True
     workers: int = 1
-    seed: int = 42
     price_specialized_input: float = 0.05
     price_specialized_output: float = 0.25
     price_general_input: float = 0.15

@@ -110,12 +110,6 @@ class UnresolvedConstraintEntity(BridgeError):
         super().__init__(f"constraint entity not grounded: {surface!r}")
 
 
-# --- execution ---
-
-class NonComparableLiteral(KgRelayError):
-    """A numeric comparison met a literal of an incompatible kind."""
-
-
 # --- providers ---
 
 class ProviderError(KgRelayError):

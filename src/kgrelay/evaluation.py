@@ -12,19 +12,18 @@ import json
 import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import DatasetError, KgRelayError
 from .execute import AnswerSet, evaluate_query
-from .kg import KnowledgeGraph, node_sort_key, node_text
+from .kg import KnowledgeGraph, NodeRef, node_sort_key, node_text
 from .pipeline import QuestionResult, Route, answer_question, run_stage2_only
 from .providers import CostLedger, ledger_summary
 from .reasoning import (
     Constraint,
     EntityMatch,
-    NumericCompare,
     ReasoningPath,
     StringMatch,
     canonicalize,
@@ -173,22 +172,9 @@ class MetricReport:
     routes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "questions": self.questions,
-            "flagged": self.flagged,
-            "hits_at_1": self.hits_at_1,
-            "f1": self.f1,
-            "skeleton_accuracy": self.skeleton_accuracy,
-            "exact_match": self.exact_match,
-            "path_scored": self.path_scored,
-            "avg_llm_calls": self.avg_llm_calls,
-            "avg_prompt_tokens": self.avg_prompt_tokens,
-            "avg_completion_tokens": self.avg_completion_tokens,
-            "avg_tokens": self.avg_tokens,
-            "cost_usd": self.cost_usd,
-            "cost_per_10k_usd": self.cost_per_10k_usd,
-            "routes": dict(sorted(self.routes.items())),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["routes"] = dict(sorted(self.routes.items()))
+        return out
 
     def format_table(self) -> str:
         rows = []
@@ -207,16 +193,8 @@ class MetricReport:
 ProviderFactory = Callable[[], tuple]
 
 
-def _sorted_answer_texts(result: QuestionResult) -> list[str]:
-    nodes = sorted(result.answers.answers, key=node_sort_key)
-    return [node_text(n) for n in nodes]
-
-
-def _gold_answers(g: KnowledgeGraph, rec: DatasetRecord) -> tuple[str, ...]:
-    if rec.answers:
-        return rec.answers
-    answers = evaluate_query(g, parse_sparql(rec.sparql))
-    return tuple(node_text(n) for n in sorted(answers, key=node_sort_key))
+def _answer_texts(nodes: Iterable[NodeRef]) -> list[str]:
+    return [node_text(n) for n in sorted(nodes, key=node_sort_key)]
 
 
 def run_batch(
@@ -299,12 +277,18 @@ def run_batch(
 
         row_error = result.error
         row_flagged = False
-        pred_texts = _sorted_answer_texts(result)
+        pred_texts = _answer_texts(result.answers.answers)
+        # The gold query is parsed once, for the gold answers when the
+        # record has none and for path scoring.
+        gold, query = rec.answers, None
         try:
-            gold = _gold_answers(g, rec)
+            if rec.sparql:
+                query = parse_sparql(rec.sparql)
+            if not gold:
+                gold = _answer_texts(evaluate_query(g, query))
         except KgRelayError as exc:
-            gold = ()
-            row_error = f"gold: {type(exc).__name__}: {exc}"
+            if not gold:
+                row_error = f"gold: {type(exc).__name__}: {exc}"
         if not gold:
             # Cannot score against nothing; count the record as failed.
             row_flagged = True
@@ -317,9 +301,9 @@ def run_batch(
         f1_total += f1
 
         skel = exact = None
-        if rec.sparql and not row_flagged:
+        if query is not None and not row_flagged:
             try:
-                gold_rp = sparql_to_path(parse_sparql(rec.sparql))
+                gold_rp = sparql_to_path(query)
             except KgRelayError:
                 gold_rp = None
             if gold_rp is not None:

@@ -1,17 +1,23 @@
 """Execution of reasoning paths and subset queries over a knowledge graph.
 
-Both executors walk the main chain hop by hop. Constraints anchored at a
-hop filter that hop's frontier before expansion continues; binary
-comparisons run before extremal (ARGMAX/ARGMIN) selection so the result
-does not depend on the order constraints were written in.
+Both forms compile to one hop plan: for each hop of the main chain, the
+relation to expand and the steps that filter the hop's entity frontier.
+A binary step keeps an entity when a test on its objects under the step
+relation holds; an extremal step (ARGMAX/ARGMIN) keeps the entities whose
+best admitted value is the extreme one. Binary steps run before extremal
+ones, so the result does not depend on the order constraints were written
+in. One walker runs every plan. Relaxation compiles each constraint once
+and walks every tier through one memo, so the expansions and filters that
+tiers have in common run once.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .errors import UnclassifiableBranch, UngroundedTopic
+from .errors import UnclassifiableBranch, UngroundedTopic, UnknownEntity
 from .kg import DATETIME, NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, NodeRef
 from .reasoning import (
     ComparisonOp,
@@ -21,7 +27,7 @@ from .reasoning import (
     ReasoningPath,
     StringMatch,
 )
-from .sparql import FilterClause, SparqlQuery, TriplePattern, Var, find_main_chain
+from .sparql import FilterClause, SparqlQuery, Var, find_main_chain
 
 log = logging.getLogger(__name__)
 
@@ -78,23 +84,52 @@ def _value_key(lit: Literal) -> tuple:
     return (lit.kind, lit.text)
 
 
-def _extremal_values(g, entity: EntityId, relation: str) -> list[tuple]:
-    return [
-        _value_key(o)
-        for o in g.neighbors(entity, relation)
-        if isinstance(o, Literal) and o.kind in (NUMERIC, DATETIME)
-    ]
+# --- compiled steps ---
+
+@dataclass(frozen=True, eq=False)
+class Step:
+    """A filter on a hop's entity frontier; compares by identity.
+
+    A binary step (``pick`` is None) keeps an entity when
+    ``test(g.neighbors(entity, relation))`` holds. An extremal step keeps
+    the entities whose best date or number admitted by ``test`` is the
+    extreme one under ``pick`` (max or min); ties survive.
+    """
+
+    relation: str
+    test: Callable
+    pick: Callable | None = None
 
 
-def apply_constraint(
-    g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
-) -> set[EntityId]:
-    """Filter a candidate entity set by one constraint.
+def _entity_step(relation: str, target: EntityId | None) -> Step:
+    # An ungrounded target (None) is in no object set, so it keeps nothing.
+    return Step(relation, lambda objs: target in objs)
+
+
+def _literal_test(op: ComparisonOp, value: Literal) -> Callable[[Literal], bool]:
+    # A string value is trimmed, case-sensitive equality whatever the op.
+    if value.kind == STRING:
+        want = value.text.strip()
+        return lambda o: o.kind == STRING and o.text.strip() == want
+    return lambda o: _compare(o, op, value)
+
+
+def _literal_step(relation: str, conds: list, pick: Callable | None = None) -> Step:
+    """Step over the literal objects that meet every (op, value) condition
+    in ``conds``, all on one binding; extremal when ``pick`` is given."""
+    tests = [_literal_test(op, value) for op, value in conds]
+    admits = tests[0] if len(tests) == 1 else (lambda o: all(t(o) for t in tests))
+    if pick is not None:
+        return Step(relation, admits, pick)
+    return Step(relation, lambda objs: any(isinstance(o, Literal) and admits(o) for o in objs))
+
+
+def _constraint_step(g: KnowledgeGraph, c: Constraint) -> Step:
+    """Compile one reasoning-path constraint.
 
     Every constraint is existential over the objects of the constraint
     relation. An entity constraint whose surface cannot be grounded
-    matches nothing. Extremal constraints keep all candidates attaining
-    the extreme value (ties survive).
+    matches nothing.
     """
     v = c.value
     if isinstance(v, EntityMatch):
@@ -102,89 +137,83 @@ def apply_constraint(
         if target is None:
             try:
                 target = g.ground_entity(v.surface)
-            except Exception:
-                return set()
-        return {e for e in candidates if target in g.neighbors(e, c.relation)}
-
+            except UnknownEntity:
+                pass
+        return _entity_step(c.relation, target)
     if isinstance(v, StringMatch):
-        want = v.text.strip()
-        return {
-            e
-            for e in candidates
-            if any(
-                isinstance(o, Literal) and o.kind == STRING and o.text.strip() == want
-                for o in g.neighbors(e, c.relation)
-            )
-        }
-
+        return _literal_step(c.relation, [(ComparisonOp.EQ, Literal(STRING, v.text))])
     if v.op.is_extremal:
-        best_of = {}
-        for e in candidates:
-            values = _extremal_values(g, e, c.relation)
-            if values:
-                best_of[e] = max(values) if v.op == ComparisonOp.ARGMAX else min(values)
-        if not best_of:
-            return set()
-        extreme = max(best_of.values()) if v.op == ComparisonOp.ARGMAX else min(best_of.values())
-        return {e for e, val in best_of.items() if val == extreme}
-
-    return {
-        e
-        for e in candidates
-        if any(
-            isinstance(o, Literal) and _compare(o, v.op, v.threshold)
-            for o in g.neighbors(e, c.relation)
-        )
-    }
+        return _literal_step(c.relation, [], max if v.op == ComparisonOp.ARGMAX else min)
+    return _literal_step(c.relation, [(v.op, v.threshold)])
 
 
-def _hop_constraints(rp: ReasoningPath, hop: int) -> list[Constraint]:
-    # Binary constraints apply before extremal ones; canonical order
-    # within each group. This makes constraint application commutative.
-    at_hop = [c for c in rp.constraints if c.hop == hop]
-    return sorted(at_hop, key=lambda c: (c.is_extremal, c.sort_key()))
+def _apply_step(g: KnowledgeGraph, entities: set[EntityId], step: Step) -> set[EntityId]:
+    rel, test, pick = step.relation, step.test, step.pick
+    if pick is None:
+        return {e for e in entities if test(g.neighbors(e, rel))}
+    best_of = {}
+    for e in entities:
+        values = [
+            _value_key(o)
+            for o in g.neighbors(e, rel)
+            if isinstance(o, Literal) and o.kind in (NUMERIC, DATETIME) and test(o)
+        ]
+        if values:
+            best_of[e] = pick(values)
+    extreme = pick(best_of.values(), default=None)
+    return {e for e, val in best_of.items() if val == extreme}
 
 
-def execute_skeleton(
-    g: KnowledgeGraph, topic: EntityId, path: tuple[str, ...]
-) -> set[NodeRef]:
-    """Constraint-free chain traversal from a grounded topic."""
-    return g.reach(topic, path)
+def apply_constraint(
+    g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
+) -> set[EntityId]:
+    """Filter a candidate entity set by one constraint."""
+    return _apply_step(g, candidates, _constraint_step(g, c))
 
 
-def execute_full(g: KnowledgeGraph, rp: ReasoningPath) -> frozenset[NodeRef]:
-    """Execute a grounded reasoning path with all its constraints.
+# --- the walker ---
 
-    Literals reached at a hop that carries constraints are dropped there;
-    at the final hop without constraints they are answers.
+def _walk(g: KnowledgeGraph, topic: EntityId, hops: list, memo: dict) -> frozenset[NodeRef]:
+    """Run a hop plan, a list of (relation, steps), from the topic entity.
+
+    Literals cannot expand, and at the final hop they are answers only
+    when the hop has no steps. ``memo`` maps a walk prefix (the relations
+    and steps applied so far) to its frontier; walks that share it compute
+    a shared prefix once.
     """
-    if rp.topic_entity is None:
-        raise UngroundedTopic("execute_full needs a grounded topic")
-    frontier: set[EntityId] = {rp.topic_entity}
-    depth = rp.depth
-    for i, rel in enumerate(rp.path, start=1):
-        entities: set[EntityId] = set()
-        literals: set[NodeRef] = set()
-        for e in frontier:
-            for o in g.neighbors(e, rel):
-                if isinstance(o, str):
-                    entities.add(o)
-                else:
-                    literals.add(o)
-        constraints = _hop_constraints(rp, i)
-        if constraints:
-            for c in constraints:
-                entities = apply_constraint(g, entities, c)
-                if not entities:
-                    return frozenset()
-            literals = set()
-        if i < depth:
-            frontier = entities
-            if not frontier:
-                return frozenset()
-        else:
-            return frozenset(entities | literals)
-    return frozenset(frontier)
+    entities, literals = {topic}, frozenset()
+    key: tuple = ()
+    for rel, steps in hops:
+        if not entities:
+            return frozenset()
+        key += (rel,)
+        if key not in memo:
+            reached: set[EntityId] = set()
+            leaves: set[NodeRef] = set()
+            for e in entities:
+                for o in g.neighbors(e, rel):
+                    if isinstance(o, str):
+                        reached.add(o)
+                    else:
+                        leaves.add(o)
+            memo[key] = reached, leaves
+        entities, literals = memo[key]
+        for step in steps:
+            key += (step,)
+            if key not in memo:
+                memo[key] = _apply_step(g, entities, step)
+            entities, literals = memo[key], frozenset()
+    return frozenset(entities | literals)
+
+
+# --- reasoning paths ---
+
+def _kept_at(c: Constraint, tier: int) -> bool:
+    if isinstance(c.value, StringMatch):
+        return tier < TIER_DROP_STRING
+    if isinstance(c.value, NumericCompare):
+        return tier < TIER_DROP_STRING_NUMERIC
+    return tier < TIER_SKELETON
 
 
 def constraints_for_tier(
@@ -195,22 +224,48 @@ def constraints_for_tier(
     Tier 0 keeps everything; tier 1 drops string constraints; tier 2 also
     drops numeric ones (comparisons and extremals); tier 3 drops all.
     """
-    if tier <= TIER_FULL:
-        return constraints
-    if tier >= TIER_SKELETON:
-        return ()
-    kept = []
-    for c in constraints:
-        if isinstance(c.value, StringMatch):
-            continue
-        if tier >= TIER_DROP_STRING_NUMERIC and isinstance(c.value, NumericCompare):
-            continue
-        kept.append(c)
-    return tuple(kept)
+    return tuple(c for c in constraints if _kept_at(c, tier))
+
+
+# Binary steps commute, so they run in the order the tiers drop them:
+# entity, numeric, string. The binary steps a tier keeps at a hop are then
+# a prefix of the tier before, and the walk memo computes them once.
+# Extremal steps do not commute; they run last, in canonical order.
+_STEP_RANK = {EntityMatch: 0, NumericCompare: 1, StringMatch: 2}
+
+
+def _step_order(c: Constraint) -> tuple:
+    return (c.is_extremal, _STEP_RANK[type(c.value)], c.sort_key())
+
+
+def _run_tiers(g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int]) -> AnswerSet:
+    """Walk the path at each tier in turn; the first non-empty tier wins."""
+    if rp.topic_entity is None:
+        raise UngroundedTopic("execution needs a grounded topic")
+    compiled = [(c, _constraint_step(g, c)) for c in sorted(rp.constraints, key=_step_order)]
+    memo: dict = {}
+    for tier in tiers:
+        hops = [
+            (rel, tuple(s for c, s in compiled if c.hop == hop and _kept_at(c, tier)))
+            for hop, rel in enumerate(rp.path, start=1)
+        ]
+        answers = _walk(g, rp.topic_entity, hops, memo)
+        if answers:
+            return AnswerSet(answers, tier)
+    return AnswerSet(frozenset(), tiers[-1])
 
 
 def answers_at_tier(g: KnowledgeGraph, rp: ReasoningPath, tier: int) -> frozenset[NodeRef]:
-    return execute_full(g, replace(rp, constraints=constraints_for_tier(rp.constraints, tier)))
+    return _run_tiers(g, rp, (tier,)).answers
+
+
+def execute_full(g: KnowledgeGraph, rp: ReasoningPath) -> frozenset[NodeRef]:
+    """Execute a grounded reasoning path with all its constraints.
+
+    Literals reached at a hop that carries constraints are dropped there;
+    at the final hop without constraints they are answers.
+    """
+    return answers_at_tier(g, rp, TIER_FULL)
 
 
 def execute_with_relaxation(g: KnowledgeGraph, rp: ReasoningPath) -> AnswerSet:
@@ -219,34 +274,21 @@ def execute_with_relaxation(g: KnowledgeGraph, rp: ReasoningPath) -> AnswerSet:
     The tier that produced the answers is recorded. When even the bare
     skeleton is empty the result is the empty set at tier 3.
     """
-    for tier in (TIER_FULL, TIER_DROP_STRING, TIER_DROP_STRING_NUMERIC, TIER_SKELETON):
-        answers = answers_at_tier(g, rp, tier)
-        if answers:
-            return AnswerSet(answers, tier)
-    return AnswerSet(frozenset(), TIER_SKELETON)
+    return _run_tiers(g, rp, range(TIER_FULL, TIER_SKELETON + 1))
 
 
-# --- direct query interpretation ---
-
-def _literal_eq(value: Literal, target: Literal) -> bool:
-    if target.kind == STRING:
-        return value.kind == STRING and value.text.strip() == target.text.strip()
-    return _compare(value, ComparisonOp.EQ, target)
-
+# --- subset queries ---
 
 def evaluate_query(g: KnowledgeGraph, q: SparqlQuery) -> frozenset[NodeRef]:
-    """Interpret a chain-shaped query directly on the graph.
+    """Interpret a chain-shaped query on the graph.
 
-    This never consults the reasoning-path representation, so it serves
-    as an independent cross-check for compiled queries. Filters that sit
-    on the same branch variable are a conjunction over one binding.
-    Non-chain-shaped queries raise the chain-analysis errors.
+    Off-chain branches compile to steps, including the shapes a reasoning
+    path cannot express: bare existence, literal objects, filter
+    conjunctions over one binding and a filtered ORDER BY. Non-chain-shaped
+    queries raise the chain-analysis errors.
     """
     topic, chain = find_main_chain(q)
-    hop_of: dict[Var, int] = {}
-    for i, pat in enumerate(chain, start=1):
-        if isinstance(pat.object, Var):
-            hop_of[pat.object] = i
+    hop_of = {pat.object: i for i, pat in enumerate(chain) if isinstance(pat.object, Var)}
     chain_ids = {id(pat) for pat in chain}
 
     filters_of: dict[Var, list[FilterClause]] = {}
@@ -258,10 +300,7 @@ def evaluate_query(g: KnowledgeGraph, q: SparqlQuery) -> frozenset[NodeRef]:
     if order_var is not None and (order_var in hop_of or order_var == q.select_var):
         raise UnclassifiableBranch(f"order on chain variable ?{order_var.name}")
 
-    # Branch checks grouped by anchor hop. Each entry closes over one
-    # off-chain pattern and its attached filters.
-    checks: dict[int, list] = {}
-    extremals: dict[int, list] = {}
+    steps: list[list[Step]] = [[] for _ in chain]
     seen_vars: set[Var] = set()
     for pat in q.patterns:
         if id(pat) in chain_ids:
@@ -273,41 +312,22 @@ def evaluate_query(g: KnowledgeGraph, q: SparqlQuery) -> frozenset[NodeRef]:
         obj = pat.object
         rel = pat.relation
         if isinstance(obj, str):
-            checks.setdefault(hop, []).append(
-                lambda e, rel=rel, obj=obj: obj in g.neighbors(e, rel)
-            )
+            step = _entity_step(rel, obj)
         elif isinstance(obj, Literal):
-            checks.setdefault(hop, []).append(
-                lambda e, rel=rel, obj=obj: any(
-                    isinstance(o, Literal) and _literal_eq(o, obj)
-                    for o in g.neighbors(e, rel)
-                )
-            )
+            step = _literal_step(rel, [(ComparisonOp.EQ, obj)])
         else:
             if obj in hop_of or obj == q.select_var:
                 raise UnclassifiableBranch("branch variable rejoins the chain")
             seen_vars.add(obj)
-            conj = filters_of.get(obj, [])
+            conds = [(f.op, f.value) for f in filters_of.get(obj, [])]
             if order_var == obj:
-                extremals.setdefault(hop, []).append((rel, conj, q.order.descending))
-                continue
-            if not conj:
+                step = _literal_step(rel, conds, max if q.order.descending else min)
+            elif conds:
+                step = _literal_step(rel, conds)
+            else:
                 # Bare existence: the entity has at least one object here.
-                checks.setdefault(hop, []).append(
-                    lambda e, rel=rel: bool(g.neighbors(e, rel))
-                )
-                continue
-            def admits(o, conj=conj):
-                return isinstance(o, Literal) and all(
-                    _compare(o, f.op, f.value) if f.value.kind != STRING
-                    else _literal_eq(o, f.value)
-                    for f in conj
-                )
-            checks.setdefault(hop, []).append(
-                lambda e, rel=rel, admits=admits: any(
-                    admits(o) for o in g.neighbors(e, rel)
-                )
-            )
+                step = Step(rel, bool)
+        steps[hop].append(step)
 
     for var in filters_of:
         if var not in seen_vars:
@@ -315,47 +335,8 @@ def evaluate_query(g: KnowledgeGraph, q: SparqlQuery) -> frozenset[NodeRef]:
     if order_var is not None and order_var not in seen_vars:
         raise UnclassifiableBranch(f"order on unknown variable ?{order_var.name}")
 
-    frontier: set[EntityId] = {topic}
-    depth = len(chain)
-    for i, pat in enumerate(chain, start=1):
-        entities: set[EntityId] = set()
-        literals: set[NodeRef] = set()
-        for e in frontier:
-            for o in g.neighbors(e, pat.relation):
-                if isinstance(o, str):
-                    entities.add(o)
-                else:
-                    literals.add(o)
-        constrained = i in checks or i in extremals
-        for check in checks.get(i, []):
-            entities = {e for e in entities if check(e)}
-        for rel, conj, descending in extremals.get(i, []):
-            best_of = {}
-            for e in entities:
-                values = [
-                    _value_key(o)
-                    for o in g.neighbors(e, rel)
-                    if isinstance(o, Literal)
-                    and o.kind in (NUMERIC, DATETIME)
-                    and all(
-                        _compare(o, f.op, f.value) if f.value.kind != STRING
-                        else _literal_eq(o, f.value)
-                        for f in conj
-                    )
-                ]
-                if values:
-                    best_of[e] = max(values) if descending else min(values)
-            if not best_of:
-                entities = set()
-            else:
-                extreme = max(best_of.values()) if descending else min(best_of.values())
-                entities = {e for e, val in best_of.items() if val == extreme}
-        if constrained:
-            literals = set()
-        if i < depth:
-            frontier = entities
-            if not frontier:
-                return frozenset()
-        else:
-            return frozenset(entities | literals)
-    return frozenset(frontier)
+    hops = [
+        (pat.relation, tuple(sorted(at_hop, key=lambda s: s.pick is not None)))
+        for pat, at_hop in zip(chain, steps)
+    ]
+    return _walk(g, topic, hops, {})

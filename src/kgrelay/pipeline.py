@@ -25,12 +25,7 @@ from .providers import (
     LlmProvider,
     TrackedLlm,
 )
-from .reasoning import (
-    ReasoningPath,
-    ground_reasoning_path,
-    parse_reasoning_path,
-    predicted_depth,
-)
+from .reasoning import ReasoningPath, ground_reasoning_path, parse_reasoning_path
 from .repair import RepairConfig, linearize, repair
 
 log = logging.getLogger(__name__)
@@ -106,10 +101,9 @@ def answer_question(
         rp_final = rp
     else:
         route = Route.STAGE1_PLUS_2
-        depth = predicted_depth(rp)
         try:
             new_path = repair(
-                g, question, rp.topic_entity, depth, repair_cfg, gen_llm, embedder, trace
+                g, question, rp.topic_entity, rp.depth, repair_cfg, gen_llm, embedder, trace
             )
         except KgRelayError as exc:
             return failed("repair", exc, initial=rp_initial, final=rp)

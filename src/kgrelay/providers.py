@@ -32,13 +32,6 @@ DEFAULT_PRICES: dict[str, tuple[float, float]] = {
     ROLE_GENERAL: (0.15, 0.60),
 }
 
-# Reference per-model prices for configuration by name.
-MODEL_PRICES: dict[str, tuple[float, float]] = {
-    "llama-2-7b": (0.05, 0.25),
-    "llama-3.1-8b": (0.10, 0.10),
-    "gpt-4o-mini": (0.15, 0.60),
-}
-
 
 @dataclass(frozen=True)
 class LlmUsage:
@@ -120,10 +113,6 @@ class ScriptedLlm:
                     )
                     return entry.reply, usage
         raise NoScriptMatch(prompt)
-
-
-def scripted_llm(entries: Iterable[ScriptEntry | dict | tuple]) -> ScriptedLlm:
-    return ScriptedLlm(entries)
 
 
 # --- embedding fallback ---
@@ -218,10 +207,6 @@ class HttpLlm:
         if last_status == "timeout":
             raise ProviderTimeout(f"no response after {self.max_retries} attempts")
         raise HttpError(int(last_status), f"after {self.max_retries} attempts")
-
-
-def http_llm(base_url: str, model: str, **kwargs) -> HttpLlm:
-    return HttpLlm(base_url, model, **kwargs)
 
 
 # --- cost accounting ---

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 
-from .errors import HopOutOfRange, ParseError
+from .errors import HopOutOfRange, ParseError, UnknownEntity
 from .kg import (
     DATETIME,
     DATETIME_RE,
@@ -139,11 +139,6 @@ class ReasoningPath:
     def skeleton(self) -> "ReasoningPath":
         """The same path with every constraint removed."""
         return replace(self, constraints=())
-
-
-def predicted_depth(rp: ReasoningPath) -> int:
-    """Number of hops on the main path; drives the repair search depth."""
-    return rp.depth
 
 
 # --- parsing ---
@@ -275,10 +270,8 @@ def ground_reasoning_path(g: KnowledgeGraph, rp: ReasoningPath) -> ReasoningPath
     for c in rp.constraints:
         if isinstance(c.value, EntityMatch) and c.value.entity is None:
             try:
-                eid = g.ground_entity(c.value.surface)
-            except Exception:
-                eid = None
-            if eid is not None:
-                c = replace(c, value=replace(c.value, entity=eid))
+                c = replace(c, value=replace(c.value, entity=g.ground_entity(c.value.surface)))
+            except UnknownEntity:
+                pass
         constraints.append(c)
     return replace(rp, topic_entity=topic, constraints=tuple(constraints))

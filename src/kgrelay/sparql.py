@@ -62,9 +62,6 @@ class Var:
     name: str
 
 
-Term = "Var | str | Literal"
-
-
 @dataclass(frozen=True)
 class TriplePattern:
     subject: Var | str

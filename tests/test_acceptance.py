@@ -38,7 +38,6 @@ from kgrelay.execute import (
     constraints_for_tier,
     evaluate_query,
     execute_full,
-    execute_skeleton,
 )
 from kgrelay.kg import load_tsv
 from kgrelay.providers import TokenOverlapEmbedder
@@ -153,8 +152,8 @@ def test_criterion_3_worked_example(capsys, presidents, worked_path,
         assert execute_full(presidents, worked_argmax_path) == frozenset(
             {"Obama"}
         )
-        skeleton = execute_skeleton(
-            presidents, "USA", ("country.presidents", "president.office_holder")
+        skeleton = presidents.reach(
+            "USA", ("country.presidents", "president.office_holder")
         )
         assert skeleton == frozenset({"Obama", "GWBush", "Clinton"})
 

@@ -20,8 +20,7 @@ def cfg_path(tmp_path, data_dir):
         f"kg = {data_dir / 'presidents.tsv'}\n"
         f"specialized_script = {data_dir / 'scripts' / 'specialized.json'}\n"
         f"general_script = {data_dir / 'scripts' / 'general.json'}\n"
-        "workers = 1\n"
-        "seed = 42\n",
+        "workers = 1\n",
         encoding="utf-8",
     )
     return str(p)

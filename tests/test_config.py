@@ -30,7 +30,6 @@ def test_defaults():
     s = load_settings()
     assert s == Settings()
     assert s.beam_width == 3
-    assert s.seed == 42
     assert s.relaxation is True
 
 
@@ -60,9 +59,9 @@ def test_env_overrides_file(tmp_path, monkeypatch):
 
 
 def test_overrides_beat_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("KGRELAY_SEED", "1")
-    s = load_settings(None, {"seed": 99})
-    assert s.seed == 99
+    monkeypatch.setenv("KGRELAY_WORKERS", "1")
+    s = load_settings(None, {"workers": 99})
+    assert s.workers == 99
 
 
 def test_unknown_override_rejected():

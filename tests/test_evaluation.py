@@ -222,6 +222,16 @@ def test_run_batch_scores_and_routes(presidents, tmp_path):
     assert by_id["line-6"]["llm_calls"] == 0
 
 
+def test_run_batch_answers_with_unparsable_query(presidents):
+    # Literal answers score the record; a gold query that does not parse
+    # only leaves the path metrics out, with no error on the row.
+    rec = DatasetRecord("g", "all presidents", ("Obama",), sparql="SELECT nonsense")
+    report, [row] = run_batch(presidents, [rec], make_factory())
+    assert row["hits_at_1"] == 1
+    assert not {"flagged", "error", "skeleton_accuracy"} & set(row)
+    assert report.path_scored == 0
+
+
 def test_run_batch_row_schema(presidents, tmp_path):
     _, rows = run_batch(presidents, batch_records(tmp_path), make_factory())
     base = {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,9 @@ from kgrelay.execute import (
     constraints_for_tier,
     evaluate_query,
     execute_full,
-    execute_skeleton,
     execute_with_relaxation,
 )
-from kgrelay.kg import NUMERIC, Literal, load_tsv, node_text
+from kgrelay.kg import NUMERIC, KnowledgeGraph, Literal, load_tsv, node_text
 from kgrelay.reasoning import (
     ComparisonOp,
     Constraint,
@@ -70,9 +70,7 @@ def test_worked_argmax(presidents, worked_argmax_path):
 
 
 def test_worked_skeleton(presidents):
-    got = execute_skeleton(
-        presidents, "USA", ("country.presidents", "president.office_holder")
-    )
+    got = presidents.reach("USA", ("country.presidents", "president.office_holder"))
     assert got == frozenset({"Obama", "GWBush", "Clinton"})
 
 
@@ -330,6 +328,28 @@ def test_relaxation_reaches_skeleton(tmp_path):
     )
 
 
+def test_relaxation_expands_topic_once(tmp_path):
+    # Every tier walks from the topic; the tiers share that first expansion.
+    class CountingGraph(KnowledgeGraph):
+        topic_expansions = 0
+
+        def neighbors(self, entity, relation):
+            if (entity, relation) == ("S", "r"):
+                self.topic_expansions += 1
+            return super().neighbors(entity, relation)
+
+    g = CountingGraph(graph(tmp_path, "S\tr\tA\nA\tq\tB\nB\te\tX\n").triples)
+    rp = grounded(
+        g,
+        "TOPIC: S\nPATH: r -> q\n"
+        'CONSTRAINT: hop=2; rel=n; string="gone"\n'
+        'CONSTRAINT: hop=2; rel=v; op=GE; value="5"\n'
+        "CONSTRAINT: hop=2; rel=e; entity=Y",
+    )
+    assert execute_with_relaxation(g, rp) == AnswerSet(frozenset({"B"}), TIER_SKELETON)
+    assert g.topic_expansions == 1
+
+
 def test_relaxation_empty_everywhere(tmp_path):
     g = graph(tmp_path, "S\tr\tA\n")
     rp = ReasoningPath("S", ("r", "gone"), (), topic_entity="S")
@@ -448,3 +468,12 @@ def test_random_execution_matches_oracle(tmp_path_factory, seed):
         assert keyset(got) == oracle_execute(og, rp)
         q = path_to_sparql(rp)
         assert evaluate_query(g, q) == got
+        # relaxation answers at the first tier the oracle finds non-empty
+        per_tier = [
+            oracle_execute(og, replace(rp, constraints=constraints_for_tier(rp.constraints, t)))
+            for t in range(TIER_FULL, TIER_SKELETON + 1)
+        ]
+        tier = next((t for t, answers in enumerate(per_tier) if answers), TIER_SKELETON)
+        relaxed = execute_with_relaxation(g, rp)
+        assert relaxed.relaxation_tier == tier
+        assert keyset(relaxed.answers) == per_tier[tier]

@@ -21,7 +21,6 @@ from kgrelay.reasoning import (
     classify_threshold,
     ground_reasoning_path,
     parse_reasoning_path,
-    predicted_depth,
     serialize_reasoning_path,
 )
 from conftest import WORKED_TEXT
@@ -33,7 +32,6 @@ def test_parse_worked_example():
     assert rp.topic_surface == "USA"
     assert rp.path == ("country.presidents", "president.office_holder")
     assert rp.depth == 2
-    assert predicted_depth(rp) == 2
     assert rp.constraints == (
         Constraint(2, "education.institution", EntityMatch("Harvard")),
         Constraint(
