@@ -148,6 +148,14 @@ class ProviderTimeout(ProviderError):
     """The HTTP provider exhausted retries on timeouts."""
 
 
+class ProviderUnreachable(ProviderError):
+    """The HTTP provider exhausted retries on failed connections."""
+
+
+class MalformedReply(ProviderError):
+    """A 200 reply is not JSON or has no ``choices[0].message.content``."""
+
+
 # --- repair ---
 
 class RepairError(KgRelayError):

@@ -67,19 +67,16 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
             if not isinstance(question, str) or not question:
                 raise ValueError("missing question")
             answers = tuple(str(a) for a in obj.get("answers", []))
-            sparql = obj.get("sparql")
+            sparql, topic, depth = obj.get("sparql"), obj.get("topic"), obj.get("depth")
             if not answers and not sparql:
                 raise ValueError("record needs answers or a gold query")
-            records.append(
-                DatasetRecord(
-                    rid,
-                    question,
-                    answers,
-                    sparql,
-                    obj.get("topic"),
-                    obj.get("depth"),
-                )
-            )
+            if sparql is not None and not isinstance(sparql, str):
+                raise ValueError("sparql is not a string")
+            if topic is not None and not isinstance(topic, str):
+                raise ValueError("topic is not a string")
+            if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int)):
+                raise ValueError("depth is not an integer")
+            records.append(DatasetRecord(rid, question, answers, sparql, topic, depth))
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("dataset line %d unusable: %s", line_no, exc)
             records.append(

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import UnclassifiableBranch, UngroundedTopic, UnknownEntity
+from .errors import UngroundedTopic, UnknownEntity
 from .kg import DATETIME, NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, NodeRef
 from .reasoning import (
     ComparisonOp,
@@ -27,7 +27,7 @@ from .reasoning import (
     ReasoningPath,
     StringMatch,
 )
-from .sparql import FilterClause, SparqlQuery, Var, find_main_chain
+from .sparql import SparqlQuery, chain_branches
 
 log = logging.getLogger(__name__)
 
@@ -48,20 +48,11 @@ class AnswerSet:
 
 
 def _compare(value: Literal, op: ComparisonOp, threshold: Literal) -> bool:
-    """Binary comparison with kind checking.
+    """Compare two date or two numeric literals.
 
     Numbers compare as decimals, dates as ISO text (so "2001" < "2001-05"
-    < "2002"). A numeric value against a date threshold, or vice versa, is
-    not comparable: it is logged and treated as non-matching.
+    < "2002").
     """
-    if value.kind == STRING:
-        return False
-    if value.kind != threshold.kind:
-        log.warning(
-            "non-comparable literal: %s value %r vs %s threshold %r",
-            value.kind, value.text, threshold.kind, threshold.text,
-        )
-        return False
     if value.kind == NUMERIC:
         a, b = value.decimal(), threshold.decimal()
     else:
@@ -106,18 +97,37 @@ def _entity_step(relation: str, target: EntityId | None) -> Step:
     return Step(relation, lambda objs: target in objs)
 
 
-def _literal_test(op: ComparisonOp, value: Literal) -> Callable[[Literal], bool]:
-    # A string value is trimmed, case-sensitive equality whatever the op.
-    if value.kind == STRING:
-        want = value.text.strip()
-        return lambda o: o.kind == STRING and o.text.strip() == want
-    return lambda o: _compare(o, op, value)
-
-
 def _literal_step(relation: str, conds: list, pick: Callable | None = None) -> Step:
     """Step over the literal objects that meet every (op, value) condition
-    in ``conds``, all on one binding; extremal when ``pick`` is given."""
-    tests = [_literal_test(op, value) for op, value in conds]
+    in ``conds``, all on one binding; extremal when ``pick`` is given.
+
+    A string value is trimmed, case-sensitive equality whatever the op. A
+    numeric value against a date threshold, or the reverse, is not
+    comparable and does not match; the step logs the first such pair it
+    meets, so a large frontier costs one warning, not one per literal.
+    """
+    warned = False
+
+    def literal_test(op: ComparisonOp, value: Literal) -> Callable[[Literal], bool]:
+        if value.kind == STRING:
+            want = value.text.strip()
+            return lambda o: o.kind == STRING and o.text.strip() == want
+
+        def test(o: Literal) -> bool:
+            nonlocal warned
+            if o.kind == value.kind:
+                return _compare(o, op, value)
+            if o.kind != STRING and not warned:
+                warned = True
+                log.warning(
+                    "non-comparable literal: %s value %r vs %s threshold %r",
+                    o.kind, o.text, value.kind, value.text,
+                )
+            return False
+
+        return test
+
+    tests = [literal_test(op, value) for op, value in conds]
     admits = tests[0] if len(tests) == 1 else (lambda o: all(t(o) for t in tests))
     if pick is not None:
         return Step(relation, admits, pick)
@@ -282,58 +292,28 @@ def execute_with_relaxation(g: KnowledgeGraph, rp: ReasoningPath) -> AnswerSet:
 def evaluate_query(g: KnowledgeGraph, q: SparqlQuery) -> frozenset[NodeRef]:
     """Interpret a chain-shaped query on the graph.
 
-    Off-chain branches compile to steps, including the shapes a reasoning
-    path cannot express: bare existence, literal objects, filter
-    conjunctions over one binding and a filtered ORDER BY. Non-chain-shaped
-    queries raise the chain-analysis errors.
+    Each branch from ``chain_branches`` compiles to a step, including the
+    shapes a reasoning path cannot express: bare existence, literal
+    objects, filter conjunctions over one binding and a filtered ORDER BY.
+    Queries that are not chain-shaped raise the chain-analysis errors.
     """
-    topic, chain = find_main_chain(q)
-    hop_of = {pat.object: i for i, pat in enumerate(chain) if isinstance(pat.object, Var)}
-    chain_ids = {id(pat) for pat in chain}
-
-    filters_of: dict[Var, list[FilterClause]] = {}
-    for f in q.filters:
-        if f.var in hop_of:
-            raise UnclassifiableBranch(f"filter on chain variable ?{f.var.name}")
-        filters_of.setdefault(f.var, []).append(f)
-    order_var = q.order.var if q.order else None
-    if order_var is not None and (order_var in hop_of or order_var == q.select_var):
-        raise UnclassifiableBranch(f"order on chain variable ?{order_var.name}")
-
+    topic, chain, branches = chain_branches(q)
     steps: list[list[Step]] = [[] for _ in chain]
-    seen_vars: set[Var] = set()
-    for pat in q.patterns:
-        if id(pat) in chain_ids:
-            continue
-        subj = pat.subject
-        if not isinstance(subj, Var) or subj not in hop_of:
-            raise UnclassifiableBranch(f"pattern subject {subj!r} is not on the chain")
-        hop = hop_of[subj]
-        obj = pat.object
-        rel = pat.relation
+    for b in branches:
+        rel, obj = b.pattern.relation, b.pattern.object
+        conds = [(f.op, f.value) for f in b.filters]
         if isinstance(obj, str):
             step = _entity_step(rel, obj)
         elif isinstance(obj, Literal):
             step = _literal_step(rel, [(ComparisonOp.EQ, obj)])
+        elif b.descending is not None:
+            step = _literal_step(rel, conds, max if b.descending else min)
+        elif conds:
+            step = _literal_step(rel, conds)
         else:
-            if obj in hop_of or obj == q.select_var:
-                raise UnclassifiableBranch("branch variable rejoins the chain")
-            seen_vars.add(obj)
-            conds = [(f.op, f.value) for f in filters_of.get(obj, [])]
-            if order_var == obj:
-                step = _literal_step(rel, conds, max if q.order.descending else min)
-            elif conds:
-                step = _literal_step(rel, conds)
-            else:
-                # Bare existence: the entity has at least one object here.
-                step = Step(rel, bool)
-        steps[hop].append(step)
-
-    for var in filters_of:
-        if var not in seen_vars:
-            raise UnclassifiableBranch(f"filter on unknown variable ?{var.name}")
-    if order_var is not None and order_var not in seen_vars:
-        raise UnclassifiableBranch(f"order on unknown variable ?{order_var.name}")
+            # Bare existence: the entity has at least one object here.
+            step = Step(rel, bool)
+        steps[b.hop - 1].append(step)
 
     hops = [
         (pat.relation, tuple(sorted(at_hop, key=lambda s: s.pick is not None)))

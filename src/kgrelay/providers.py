@@ -19,7 +19,14 @@ from typing import Iterable, Protocol
 
 import requests
 
-from .errors import HttpError, MissingKey, NoScriptMatch, ProviderTimeout
+from .errors import (
+    HttpError,
+    MalformedReply,
+    MissingKey,
+    NoScriptMatch,
+    ProviderTimeout,
+    ProviderUnreachable,
+)
 
 log = logging.getLogger(__name__)
 
@@ -146,7 +153,8 @@ class HttpLlm:
 
     The API key is read from the environment at construction; a missing
     variable fails before any network traffic. Retries cover timeouts,
-    429, and 5xx responses with exponential backoff.
+    failed connections, 429, and 5xx responses with exponential backoff.
+    Every failure raises a ProviderError subclass.
     """
 
     def __init__(
@@ -189,23 +197,35 @@ class HttpLlm:
             except requests.Timeout:
                 last_status = "timeout"
                 continue
+            except requests.ConnectionError as exc:
+                last_status = exc
+                continue
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_status = resp.status_code
                 continue
             if resp.status_code != 200:
                 raise HttpError(resp.status_code, resp.text[:200])
-            body = resp.json()
-            text = body["choices"][0]["message"]["content"]
-            usage = body.get("usage") or {}
-            if "prompt_tokens" in usage and "completion_tokens" in usage:
-                return text, LlmUsage(
-                    int(usage["prompt_tokens"]), int(usage["completion_tokens"])
-                )
+            try:
+                body = resp.json()
+                text = body["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise MalformedReply("reply content is not text")
+                usage = body.get("usage") or {}
+                if "prompt_tokens" in usage and "completion_tokens" in usage:
+                    return text, LlmUsage(
+                        int(usage["prompt_tokens"]), int(usage["completion_tokens"])
+                    )
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise MalformedReply(f"unreadable reply: {type(exc).__name__}: {exc}") from exc
             return text, LlmUsage(
                 approx_tokens(prompt), approx_tokens(text), provider_reported=False
             )
         if last_status == "timeout":
             raise ProviderTimeout(f"no response after {self.max_retries} attempts")
+        if isinstance(last_status, requests.ConnectionError):
+            raise ProviderUnreachable(
+                f"no connection after {self.max_retries} attempts: {last_status}"
+            )
         raise HttpError(int(last_status), f"after {self.max_retries} attempts")
 
 

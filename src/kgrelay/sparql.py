@@ -16,10 +16,14 @@ else in the language (UNION, OPTIONAL, property paths, several select
 variables, LIMIT other than the ORDER BY form) raises UnsupportedFeature
 rather than being silently misread.
 
-Conversion to a reasoning path requires the query to be chain-shaped:
-exactly one simple path of triple patterns from one named entity to the
-selected variable; every remaining pattern hangs off a chain variable and
-becomes a typed constraint.
+One analysis, ``chain_branches``, decides what is chain-shaped: exactly
+one simple path of triple patterns from one named entity to the selected
+variable, every remaining pattern a branch hanging off a chain variable,
+each branch variable bound by one pattern only, every FILTER and the ORDER
+BY on a branch variable, and string FILTERs with ``=`` only. Conversion to
+a reasoning path, canonical rendering and query evaluation (in
+``execute``) all take their branches from it; the renderer canonicalizes
+exactly the queries it accepts and prints any other query as parsed.
 """
 
 from __future__ import annotations
@@ -37,15 +41,7 @@ from .errors import (
     UnresolvedConstraintEntity,
     UnsupportedFeature,
 )
-from .kg import (
-    DATETIME,
-    DATETIME_RE,
-    NUMERIC,
-    STRING,
-    Literal,
-    escape_quotes,
-    parse_literal_token,
-)
+from .kg import STRING, Literal, escape_quotes, parse_literal_token
 from .reasoning import (
     ComparisonOp,
     Constraint,
@@ -54,6 +50,7 @@ from .reasoning import (
     ReasoningPath,
     StringMatch,
     canonicalize,
+    classify_threshold,
 )
 
 
@@ -311,20 +308,16 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
     target = ("var", q.select_var.name)
     found: list[tuple[str, list[TriplePattern]]] = []
 
-    def walk(node, seen, acc):
+    def walk(topic, node, seen, acc):
         if node == target:
-            found.append((None, list(acc)))
+            found.append((topic, acc))
             return
         for nxt, pat in edges.get(node, []):
-            if nxt in seen:
-                continue
-            walk(nxt, seen | {nxt}, acc + [pat])
+            if nxt not in seen:
+                walk(topic, nxt, seen | {nxt}, acc + [pat])
 
     for src in sorted(sources):
-        before = len(found)
-        walk(src, {src}, [])
-        for i in range(before, len(found)):
-            found[i] = (src[1], found[i][1])
+        walk(src[1], src, {src}, [])
 
     if not found:
         raise NoTopicEntity("no named entity reaches the select variable")
@@ -333,78 +326,108 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
     return found[0]
 
 
+@dataclass(frozen=True)
+class Branch:
+    """An off-chain pattern whose subject is the object of chain hop
+    ``hop`` (1-based), with the FILTERs on its object variable and the
+    ORDER BY direction when the query sorts that variable."""
+
+    hop: int
+    pattern: TriplePattern
+    filters: tuple[FilterClause, ...] = ()
+    descending: bool | None = None
+
+
+def chain_branches(q: SparqlQuery) -> tuple[str, list[TriplePattern], list[Branch]]:
+    """Split a chain-shaped query into (topic, chain, branches).
+
+    Every pattern off the main chain must hang off a chain variable, and
+    a branch variable must be new: bound by that one pattern only, not on
+    the chain. Every FILTER and the ORDER BY must sit on a branch
+    variable, and a string FILTER must use ``=``. Anything else raises
+    UnclassifiableBranch; a query with no unique main chain raises the
+    find_main_chain errors.
+    """
+    topic, chain = find_main_chain(q)
+    hop_of = {pat.object: i for i, pat in enumerate(chain, start=1)}
+    filters_of: dict[Var, list[FilterClause]] = {}
+    for f in q.filters:
+        if f.var in hop_of:
+            raise UnclassifiableBranch(f"filter on chain variable ?{f.var.name}")
+        filters_of.setdefault(f.var, []).append(f)
+    order_var = q.order.var if q.order else None
+    if order_var in hop_of:
+        raise UnclassifiableBranch(f"order on chain variable ?{order_var.name}")
+
+    chain_ids = {id(pat) for pat in chain}
+    branches: list[Branch] = []
+    bound: list[Var] = []
+    for pat in q.patterns:
+        if id(pat) in chain_ids:
+            continue
+        hop = hop_of.get(pat.subject)
+        if hop is None:
+            raise UnclassifiableBranch(f"pattern subject {pat.subject!r} is not on the chain")
+        obj = pat.object
+        if not isinstance(obj, Var):
+            branches.append(Branch(hop, pat))
+            continue
+        if obj in hop_of:
+            raise UnclassifiableBranch("branch variable rejoins the chain")
+        bound.append(obj)
+        descending = q.order.descending if order_var == obj else None
+        branches.append(Branch(hop, pat, tuple(filters_of.get(obj, ())), descending))
+
+    bound_set = set(bound)
+    for var in filters_of:
+        if var not in bound_set:
+            raise UnclassifiableBranch(f"filter on unknown variable ?{var.name}")
+    if order_var is not None and order_var not in bound_set:
+        raise UnclassifiableBranch(f"order on unknown variable ?{order_var.name}")
+    if len(bound_set) < len(bound):
+        shared = next(v for i, v in enumerate(bound) if v in bound[:i])
+        raise UnclassifiableBranch(
+            f"branch variable ?{shared.name} is bound by more than one pattern"
+        )
+    for f in q.filters:
+        if f.value.kind == STRING and f.op != ComparisonOp.EQ:
+            raise UnclassifiableBranch(f"string filter with {_OP_TEXT[f.op]!r} on ?{f.var.name}")
+    return topic, chain, branches
+
+
+def _literal_value(op: ComparisonOp, lit: Literal) -> StringMatch | NumericCompare:
+    # chain_branches admits only EQ on strings.
+    return StringMatch(lit.text) if lit.kind == STRING else NumericCompare(op, lit)
+
+
 def sparql_to_path(q: SparqlQuery) -> ReasoningPath:
     """Convert a chain-shaped query into a reasoning path.
 
-    Off-chain patterns anchored on a chain variable become constraints:
-    an entity object is an entity match, a string object or string filter
-    an exact string match, a numeric or date object an EQ comparison,
-    filters keep their operator, and the ORDER BY variable becomes
-    ARGMAX or ARGMIN. Everything else raises UnclassifiableBranch.
+    Each branch becomes constraints on its hop: an entity object an
+    entity match, a literal object an EQ comparison (a string object an
+    exact string match), each filter one comparison with its operator,
+    and the ORDER BY direction ARGMAX or ARGMIN. A branch variable with
+    neither a filter nor an order raises UnclassifiableBranch, as does
+    every query chain_branches rejects.
     """
-    topic, chain = find_main_chain(q)
-    hop_of: dict[Var, int] = {}
-    for i, pat in enumerate(chain, start=1):
-        if isinstance(pat.object, Var):
-            hop_of[pat.object] = i
-    chain_set = {id(pat) for pat in chain}
-
-    filters_by_var: dict[Var, list[FilterClause]] = {}
-    for f in q.filters:
-        filters_by_var.setdefault(f.var, []).append(f)
-    order_var = q.order.var if q.order else None
-    order_used = False
-
+    topic, chain, branches = chain_branches(q)
     constraints: list[Constraint] = []
-    for pat in q.patterns:
-        if id(pat) in chain_set:
-            continue
-        subj = pat.subject
-        if not isinstance(subj, Var) or subj not in hop_of:
-            raise UnclassifiableBranch(
-                f"pattern subject {subj!r} is not a chain variable"
-            )
-        hop = hop_of[subj]
-        obj = pat.object
+    for b in branches:
+        obj = b.pattern.object
         if isinstance(obj, str):
-            constraints.append(
-                Constraint(hop, pat.relation, EntityMatch(obj, entity=obj))
-            )
+            values = [EntityMatch(obj, entity=obj)]
         elif isinstance(obj, Literal):
-            if obj.kind == STRING:
-                value = StringMatch(obj.text)
-            else:
-                value = NumericCompare(ComparisonOp.EQ, obj)
-            constraints.append(Constraint(hop, pat.relation, value))
+            values = [_literal_value(ComparisonOp.EQ, obj)]
+        elif not b.filters and b.descending is None:
+            raise UnclassifiableBranch(
+                f"branch variable ?{obj.name} has no filter or order clause"
+            )
         else:
-            if obj in hop_of or obj == q.select_var:
-                raise UnclassifiableBranch("branch variable rejoins the chain")
-            attached = filters_by_var.pop(obj, [])
-            is_order = order_var == obj
-            if not attached and not is_order:
-                raise UnclassifiableBranch(
-                    f"branch variable ?{obj.name} has no filter or order clause"
-                )
-            for f in attached:
-                if f.value.kind == STRING:
-                    if f.op != ComparisonOp.EQ:
-                        raise UnclassifiableBranch(
-                            f"string filter with {_OP_TEXT[f.op]!r} on ?{obj.name}"
-                        )
-                    value = StringMatch(f.value.text)
-                else:
-                    value = NumericCompare(f.op, f.value)
-                constraints.append(Constraint(hop, pat.relation, value))
-            if is_order:
-                op = ComparisonOp.ARGMAX if q.order.descending else ComparisonOp.ARGMIN
-                constraints.append(Constraint(hop, pat.relation, NumericCompare(op)))
-                order_used = True
-
-    if filters_by_var:
-        stray = next(iter(filters_by_var))
-        raise UnclassifiableBranch(f"filter on non-branch variable ?{stray.name}")
-    if order_var is not None and not order_used:
-        raise UnclassifiableBranch(f"order on non-branch variable ?{order_var.name}")
+            values = [_literal_value(f.op, f.value) for f in b.filters]
+            if b.descending is not None:
+                op = ComparisonOp.ARGMAX if b.descending else ComparisonOp.ARGMIN
+                values.append(NumericCompare(op))
+        constraints += [Constraint(b.hop, b.pattern.relation, v) for v in values]
 
     rp = ReasoningPath(
         topic_surface=topic,
@@ -465,27 +488,23 @@ def path_to_sparql(rp: ReasoningPath) -> SparqlQuery:
 def _retype(lit: Literal) -> Literal:
     # Non-string literal kinds are re-derived from the text so that the
     # same value always prints the same way.
-    if lit.kind == STRING:
-        return lit
-    kind = DATETIME if DATETIME_RE.match(lit.text) else NUMERIC
-    return Literal(kind, lit.text)
+    return lit if lit.kind == STRING else classify_threshold(lit.text)
 
 
-def _branch_body(pat: TriplePattern, filters: list[FilterClause], is_order: bool,
-                 descending: bool) -> str:
+def _branch_body(b: Branch) -> str:
     # Mirrors Constraint.body_text so canonical clause order agrees with
     # canonical constraint order.
-    obj = pat.object
+    obj = b.pattern.object
     if isinstance(obj, str):
         return f"entity={obj}"
     parts = []
-    for f in filters:
-        if f.value.kind == STRING and f.op == ComparisonOp.EQ:
+    for f in b.filters:
+        if f.value.kind == STRING:
             parts.append(f'string="{escape_quotes(f.value.text)}"')
         else:
             parts.append(f'op={f.op.value}; value="{escape_quotes(f.value.text)}"')
-    if is_order:
-        parts.append(f"op={'ARGMAX' if descending else 'ARGMIN'}")
+    if b.descending is not None:
+        parts.append(f"op={'ARGMAX' if b.descending else 'ARGMIN'}")
     return " | ".join(sorted(parts))
 
 
@@ -498,77 +517,33 @@ def _canonical_ast(q: SparqlQuery) -> SparqlQuery:
         if isinstance(pat.object, Literal):
             fresh += 1
             var = Var(f"_lit{fresh}")
-            lit = pat.object if pat.object.kind == STRING else _retype(pat.object)
             patterns.append(replace(pat, object=var))
-            filters.append(FilterClause(var, ComparisonOp.EQ, lit))
+            filters.append(FilterClause(var, ComparisonOp.EQ, _retype(pat.object)))
         else:
             patterns.append(pat)
     q = SparqlQuery(q.select_var, tuple(patterns), tuple(filters), q.order)
 
     try:
-        _, chain = find_main_chain(q)
+        _, chain, branches = chain_branches(q)
     except KgRelayError:
-        return q
-    chain_ids = {id(pat) for pat in chain}
-    hop_of: dict[Var, int] = {}
-    for i, pat in enumerate(chain, start=1):
-        if isinstance(pat.object, Var):
-            hop_of[pat.object] = i
-
-    filters_of: dict[Var, list[FilterClause]] = {}
-    for f in q.filters:
-        filters_of.setdefault(f.var, []).append(f)
-
-    branches = []
-    for pat in q.patterns:
-        if id(pat) in chain_ids:
-            continue
-        if not isinstance(pat.subject, Var) or pat.subject not in hop_of:
-            return q  # not chain shaped; leave as parsed
-        obj = pat.object
-        if isinstance(obj, Var):
-            if obj in hop_of or obj == q.select_var:
-                return q
-            is_order = q.order is not None and q.order.var == obj
-            if not filters_of.get(obj) and not is_order:
-                return q
-        body = _branch_body(
-            pat,
-            filters_of.get(obj, []) if isinstance(obj, Var) else [],
-            q.order is not None and q.order.var == obj,
-            q.order.descending if q.order else False,
-        )
-        branches.append((hop_of[pat.subject], pat.relation, body, pat))
-    for f in q.filters:
-        if f.var in hop_of:
-            return q
-    if q.order is not None and (q.order.var in hop_of or q.order.var == q.select_var):
-        return q
-
-    branches.sort(key=lambda b: b[:3])
-    rename: dict[Var, Var] = {v: Var(f"h{i}") for v, i in hop_of.items()}
-    counter = 1
-    for _, _, _, pat in branches:
-        if isinstance(pat.object, Var) and pat.object not in rename:
-            rename[pat.object] = Var(f"c{counter}")
-            counter += 1
+        return q  # not chain shaped; leave as parsed
+    branches.sort(key=lambda b: (b.hop, b.pattern.relation, _branch_body(b)))
+    rename = {pat.object: Var(f"h{i}") for i, pat in enumerate(chain, start=1)}
+    branch_vars = [b.pattern.object for b in branches if isinstance(b.pattern.object, Var)]
+    rename.update((v, Var(f"c{i}")) for i, v in enumerate(branch_vars, start=1))
 
     def sub(term):
-        return rename.get(term, term) if isinstance(term, Var) else term
+        return rename.get(term, term)
 
-    out_patterns = [
+    out_patterns = tuple(
         replace(pat, subject=sub(pat.subject), object=sub(pat.object))
-        for pat in chain
-    ]
-    out_patterns += [
-        replace(pat, subject=sub(pat.subject), object=sub(pat.object))
-        for _, _, _, pat in branches
-    ]
-    out_filters = [replace(f, var=sub(f.var)) for f in q.filters]
+        for pat in chain + [b.pattern for b in branches]
+    )
+    out_filters = [replace(f, var=rename[f.var]) for f in q.filters]
     # (len, name) sorts c2 before c10; plain lexicographic would not.
     out_filters.sort(key=lambda f: (len(f.var.name), f.var.name, f.op.value, f.value.token()))
-    order = replace(q.order, var=sub(q.order.var)) if q.order else None
-    return SparqlQuery(sub(q.select_var), tuple(out_patterns), tuple(out_filters), order)
+    order = replace(q.order, var=rename[q.order.var]) if q.order else None
+    return SparqlQuery(rename[q.select_var], out_patterns, tuple(out_filters), order)
 
 
 def _term_text(term) -> str:

@@ -103,6 +103,10 @@ def test_load_dataset_fields(tmp_path):
         json.dumps({"question": ""}),
         json.dumps({"answers": ["x"]}),
         json.dumps({"question": "q"}),  # no answers and no query
+        json.dumps({"question": "q", "answers": ["a"], "depth": "2"}),
+        json.dumps({"question": "q", "answers": ["a"], "depth": True}),
+        json.dumps({"question": "q", "answers": ["a"], "topic": ["USA"]}),
+        json.dumps({"question": "q", "sparql": 5}),
     ],
 )
 def test_load_dataset_flags_bad_lines(tmp_path, line):
@@ -285,6 +289,23 @@ def test_run_batch_stage2_only(presidents, tmp_path):
     assert rows[1]["route"] == "repair_failed_fallback"
     assert rows[1]["error"] == "record lacks topic or depth"
     assert report.routes == {"stage2_only": 1, "repair_failed_fallback": 1}
+
+
+def test_run_batch_stage2_only_flags_mistyped_depth(presidents, tmp_path):
+    # A string depth used to reach repair and abort the whole batch.
+    p = tmp_path / "d.jsonl"
+    p.write_text(
+        json.dumps({"id": "bad", "question": "who?", "topic": "USA", "depth": "2",
+                    "answers": ["Obama"]}) + "\n"
+        + json.dumps({"id": "ok", "question": "who?", "topic": "USA", "depth": 2,
+                      "answers": ["Obama", "GWBush", "Clinton"]}) + "\n",
+        encoding="utf-8",
+    )
+    report, rows = run_batch(presidents, load_dataset(p), make_factory(), stage2_only=True)
+    assert rows[0]["flagged"] is True
+    assert rows[0]["error"] == "line 1: depth is not an integer"
+    assert rows[1]["hits_at_1"] == 1
+    assert report.flagged == 1
 
 
 def test_write_results_and_summary(presidents, tmp_path):

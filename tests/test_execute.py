@@ -199,6 +199,23 @@ def test_cross_kind_comparison_warns(tmp_path, caplog):
     assert any("non-comparable" in r.message for r in caplog.records)
 
 
+def test_cross_kind_comparison_warns_once_per_step(tmp_path, caplog):
+    # 50 date literals under a numeric threshold, the same again under a
+    # date-and-number conjunction: one warning line for each step.
+    dates = "".join(f'E{i}\tv\t"{1950 + i}"^^xsd:dateTime\n' for i in range(50))
+    g = graph(tmp_path, "".join(f"S\tr\tE{i}\n" for i in range(50)) + dates)
+    rp = grounded(g, 'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=GE; value="2"')
+    conj = parse_sparql(
+        "SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c ."
+        ' FILTER(?c >= "2"^^xsd:integer) FILTER(?c <= "3"^^xsd:integer) }'
+    )
+    for run in (lambda: execute_full(g, rp), lambda: evaluate_query(g, conj)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="kgrelay.execute"):
+            assert run() == frozenset()
+        assert len([r for r in caplog.records if "non-comparable" in r.message]) == 1
+
+
 def test_extremal_ties_survive(tmp_path):
     g = graph(
         tmp_path,
@@ -443,6 +460,19 @@ def test_evaluate_query_filtered_extremal_single_binding(tmp_path):
             "SELECT DISTINCT ?x WHERE { :USA :country.presidents ?m ."
             " ?m :president.office_holder ?x . ?x :aliasrel ?m . }",
             "branch variable rejoins the chain",
+        ),
+        (
+            # no consumer joins two patterns on one branch variable
+            "SELECT DISTINCT ?x WHERE { :USA :country.presidents ?m ."
+            " ?m :president.office_holder ?x . ?x :position.from ?c ."
+            ' ?x :position.to ?c . FILTER(?c >= "1"^^xsd:integer) }',
+            "branch variable \\?c is bound by more than one pattern",
+        ),
+        (
+            # string values have no order; only "=" is defined on them
+            "SELECT DISTINCT ?x WHERE { :USA :country.presidents ?m ."
+            ' ?m :president.office_holder ?x . ?x :nickname ?c . FILTER(?c > "b") }',
+            "string filter with '>' on \\?c",
         ),
     ],
 )

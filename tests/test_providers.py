@@ -7,7 +7,16 @@ import json
 import pytest
 
 import kgrelay.providers as providers
-from kgrelay.errors import HttpError, MissingKey, NoScriptMatch, ProviderTimeout
+from kgrelay.errors import (
+    HttpError,
+    MalformedReply,
+    MissingKey,
+    NoScriptMatch,
+    ProviderError,
+    ProviderTimeout,
+    ProviderUnreachable,
+)
+from kgrelay.evaluation import DatasetRecord, run_batch
 from kgrelay.providers import (
     DEFAULT_PRICES,
     ROLE_GENERAL,
@@ -274,6 +283,90 @@ def test_http_timeout_exhausts_retries(http_env, monkeypatch):
     llm = HttpLlm("http://x", "m", max_retries=2)
     with pytest.raises(ProviderTimeout):
         llm.complete("p")
+
+
+def test_http_connection_error_retries_then_raises(http_env, monkeypatch):
+    calls = []
+
+    def post(*a, **k):
+        calls.append(1)
+        raise providers.requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(providers.requests, "post", post)
+    llm = HttpLlm("http://x", "m", max_retries=3)
+    with pytest.raises(ProviderUnreachable, match="connection refused"):
+        llm.complete("p")
+    assert len(calls) == 3
+
+
+def test_http_connection_error_then_success(http_env, monkeypatch):
+    calls = []
+
+    def post(*a, **k):
+        calls.append(1)
+        if len(calls) == 1:
+            raise providers.requests.ConnectionError("reset")
+        return FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
+
+    monkeypatch.setattr(providers.requests, "post", post)
+    assert HttpLlm("http://x", "m").complete("p")[0] == "ok"
+    assert len(calls) == 2
+
+
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        raise providers.requests.JSONDecodeError("Expecting value", self.text, 0)
+
+
+@pytest.mark.parametrize(
+    "resp",
+    [
+        NotJsonResponse(200, text="<html>gateway</html>"),
+        FakeResponse(200, {"error": "no choices"}),
+        FakeResponse(200, {"choices": []}),
+        FakeResponse(200, ["not", "an", "object"]),
+        FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
+        FakeResponse(200, {"choices": [{"message": {"content": "x"}}],
+                           "usage": {"prompt_tokens": "many", "completion_tokens": 1}}),
+    ],
+)
+def test_http_malformed_reply_is_provider_error(http_env, monkeypatch, resp):
+    calls = []
+
+    def post(*a, **k):
+        calls.append(1)
+        return resp
+
+    monkeypatch.setattr(providers.requests, "post", post)
+    with pytest.raises(MalformedReply) as err:
+        HttpLlm("http://x", "m", max_retries=3).complete("p")
+    assert isinstance(err.value, ProviderError)
+    assert len(calls) == 1
+
+
+def test_run_batch_survives_unreachable_provider(http_env, monkeypatch, presidents):
+    def post(*a, **k):
+        raise providers.requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(providers.requests, "post", post)
+
+    def factory():
+        llm = HttpLlm("http://127.0.0.1:9", "m", max_retries=2)
+        return llm, llm, TokenOverlapEmbedder()
+
+    records = [
+        DatasetRecord("a", "who?", ("Obama",)),
+        DatasetRecord("b", "which?", ("Clinton",)),
+    ]
+    report, rows = run_batch(presidents, records, factory)
+    # The batch completes; each failed question falls back, scores zero
+    # and names its stage and error type.
+    assert [row["id"] for row in rows] == ["a", "b"]
+    for row in rows:
+        assert row["route"] == "repair_failed_fallback"
+        assert row["hits_at_1"] == 0
+        assert row["error"].startswith("generation: ProviderUnreachable: ")
+    assert report.routes == {"repair_failed_fallback": 2}
 
 
 def test_http_client_error_is_immediate(http_env, monkeypatch):

@@ -242,6 +242,9 @@ def test_sparql_to_path_constraint_kinds():
         # branch hangs off a variable that is not on the chain
         "SELECT DISTINCT ?x WHERE { :A :r ?x . :B :s ?c . ?x :t :B . "
         'FILTER(?c = "1"^^xsd:integer) }',
+        # one ORDER BY variable bound by two patterns
+        "SELECT DISTINCT ?x WHERE { :A :r ?x . ?x :p ?c . ?x :q ?c . }"
+        " ORDER BY DESC(?c) LIMIT 1",
     ],
 )
 def test_sparql_to_path_unclassifiable(text):
@@ -347,6 +350,25 @@ SELECT DISTINCT ?h1 WHERE {
 def test_render_non_chain_query_keeps_names():
     q = parse_sparql("SELECT DISTINCT ?x WHERE { ?y :r ?x . }")
     assert "?y :r ?x ." in render_sparql(q)
+
+
+def test_render_bare_branch_is_canonical():
+    # evaluate_query accepts a bare branch, so the renderer canonicalizes it
+    q = parse_sparql("SELECT DISTINCT ?who WHERE { ?who :s ?any . :A :r ?who . }")
+    assert render_sparql(q) == """\
+SELECT DISTINCT ?h1 WHERE {
+  :A :r ?h1 .
+  ?h1 :s ?c1 .
+}"""
+
+
+def test_render_filter_on_unbound_variable_keeps_names():
+    q = parse_sparql(
+        'SELECT DISTINCT ?who WHERE { :A :r ?who . FILTER(?nowhere = "1"^^xsd:integer) }'
+    )
+    rendered = render_sparql(q)
+    assert ":A :r ?who ." in rendered
+    assert "FILTER(?nowhere = " in rendered
 
 
 def test_render_parse_fixpoint(worked_argmax_path):
