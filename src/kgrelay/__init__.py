@@ -16,7 +16,7 @@ from .execute import (
     execute_full,
     execute_with_relaxation,
 )
-from .kg import KnowledgeGraph, Literal, Triple, load_tsv
+from .kg import KnowledgeGraph, Literal, load_tsv
 from .pipeline import QuestionResult, Route, answer_question, run_stage2_only
 from .providers import (
     CostLedger,

@@ -76,7 +76,7 @@ def main(ctx, config_path, kg_path, workers, trace):
 def load_check(ctx):
     """Load the graph and print basic counts."""
     g = _load_graph(ctx.obj["settings"])
-    click.echo(f"triples    {len(g.triples)}")
+    click.echo(f"triples    {len(g)}")
     click.echo(f"entities   {len(g.entities)}")
     click.echo(f"relations  {len(g.relations)}")
     click.echo(f"aliases    {len(g.aliases)}")

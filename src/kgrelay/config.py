@@ -20,6 +20,7 @@ from .providers import (
     ROLE_SPECIALIZED,
     HttpLlm,
     ScriptedLlm,
+    ScriptEntry,
     TokenOverlapEmbedder,
 )
 from .repair import RepairConfig
@@ -38,7 +39,6 @@ class Settings:
     general_url: str | None = None
     general_model: str | None = None
     general_key_env: str = "KGRELAY_API_KEY"
-    embedder: str = "token-overlap"
     beam_width: int = 3
     relation_filter: int = 4
     path_filter: int = 10
@@ -135,7 +135,7 @@ def price_table(settings: Settings) -> dict[str, tuple[float, float]]:
     }
 
 
-def _load_script(path: str) -> list:
+def _load_script(path: str) -> list[ScriptEntry]:
     try:
         with open(path, encoding="utf-8") as fh:
             entries = json.load(fh)
@@ -143,52 +143,44 @@ def _load_script(path: str) -> list:
         raise ConfigError(f"cannot load script {path}: {exc}") from exc
     if not isinstance(entries, list):
         raise ConfigError(f"script {path} must be a JSON list")
-    return entries
+    try:
+        return [ScriptEntry.of(e) for e in entries]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad entry in script {path}: {exc}") from exc
+
+
+def _role_provider(settings: Settings, role: str, needed: bool):
+    """Checked script entries, a shared HTTP client, or None for one role."""
+    script, url, model, key_env = (
+        getattr(settings, f"{role}_{key}") for key in ("script", "url", "model", "key_env")
+    )
+    if script:
+        return _load_script(script)
+    if url:
+        if not model:
+            raise ConfigError(f"{role}_model is required with {role}_url")
+        return HttpLlm(url, model, key_env=key_env)
+    if needed:
+        raise ConfigError(f"no {role} provider configured")
+    return None
 
 
 def provider_factory(settings: Settings, need_specialized: bool = True,
                      need_general: bool = True):
     """Build a per-question provider factory from the settings.
 
-    Scripted providers are rebuilt on every call so replay state never
-    leaks between questions; HTTP providers are shared. Raises
+    Script files are read and checked once, here; every call gets fresh
+    use counters over the same entries, so replay state never leaks
+    between questions. HTTP providers are shared. Raises
     ConfigError when a needed role has no provider configured.
     """
-    spec_entries = gen_entries = None
-    spec_http = gen_http = None
-
-    if settings.specialized_script:
-        spec_entries = _load_script(settings.specialized_script)
-    elif settings.specialized_url:
-        if not settings.specialized_model:
-            raise ConfigError("specialized_model is required with specialized_url")
-        spec_http = HttpLlm(
-            settings.specialized_url, settings.specialized_model,
-            key_env=settings.specialized_key_env,
-        )
-    elif need_specialized:
-        raise ConfigError("no specialized provider configured")
-
-    if settings.general_script:
-        gen_entries = _load_script(settings.general_script)
-    elif settings.general_url:
-        if not settings.general_model:
-            raise ConfigError("general_model is required with general_url")
-        gen_http = HttpLlm(
-            settings.general_url, settings.general_model,
-            key_env=settings.general_key_env,
-        )
-    elif need_general:
-        raise ConfigError("no general provider configured")
-
-    if settings.embedder != "token-overlap":
-        raise ConfigError(f"unknown embedder {settings.embedder!r}")
+    roles = (
+        _role_provider(settings, ROLE_SPECIALIZED, need_specialized),
+        _role_provider(settings, ROLE_GENERAL, need_general),
+    )
 
     def factory():
-        specialized = (
-            ScriptedLlm(spec_entries) if spec_entries is not None else spec_http
-        )
-        general = ScriptedLlm(gen_entries) if gen_entries is not None else gen_http
+        specialized, general = (ScriptedLlm(p) if isinstance(p, list) else p for p in roles)
         return specialized, general, TokenOverlapEmbedder()
 
     return factory

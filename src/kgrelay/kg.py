@@ -1,8 +1,10 @@
 """In-memory knowledge graph with indexed traversal primitives.
 
 Triples are (subject, relation, object); the object is either an entity
-symbol or a typed literal. A graph is immutable once built, so it can be
-shared freely across worker threads.
+symbol or a typed literal. The graph keeps one adjacency index
+(subject -> relation -> frozen object set) and a count of distinct
+triples. It is immutable once built, so it can be shared freely across
+worker threads.
 
 TSV input format, one triple per line::
 
@@ -95,10 +97,6 @@ class Literal:
 NodeRef = EntityId | Literal
 
 
-def is_entity(node: NodeRef) -> bool:
-    return isinstance(node, str)
-
-
 def node_text(node: NodeRef) -> str:
     """Plain answer text for an entity symbol or literal."""
     return node if isinstance(node, str) else node.text
@@ -109,13 +107,6 @@ def node_sort_key(node: NodeRef) -> tuple:
     if isinstance(node, str):
         return (0, node, "", "")
     return (1, node.kind, node.text, node.lang or "")
-
-
-@dataclass(frozen=True)
-class Triple:
-    subject: EntityId
-    relation: RelationId
-    object: NodeRef
 
 
 def parse_literal_token(token: str) -> Literal:
@@ -143,33 +134,28 @@ def parse_object_token(token: str) -> NodeRef:
 
 
 class KnowledgeGraph:
-    """Immutable triple store with adjacency and alias indexes."""
+    """Immutable adjacency index with an alias table and a triple count."""
 
     def __init__(
         self,
-        triples: Iterable[Triple],
+        triples: Iterable[tuple[EntityId, RelationId, NodeRef]],
         aliases: dict[str, set[EntityId]] | None = None,
     ):
-        self.triples: frozenset[Triple] = frozenset(triples)
-
-        adj: dict[EntityId, dict[RelationId, set[NodeRef]]] = {}
+        adj: dict[EntityId, dict[RelationId, frozenset[NodeRef]]] = {}
         entities: set[EntityId] = set()
-        relations: set[RelationId] = set()
-        for t in self.triples:
-            adj.setdefault(t.subject, {}).setdefault(t.relation, set()).add(t.object)
-            entities.add(t.subject)
-            relations.add(t.relation)
-            if is_entity(t.object):
-                entities.add(t.object)
-        self._adj: dict[EntityId, dict[RelationId, frozenset[NodeRef]]] = {
-            s: {r: frozenset(objs) for r, objs in rels.items()}
-            for s, rels in adj.items()
-        }
-        self._out: dict[EntityId, tuple[RelationId, ...]] = {
-            s: tuple(sorted(rels)) for s, rels in self._adj.items()
-        }
+        for s, r, o in triples:
+            adj.setdefault(s, {}).setdefault(r, set()).add(o)
+            if isinstance(o, str):
+                entities.add(o)
+        entities.update(adj)
+        # Freeze each object set in place; duplicates have already collapsed.
+        for rels in adj.values():
+            for r, objs in rels.items():
+                rels[r] = frozenset(objs)
+        self._adj = adj
+        self._count = sum(len(objs) for rels in adj.values() for objs in rels.values())
         self.entities: frozenset[EntityId] = frozenset(entities)
-        self.relations: frozenset[RelationId] = frozenset(relations)
+        self.relations = frozenset(r for rels in adj.values() for r in rels)
 
         # Alias table: casefolded surface -> candidate entity ids. Every
         # entity symbol is reachable through its own casefolded name.
@@ -183,7 +169,7 @@ class KnowledgeGraph:
         }
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return self._count
 
     def neighbors(self, entity: EntityId, relation: RelationId) -> frozenset[NodeRef]:
         """Objects of (entity, relation, *); empty set when none exist."""
@@ -197,7 +183,7 @@ class KnowledgeGraph:
         """
         rels: set[RelationId] = set()
         for e in frontier:
-            rels.update(self._out.get(e, ()))
+            rels.update(self._adj.get(e, ()))
         return sorted(rels)
 
     def reach(self, start: EntityId, relations: Iterable[RelationId]) -> set[NodeRef]:
@@ -232,7 +218,7 @@ class KnowledgeGraph:
 
 def load_tsv(path: str | Path) -> KnowledgeGraph:
     """Load a graph from a TSV file. Duplicate triples collapse silently."""
-    triples: list[Triple] = []
+    triples: list[tuple[EntityId, RelationId, NodeRef]] = []
     aliases: dict[str, set[EntityId]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -254,5 +240,5 @@ def load_tsv(path: str | Path) -> KnowledgeGraph:
                 obj = parse_object_token(third)
             except ValueError as exc:
                 raise BadLiteral(line_no, third, str(exc)) from exc
-            triples.append(Triple(first, second, obj))
+            triples.append((first, second, obj))
     return KnowledgeGraph(triples, aliases)

@@ -73,9 +73,31 @@ class ScriptEntry:
     repeat: int | None = 1  # None = unlimited
     regex: bool = False
 
+    def __post_init__(self):
+        # Checked when built, so a bad script fails at load, not mid-batch.
+        if not (isinstance(self.match, str) and isinstance(self.reply, str)):
+            raise TypeError("match and reply must be strings")
+        if self.repeat is not None and (type(self.repeat) is not int or self.repeat < 0):
+            raise TypeError("repeat must be a non-negative integer or null")
+        try:
+            self._pattern = re.compile(self.match) if self.regex else None
+        except re.error as exc:
+            raise ValueError(f"bad regex {self.match!r}: {exc}") from exc
+
+    @classmethod
+    def of(cls, entry: ScriptEntry | dict | tuple | list) -> ScriptEntry:
+        """An entry given as itself, a keyword dict or a (match, reply) pair."""
+        if isinstance(entry, ScriptEntry):
+            return entry
+        if isinstance(entry, dict):
+            return cls(**entry)
+        if isinstance(entry, (tuple, list)) and len(entry) == 2:
+            return cls(*entry)
+        raise TypeError(f"expected an object or a [match, reply] pair, got {entry!r}")
+
     def matches(self, prompt: str) -> bool:
-        if self.regex:
-            return re.search(self.match, prompt) is not None
+        if self._pattern is not None:
+            return self._pattern.search(prompt) is not None
         return self.match in prompt
 
 
@@ -89,15 +111,7 @@ class ScriptedLlm:
     """
 
     def __init__(self, entries: Iterable[ScriptEntry | dict | tuple]):
-        self.entries: list[ScriptEntry] = []
-        for e in entries:
-            if isinstance(e, ScriptEntry):
-                self.entries.append(e)
-            elif isinstance(e, dict):
-                self.entries.append(ScriptEntry(**e))
-            else:
-                match, reply = e
-                self.entries.append(ScriptEntry(match, reply))
+        self.entries = [ScriptEntry.of(e) for e in entries]
         self._remaining = [e.repeat for e in self.entries]
         self._lock = threading.Lock()
 

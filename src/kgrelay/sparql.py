@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .errors import (
     AmbiguousMainPath,
@@ -509,14 +510,18 @@ def _branch_body(b: Branch) -> str:
 
 
 def _canonical_ast(q: SparqlQuery) -> SparqlQuery:
-    # Inline literal objects become a fresh variable plus an EQ filter.
+    # Inline literal objects become a fresh variable plus an EQ filter;
+    # fresh names skip every name the query already uses.
+    taken = {q.select_var, *(f.var for f in q.filters)}
+    taken.update(t for pat in q.patterns for t in (pat.subject, pat.object))
+    if q.order is not None:
+        taken.add(q.order.var)
+    fresh = (v for v in (Var(f"_lit{i}") for i in count(1)) if v not in taken)
     patterns: list[TriplePattern] = []
     filters = [replace(f, value=_retype(f.value)) for f in q.filters]
-    fresh = 0
     for pat in q.patterns:
         if isinstance(pat.object, Literal):
-            fresh += 1
-            var = Var(f"_lit{fresh}")
+            var = next(fresh)
             patterns.append(replace(pat, object=var))
             filters.append(FilterClause(var, ComparisonOp.EQ, _retype(pat.object)))
         else:

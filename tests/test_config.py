@@ -213,12 +213,15 @@ def test_factory_bad_script_file(tmp_path):
     notlist.write_text("{}", encoding="utf-8")
     with pytest.raises(ConfigError, match="must be a JSON list"):
         provider_factory(Settings(specialized_script=str(notlist)))
-
-
-def test_factory_unknown_embedder(tmp_path):
-    spec = script_file(tmp_path, "s.json", [])
-    gen = script_file(tmp_path, "g.json", [])
-    with pytest.raises(ConfigError, match="unknown embedder"):
-        provider_factory(Settings(
-            specialized_script=spec, general_script=gen, embedder="sbert",
-        ))
+    # Bad entries fail at load, not on the first prompt they would meet.
+    gen = script_file(tmp_path, "gen.json", [])
+    for i, entries in enumerate([
+        [{"match": "([unclosed", "regex": True, "reply": "x"}],
+        [{"match": "x", "reply": "y", "bogus": 1}],
+        ["just a string"],
+        [{"match": 5, "reply": "y"}],
+        [{"match": "x", "reply": "y", "repeat": "2"}],
+    ]):
+        spec = script_file(tmp_path, f"spec{i}.json", entries)
+        with pytest.raises(ConfigError, match="bad entry in script"):
+            provider_factory(Settings(specialized_script=spec, general_script=gen))

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 import random
 
-from kgrelay.errors import DatasetError
+from kgrelay.errors import (
+    DatasetError,
+    HttpError,
+    MalformedReply,
+    MissingKey,
+    NoScriptMatch,
+    ProviderTimeout,
+    ProviderUnreachable,
+)
 from kgrelay.evaluation import (
     DatasetRecord,
     MetricReport,
@@ -24,7 +32,7 @@ from kgrelay.evaluation import (
     write_results,
     write_summary,
 )
-from kgrelay.providers import ScriptedLlm, TokenOverlapEmbedder
+from kgrelay.providers import LlmUsage, ScriptedLlm, TokenOverlapEmbedder, approx_tokens
 from kgrelay.reasoning import parse_reasoning_path
 from metric_cases import ANSWER_CASES, PATH_CASES
 from oracle import random_ungrounded_path
@@ -306,6 +314,69 @@ def test_run_batch_stage2_only_flags_mistyped_depth(presidents, tmp_path):
     assert rows[0]["error"] == "line 1: depth is not an integer"
     assert rows[1]["hits_at_1"] == 1
     assert report.flagged == 1
+
+
+# --- the batch promise: one row per record, whatever the input ---
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+RECORD_LIKE = st.fixed_dictionaries({}, optional={
+    "id": JSON_VALUES,
+    "question": st.sampled_from(["who?", "harvard after 2000"]) | JSON_VALUES,
+    "answers": st.lists(st.sampled_from(["Obama", "Harvard", "2009"]), max_size=3) | JSON_VALUES,
+    "sparql": st.sampled_from([SKELETON_GOLD_QUERY, "SELECT nonsense"]) | JSON_VALUES,
+    "topic": st.sampled_from(["USA", "Obama", "Nowhere"]) | JSON_VALUES,
+    "depth": st.integers(-1, 5) | JSON_VALUES,
+})
+REPLIES = st.sampled_from([
+    WORKED_REPLY, SKELETON_REPLY, BROKEN_REPLY, "#1 step one\n#2 step two", "Path 1", "Path 9",
+]) | st.text(max_size=40)
+FAILURES = st.sampled_from([
+    lambda: NoScriptMatch("prompt"),
+    lambda: MissingKey("KGRELAY_API_KEY"),
+    lambda: HttpError(503, "busy"),
+    lambda: ProviderTimeout("timed out"),
+    lambda: ProviderUnreachable("refused"),
+    lambda: MalformedReply("no choices"),
+])
+
+
+class FlakyLlm:
+    """Plays drawn outcomes in order: a reply text, or a provider failure."""
+
+    def __init__(self, outcomes):
+        self._outcomes = iter(outcomes)
+
+    def complete(self, prompt, temperature=0.0):
+        outcome = next(self._outcomes, "")
+        if callable(outcome):
+            raise outcome()
+        return outcome, LlmUsage(approx_tokens(prompt), approx_tokens(outcome))
+
+
+@pytest.mark.parametrize("stage2_only", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=st.lists(JSON_VALUES | RECORD_LIKE, min_size=1, max_size=5),
+    outcomes=st.lists(REPLIES | FAILURES, max_size=8),
+)
+def test_run_batch_keeps_its_promise(presidents, tmp_path_factory, stage2_only, lines, outcomes):
+    p = tmp_path_factory.mktemp("batch") / "d.jsonl"
+    p.write_text("".join(json.dumps(v) + "\n" for v in lines), encoding="utf-8")
+    records = load_dataset(p)
+
+    def factory():
+        llm = FlakyLlm(outcomes)
+        return llm, llm, TokenOverlapEmbedder()
+
+    report, rows = run_batch(presidents, records, factory, stage2_only=stage2_only)
+    assert len(records) == len(lines)
+    assert [row["id"] for row in rows] == [rec.id for rec in records]
+    assert report.questions == len(records)
+    json.dumps(rows)
 
 
 def test_write_results_and_summary(presidents, tmp_path):

@@ -345,7 +345,7 @@ def test_relaxation_reaches_skeleton(tmp_path):
     )
 
 
-def test_relaxation_expands_topic_once(tmp_path):
+def test_relaxation_expands_topic_once():
     # Every tier walks from the topic; the tiers share that first expansion.
     class CountingGraph(KnowledgeGraph):
         topic_expansions = 0
@@ -355,7 +355,7 @@ def test_relaxation_expands_topic_once(tmp_path):
                 self.topic_expansions += 1
             return super().neighbors(entity, relation)
 
-    g = CountingGraph(graph(tmp_path, "S\tr\tA\nA\tq\tB\nB\te\tX\n").triples)
+    g = CountingGraph([("S", "r", "A"), ("A", "q", "B"), ("B", "e", "X")])
     rp = grounded(
         g,
         "TOPIC: S\nPATH: r -> q\n"

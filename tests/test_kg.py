@@ -15,7 +15,6 @@ from kgrelay.kg import (
     STRING,
     KnowledgeGraph,
     Literal,
-    Triple,
     escape_quotes,
     load_tsv,
     node_sort_key,
@@ -31,7 +30,7 @@ from oracle import keyset, oracle_reach, parse_tsv, random_graph_tsv
 
 def test_fixture_counts(presidents, presidents_tsv_text):
     og = parse_tsv(presidents_tsv_text)
-    assert len(presidents.triples) == len(og.triples) == 12
+    assert len(presidents) == len(og.triples) == 12
     assert set(presidents.entities) == og.entities
     assert sorted(presidents.entities) == [
         "Clinton", "GWBush", "Georgetown", "Harvard",
@@ -162,7 +161,7 @@ def test_load_tsv_skips_blank_lines_and_collapses_duplicates(tmp_path):
     p = tmp_path / "dup.tsv"
     p.write_text("a\trel\tb\n\n   \na\trel\tb\n", encoding="utf-8")
     g = load_tsv(p)
-    assert len(g.triples) == 1
+    assert len(g) == 1
 
 
 def test_alias_lines(tmp_path):
@@ -229,9 +228,19 @@ def test_ground_entity_casefold_and_unknown(presidents):
 
 
 def test_graph_constructible_from_triples():
-    g = KnowledgeGraph([Triple("a", "r", "b"), Triple("a", "r", Literal(STRING, "x"))])
+    g = KnowledgeGraph([("a", "r", "b"), ("a", "r", Literal(STRING, "x"))])
     assert len(g) == 2
     assert g.entities == {"a", "b"}
+    # any iterable of tuples will do, and a duplicate triple counts once
+    g = KnowledgeGraph(t for t in [("a", "r", "b"), ("b", "s", "c"), ("a", "r", "b")])
+    assert len(g) == 2
+    assert g.entities == {"a", "b", "c"}
+    assert g.relations == {"r", "s"}
+    assert g.reach("a", ("r", "s")) == {"c"}
+    # neighbour sets are frozen, so a shared graph cannot be changed through them
+    assert isinstance(g.neighbors("a", "r"), frozenset)
+    assert isinstance(g.neighbors("a", "missing"), frozenset)
+    assert isinstance(g.neighbors("nobody", "r"), frozenset)
 
 
 # --- node helpers ---
@@ -255,7 +264,7 @@ def test_random_graphs_match_oracle(tmp_path_factory, seed):
     og = parse_tsv(tsv)
     assert set(g.entities) == og.entities
     assert set(g.relations) == og.relations
-    assert len(g.triples) == len(og.triples)
+    assert len(g) == len(og.triples)
     start = rng.choice(sorted(og.entities))
     chain = tuple(rng.choice(sorted(og.relations)) for _ in range(rng.randint(0, 3)))
     assert keyset(g.reach(start, chain)) == oracle_reach(og, start, chain)

@@ -345,6 +345,21 @@ SELECT DISTINCT ?h1 WHERE {
 }"""
     # the integer-tagged year is retyped to a date, the documented rule
     assert render_sparql(parse_sparql(inline)) == expected
+    # the rewrite's fresh names never capture a variable of the query
+    clash = """SELECT DISTINCT ?x WHERE {
+  :A :r ?x .
+  ?x :p "1"^^xsd:integer .
+  ?x :q ?_lit1 .
+  FILTER(?_lit1 > "5"^^xsd:integer)
+}"""
+    assert render_sparql(parse_sparql(clash)) == """\
+SELECT DISTINCT ?h1 WHERE {
+  :A :r ?h1 .
+  ?h1 :p ?c1 .
+  ?h1 :q ?c2 .
+  FILTER(?c1 = "1"^^xsd:integer)
+  FILTER(?c2 > "5"^^xsd:integer)
+}"""
 
 
 def test_render_non_chain_query_keeps_names():
