@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import DatasetError, KgRelayError
-from .execute import AnswerSet, evaluate_query
+from .execute import evaluate_query
 from .kg import KnowledgeGraph, NodeRef, node_sort_key, node_text
-from .pipeline import QuestionResult, Route, answer_question, run_stage2_only
-from .providers import CostLedger, ledger_summary
+from .pipeline import QuestionResult, answer_question, run_stage2_only
+from .providers import CostLedger
 from .reasoning import (
     Constraint,
     EntityMatch,
@@ -97,24 +97,26 @@ def _norm_set(values: Iterable[str]) -> frozenset[str]:
     return frozenset(normalize_answer(v) for v in values)
 
 
+def _hits_and_f1(p: frozenset[str], g: frozenset[str]) -> tuple[int, float]:
+    # Both sides already normalized.
+    if not p and not g:
+        return 0, 1.0
+    overlap = len(p & g)
+    if not overlap:
+        return 0, 0.0
+    precision = overlap / len(p)
+    recall = overlap / len(g)
+    return 1, 2 * precision * recall / (precision + recall)
+
+
 def hits_at_1(pred: Iterable[str], gold: Iterable[str]) -> int:
     """1 iff the first executable query's answers overlap the gold set."""
-    return 1 if _norm_set(pred) & _norm_set(gold) else 0
+    return _hits_and_f1(_norm_set(pred), _norm_set(gold))[0]
 
 
 def f1_score(pred: Iterable[str], gold: Iterable[str]) -> float:
     """Set-level F1; two empty sets count as a perfect match."""
-    p, g = _norm_set(pred), _norm_set(gold)
-    if not p and not g:
-        return 1.0
-    if not p or not g:
-        return 0.0
-    overlap = len(p & g)
-    if not overlap:
-        return 0.0
-    precision = overlap / len(p)
-    recall = overlap / len(g)
-    return 2 * precision * recall / (precision + recall)
+    return _hits_and_f1(_norm_set(pred), _norm_set(gold))[1]
 
 
 def _constraint_shape(c: Constraint) -> tuple:
@@ -194,6 +196,70 @@ def _answer_texts(nodes: Iterable[NodeRef]) -> list[str]:
     return [node_text(n) for n in sorted(nodes, key=node_sort_key)]
 
 
+def _path_text(rp: ReasoningPath | None) -> str | None:
+    return serialize_reasoning_path(rp) if rp else None
+
+
+def _row(
+    g: KnowledgeGraph, rec: DatasetRecord, result: QuestionResult | None, include_trace: bool
+) -> tuple[dict, float]:
+    """One result row and its unrounded F1.
+
+    A record without a result (an unusable dataset line) is flagged with
+    its load error. Any other record is scored against its gold answers,
+    or the gold query's answers when it has none, and flagged when there
+    is no gold to score against.
+    """
+    ledger = result.ledger if result else CostLedger()
+    row = {
+        "id": rec.id,
+        "question": rec.question,
+        "route": result.route.value if result else None,
+        "answers": _answer_texts(result.answers.answers) if result else [],
+        "relaxation_tier": result.answers.relaxation_tier if result else None,
+        "crp_initial": _path_text(result.crp_initial) if result else None,
+        "crp_final": _path_text(result.crp_final) if result else None,
+        "llm_calls": ledger.calls(),
+        "prompt_tokens": ledger.prompt_tokens(),
+        "completion_tokens": ledger.completion_tokens(),
+    }
+    if result is None:
+        row.update(flagged=True, error=rec.error)
+        return row, 0.0
+
+    error = result.error
+    # The gold query is parsed once, for the gold answers when the
+    # record has none and for path scoring.
+    gold, query = rec.answers, None
+    try:
+        if rec.sparql:
+            query = parse_sparql(rec.sparql)
+        if not gold:
+            gold = _answer_texts(evaluate_query(g, query))
+    except KgRelayError as exc:
+        if not gold:
+            error = f"gold: {type(exc).__name__}: {exc}"
+    hits, f1 = _hits_and_f1(_norm_set(row["answers"]), _norm_set(gold)) if gold else (0, 0.0)
+    row["hits_at_1"] = hits
+    row["f1"] = round(f1, 10)
+    if query is not None and gold:
+        try:
+            gold_rp = sparql_to_path(query)
+        except KgRelayError:
+            pass
+        else:
+            row["skeleton_accuracy"] = skeleton_accuracy(result.crp_initial, gold_rp)
+            row["exact_match"] = exact_match(result.crp_initial, gold_rp)
+    if not gold:
+        # Cannot score against nothing; count the record as failed.
+        row["flagged"] = True
+    if error:
+        row["error"] = error
+    if include_trace:
+        row["trace"] = result.trace
+    return row, f1
+
+
 def run_batch(
     g: KnowledgeGraph,
     records: list[DatasetRecord],
@@ -210,7 +276,9 @@ def run_batch(
     Fresh providers per record (scripted state must not leak between
     questions). Per-record failures are flagged and score zero; the batch
     itself never aborts. With workers > 1 records run concurrently but
-    aggregation stays in dataset order, so output is identical.
+    aggregation stays in dataset order, so output is identical. Every
+    report figure is a sum or mean over the rows, except cost, which is
+    priced per call from the records' ledgers merged in dataset order.
     """
     repair_cfg = repair_cfg or RepairConfig()
 
@@ -219,12 +287,6 @@ def run_batch(
             return None
         specialized, general, embedder = provider_factory()
         if stage2_only:
-            if rec.topic is None or rec.depth is None:
-                return QuestionResult(
-                    rec.question, Route.FALLBACK, AnswerSet(frozenset(), 0),
-                    None, None, CostLedger(prices), [],
-                    error="record lacks topic or depth",
-                )
             return run_stage2_only(
                 g, rec.question, rec.topic, rec.depth, general, embedder,
                 repair_cfg, prices,
@@ -241,125 +303,37 @@ def run_batch(
 
     ledger = CostLedger(prices)
     rows: list[dict] = []
-    hits_total = 0.0
-    f1_total = 0.0
-    skel_total = 0
-    exact_total = 0
-    path_scored = 0
-    flagged = 0
-    routes: Counter = Counter()
-
+    f1s: list[float] = []
     for rec, result in zip(records, results):
-        if result is None:  # unparsable dataset line
-            flagged += 1
-            rows.append(
-                {
-                    "id": rec.id,
-                    "question": rec.question,
-                    "route": None,
-                    "answers": [],
-                    "relaxation_tier": None,
-                    "crp_initial": None,
-                    "crp_final": None,
-                    "llm_calls": 0,
-                    "prompt_tokens": 0,
-                    "completion_tokens": 0,
-                    "flagged": True,
-                    "error": rec.error,
-                }
-            )
-            continue
-        ledger.merge(result.ledger)
-        routes[result.route.value] += 1
-
-        row_error = result.error
-        row_flagged = False
-        pred_texts = _answer_texts(result.answers.answers)
-        # The gold query is parsed once, for the gold answers when the
-        # record has none and for path scoring.
-        gold, query = rec.answers, None
-        try:
-            if rec.sparql:
-                query = parse_sparql(rec.sparql)
-            if not gold:
-                gold = _answer_texts(evaluate_query(g, query))
-        except KgRelayError as exc:
-            if not gold:
-                row_error = f"gold: {type(exc).__name__}: {exc}"
-        if not gold:
-            # Cannot score against nothing; count the record as failed.
-            row_flagged = True
-            hits = 0
-            f1 = 0.0
-        else:
-            hits = hits_at_1(pred_texts, gold)
-            f1 = f1_score(pred_texts, gold)
-        hits_total += hits
-        f1_total += f1
-
-        skel = exact = None
-        if query is not None and not row_flagged:
-            try:
-                gold_rp = sparql_to_path(query)
-            except KgRelayError:
-                gold_rp = None
-            if gold_rp is not None:
-                skel = skeleton_accuracy(result.crp_initial, gold_rp)
-                exact = exact_match(result.crp_initial, gold_rp)
-                skel_total += skel
-                exact_total += exact
-                path_scored += 1
-
-        if row_flagged:
-            flagged += 1
-        row = {
-            "id": rec.id,
-            "question": rec.question,
-            "route": result.route.value,
-            "answers": pred_texts,
-            "relaxation_tier": result.answers.relaxation_tier,
-            "crp_initial": serialize_reasoning_path(result.crp_initial)
-            if result.crp_initial
-            else None,
-            "crp_final": serialize_reasoning_path(result.crp_final)
-            if result.crp_final
-            else None,
-            "llm_calls": result.ledger.calls(),
-            "prompt_tokens": result.ledger.prompt_tokens(),
-            "completion_tokens": result.ledger.completion_tokens(),
-            "hits_at_1": hits,
-            "f1": round(f1, 10),
-        }
-        if skel is not None:
-            row["skeleton_accuracy"] = skel
-            row["exact_match"] = exact
-        if row_flagged:
-            row["flagged"] = True
-        if row_error:
-            row["error"] = row_error
-        if include_trace:
-            row["trace"] = result.trace
+        if result is not None:
+            ledger.merge(result.ledger)
+        row, f1 = _row(g, rec, result, include_trace)
         rows.append(row)
+        f1s.append(f1)
 
-    n = len(records)
-    summary = ledger_summary(ledger, n)
-    report = MetricReport(
+    def total(key: str) -> int:
+        return sum(r.get(key, 0) for r in rows)
+
+    n = len(rows)
+    scored = sum("skeleton_accuracy" in r for r in rows)
+    prompt, completion = total("prompt_tokens"), total("completion_tokens")
+    cost = ledger.cost_usd()
+    return MetricReport(
         questions=n,
-        flagged=flagged,
-        hits_at_1=hits_total / n,
-        f1=f1_total / n,
-        skeleton_accuracy=(skel_total / path_scored) if path_scored else None,
-        exact_match=(exact_total / path_scored) if path_scored else None,
-        path_scored=path_scored,
-        avg_llm_calls=summary["avg_llm_calls"],
-        avg_prompt_tokens=summary["avg_prompt_tokens"],
-        avg_completion_tokens=summary["avg_completion_tokens"],
-        avg_tokens=summary["avg_tokens"],
-        cost_usd=summary["cost_usd"],
-        cost_per_10k_usd=summary["cost_per_10k_usd"],
-        routes=dict(routes),
-    )
-    return report, rows
+        flagged=total("flagged"),
+        hits_at_1=total("hits_at_1") / n,
+        f1=sum(f1s) / n,
+        skeleton_accuracy=total("skeleton_accuracy") / scored if scored else None,
+        exact_match=total("exact_match") / scored if scored else None,
+        path_scored=scored,
+        avg_llm_calls=total("llm_calls") / n,
+        avg_prompt_tokens=prompt / n,
+        avg_completion_tokens=completion / n,
+        avg_tokens=(prompt + completion) / n,
+        cost_usd=cost,
+        cost_per_10k_usd=cost / n * 10_000,
+        routes=dict(Counter(r["route"] for r in rows if r["route"] is not None)),
+    ), rows
 
 
 def write_results(path: str | Path, rows: list[dict]) -> None:

@@ -56,6 +56,22 @@ def run_stage1(llm: LlmProvider, question: str) -> ReasoningPath:
     return parse_reasoning_path(reply)
 
 
+def _fallback(
+    question: str, ledger: CostLedger, trace: list, stage: str, error: Exception | str,
+    initial: ReasoningPath | None = None, final: ReasoningPath | None = None,
+) -> QuestionResult:
+    """The one failed outcome: no answers at the full tier, an ``error``
+    event on the trace and one warning line. An exception is described
+    by stage and type; a string is the whole message."""
+    message = error if isinstance(error, str) else f"{stage}: {type(error).__name__}: {error}"
+    log.warning("question %r failed, %s", question, message)
+    trace.append({"event": "error", "stage": stage, "message": message})
+    return QuestionResult(
+        question, Route.FALLBACK, AnswerSet(frozenset(), TIER_FULL),
+        initial, final, ledger, trace, error=message,
+    )
+
+
 def answer_question(
     g: KnowledgeGraph,
     question: str,
@@ -76,24 +92,14 @@ def answer_question(
     spec_llm = TrackedLlm(specialized, ROLE_SPECIALIZED, ledger)
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
     trace: list = []
-
-    def failed(stage: str, exc: Exception, initial=None, final=None) -> QuestionResult:
-        message = f"{stage}: {type(exc).__name__}: {exc}"
-        log.warning("question %r failed, %s", question, message)
-        trace.append({"event": "error", "stage": stage, "message": message})
-        return QuestionResult(
-            question, Route.FALLBACK, AnswerSet(frozenset(), TIER_FULL),
-            initial, final, ledger, trace, error=message,
-        )
-
     try:
         rp_initial = run_stage1(spec_llm, question)
     except (KgRelayError, ValueError) as exc:
-        return failed("generation", exc)
+        return _fallback(question, ledger, trace, "generation", exc)
     try:
         rp = ground_reasoning_path(g, rp_initial)
     except KgRelayError as exc:
-        return failed("grounding", exc, initial=rp_initial)
+        return _fallback(question, ledger, trace, "grounding", exc, rp_initial)
 
     skeleton = g.reach(rp.topic_entity, rp.path)
     if skeleton:
@@ -106,7 +112,7 @@ def answer_question(
                 g, question, rp.topic_entity, rp.depth, repair_cfg, gen_llm, embedder, trace
             )
         except KgRelayError as exc:
-            return failed("repair", exc, initial=rp_initial, final=rp)
+            return _fallback(question, ledger, trace, "repair", exc, rp_initial, rp)
         kept = tuple(c for c in rp.constraints if c.hop <= len(new_path))
         for c in rp.constraints:
             if c.hop > len(new_path):
@@ -131,8 +137,8 @@ def answer_question(
 def run_stage2_only(
     g: KnowledgeGraph,
     question: str,
-    topic_surface: str,
-    depth: int,
+    topic_surface: str | None,
+    depth: int | None,
     general: LlmProvider,
     embedder: EmbeddingProvider,
     repair_cfg: RepairConfig | None = None,
@@ -140,23 +146,21 @@ def run_stage2_only(
 ) -> QuestionResult:
     """Repair-only ablation: no specialized model, no constraints.
 
-    The topic and search depth come from the caller (dataset fields), and
-    the answers are whatever the repaired skeleton reaches.
+    The topic and search depth come from the caller (dataset fields);
+    either missing gives the fallback result. The answers are whatever
+    the repaired skeleton reaches.
     """
     repair_cfg = repair_cfg or RepairConfig()
     ledger = CostLedger(prices)
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
     trace: list = []
+    if topic_surface is None or depth is None:
+        return _fallback(question, ledger, trace, "repair", "record lacks topic or depth")
     try:
         topic = g.ground_entity(topic_surface)
         path = repair(g, question, topic, depth, repair_cfg, gen_llm, embedder, trace)
     except (KgRelayError, ValueError) as exc:
-        message = f"repair: {type(exc).__name__}: {exc}"
-        trace.append({"event": "error", "stage": "repair", "message": message})
-        return QuestionResult(
-            question, Route.FALLBACK, AnswerSet(frozenset(), TIER_FULL),
-            None, None, ledger, trace, error=message,
-        )
+        return _fallback(question, ledger, trace, "repair", exc)
     rp = ReasoningPath(topic_surface, tuple(path), (), topic)
     answers = AnswerSet(frozenset(g.reach(topic, path)), TIER_FULL)
     return QuestionResult(question, Route.STAGE2_ONLY, answers, None, rp, ledger, trace)

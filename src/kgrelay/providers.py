@@ -24,6 +24,7 @@ from .errors import (
     MalformedReply,
     MissingKey,
     NoScriptMatch,
+    ProviderError,
     ProviderTimeout,
     ProviderUnreachable,
 )
@@ -197,7 +198,7 @@ class HttpLlm:
             "temperature": temperature,
         }
         headers = {"Authorization": f"Bearer {self._key}"}
-        last_status = None
+        last_error: ProviderError | None = None
         for attempt in range(self.max_retries):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
@@ -209,13 +210,15 @@ class HttpLlm:
                     timeout=self.timeout,
                 )
             except requests.Timeout:
-                last_status = "timeout"
+                last_error = ProviderTimeout(f"no response after {self.max_retries} attempts")
                 continue
             except requests.ConnectionError as exc:
-                last_status = exc
+                last_error = ProviderUnreachable(
+                    f"no connection after {self.max_retries} attempts: {exc}"
+                )
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:
-                last_status = resp.status_code
+                last_error = HttpError(resp.status_code, f"after {self.max_retries} attempts")
                 continue
             if resp.status_code != 200:
                 raise HttpError(resp.status_code, resp.text[:200])
@@ -234,13 +237,7 @@ class HttpLlm:
             return text, LlmUsage(
                 approx_tokens(prompt), approx_tokens(text), provider_reported=False
             )
-        if last_status == "timeout":
-            raise ProviderTimeout(f"no response after {self.max_retries} attempts")
-        if isinstance(last_status, requests.ConnectionError):
-            raise ProviderUnreachable(
-                f"no connection after {self.max_retries} attempts: {last_status}"
-            )
-        raise HttpError(int(last_status), f"after {self.max_retries} attempts")
+        raise last_error
 
 
 # --- cost accounting ---

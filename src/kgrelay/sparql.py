@@ -29,6 +29,7 @@ exactly the queries it accepts and prints any other query as parsed.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import count
 
@@ -287,7 +288,8 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
 
     Returns (topic entity, chain patterns in hop order). Raises
     NoTopicEntity when no named entity reaches the select variable and
-    AmbiguousMainPath when more than one simple path does.
+    AmbiguousMainPath when more than one simple path does. The search
+    stops at the second path, so it stays polynomial in the pattern count.
     """
     def key(term):
         return ("var", term.name) if isinstance(term, Var) else ("ent", term)
@@ -307,24 +309,45 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
             sources.add(o)
 
     target = ("var", q.select_var.name)
-    found: list[tuple[str, list[TriplePattern]]] = []
-
-    def walk(topic, node, seen, acc):
-        if node == target:
-            found.append((topic, acc))
-            return
-        for nxt, pat in edges.get(node, []):
-            if nxt not in seen:
-                walk(topic, nxt, seen | {nxt}, acc + [pat])
-
+    found = None
     for src in sorted(sources):
-        walk(src[1], src, {src}, [])
-
-    if not found:
+        path = _shortest_path(edges, src, target, set(), None)
+        if path is None:
+            continue
+        # Any other simple path from src leaves this one at some node, by
+        # another pattern, and never revisits the nodes before that one.
+        nodes = [src] + [key(pat.object) for pat in path]
+        if found or any(
+            _shortest_path(edges, nodes[i], target, set(nodes[:i]), pat) is not None
+            for i, pat in enumerate(path)
+        ):
+            raise AmbiguousMainPath("more than one candidate main path")
+        found = (src[1], path)
+    if found is None:
         raise NoTopicEntity("no named entity reaches the select variable")
-    if len(found) > 1:
-        raise AmbiguousMainPath(f"{len(found)} candidate main paths")
-    return found[0]
+    return found
+
+
+def _shortest_path(
+    edges: dict, start: tuple, target: tuple, avoid: set, skip: TriplePattern | None
+) -> list[TriplePattern] | None:
+    # Breadth-first, so the path found is simple; it enters no node in
+    # avoid and does not take the pattern skip.
+    back = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == target:
+            path = []
+            while back[node] is not None:
+                node, pat = back[node]
+                path.append(pat)
+            return path[::-1]
+        for nxt, pat in edges.get(node, ()):
+            if nxt not in back and nxt not in avoid and pat is not skip:
+                back[nxt] = (node, pat)
+                queue.append(nxt)
+    return None
 
 
 @dataclass(frozen=True)

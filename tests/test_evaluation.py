@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -203,8 +204,19 @@ def batch_records(tmp_path):
     return load_dataset(p)
 
 
+def assert_report_folds_rows(report, rows):
+    """The report's counts are sums and means over its rows."""
+    n = len(rows)
+    assert report.flagged == sum(1 for r in rows if r.get("flagged"))
+    assert report.hits_at_1 == pytest.approx(sum(r.get("hits_at_1", 0) for r in rows) / n)
+    assert report.path_scored == sum(1 for r in rows if "skeleton_accuracy" in r)
+    assert report.routes == Counter(r["route"] for r in rows if r["route"] is not None)
+    assert report.avg_llm_calls == pytest.approx(sum(r["llm_calls"] for r in rows) / n)
+
+
 def test_run_batch_scores_and_routes(presidents, tmp_path):
     report, rows = run_batch(presidents, batch_records(tmp_path), make_factory())
+    assert_report_folds_rows(report, rows)
     assert report.questions == 6
     assert report.flagged == 3  # bad gold, empty gold, unparsable line
     assert report.hits_at_1 == pytest.approx(3 / 6)
@@ -298,6 +310,15 @@ def test_run_batch_stage2_only(presidents, tmp_path):
     assert rows[1]["error"] == "record lacks topic or depth"
     assert report.routes == {"stage2_only": 1, "repair_failed_fallback": 1}
 
+    # The record without topic or depth fails like any other question:
+    # same row error, and its trace ends with the error event.
+    _, traced = run_batch(
+        presidents, load_dataset(p), make_factory(), stage2_only=True, include_trace=True
+    )
+    assert traced[1]["error"] == "record lacks topic or depth"
+    assert traced[1]["trace"][-1]["event"] == "error"
+    assert traced[1]["trace"][-1]["message"] == "record lacks topic or depth"
+
 
 def test_run_batch_stage2_only_flags_mistyped_depth(presidents, tmp_path):
     # A string depth used to reach repair and abort the whole batch.
@@ -376,6 +397,7 @@ def test_run_batch_keeps_its_promise(presidents, tmp_path_factory, stage2_only, 
     assert len(records) == len(lines)
     assert [row["id"] for row in rows] == [rec.id for rec in records]
     assert report.questions == len(records)
+    assert_report_folds_rows(report, rows)
     json.dumps(rows)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,38 @@ def test_find_main_chain_two_routes_same_entity():
     )
     with pytest.raises(AmbiguousMainPath):
         find_main_chain(q)
+
+
+def _layers(first: str, layers: int, last: str) -> list[str]:
+    # Two variables per layer, each layer fully linked to the next: 2^layers
+    # simple paths from first to last.
+    names = [[f"?l{i}a", f"?l{i}b"] for i in range(layers)]
+    pats = [f"{first} :r {v} ." for v in names[0]]
+    for prev, nxt in zip(names, names[1:]):
+        pats += [f"{s} :r {o} ." for s in prev for o in nxt]
+    pats += [f"{v} :r {last} ." for v in names[-1]]
+    return pats
+
+
+def test_find_main_chain_layered_query_is_fast():
+    pats = _layers(":A", 50, "?x")
+    assert len(pats) == 200
+    q = parse_sparql("SELECT DISTINCT ?x WHERE { " + " ".join(pats) + " }")
+    start = time.perf_counter()
+    with pytest.raises(AmbiguousMainPath, match="more than one candidate main path"):
+        find_main_chain(q)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_find_main_chain_layered_dead_end_is_fast():
+    # A layered region hanging off the chain that never reaches the select
+    # variable must not be searched path by path.
+    pats = [":A :r ?h ."] + _layers("?h", 50, "?end") + ["?h :s ?x ."]
+    q = parse_sparql("SELECT DISTINCT ?x WHERE { " + " ".join(pats) + " }")
+    start = time.perf_counter()
+    topic, chain = find_main_chain(q)
+    assert time.perf_counter() - start < 1.0
+    assert topic == "A" and [p.relation for p in chain] == ["r", "s"]
 
 
 # --- query to path ---
