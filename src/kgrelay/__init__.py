@@ -24,7 +24,6 @@ from .providers import (
     LlmUsage,
     ScriptedLlm,
     TokenOverlapEmbedder,
-    ledger_summary,
     token_overlap_similarity,
 )
 from .reasoning import (

@@ -104,17 +104,14 @@ def ask(ctx, question, stage2_only, topic, depth):
         specialized, general, embedder = factory()
     except (ConfigError, KgRelayError) as exc:
         _die(str(exc), 2)
-    prices = cfg.price_table(settings)
 
     if stage2_only:
         if topic is None or depth is None:
             _die("--stage2-only needs --topic and --depth", 2)
-        result = run_stage2_only(
-            g, question, topic, depth, general, embedder, repair_cfg, prices
-        )
+        result = run_stage2_only(g, question, topic, depth, general, embedder, repair_cfg)
     else:
         result = answer_question(
-            g, question, specialized, general, embedder, repair_cfg, prices,
+            g, question, specialized, general, embedder, repair_cfg,
             relax=settings.relaxation,
         )
 

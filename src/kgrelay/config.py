@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .providers import (
+    DEFAULT_PRICES,
     ROLE_GENERAL,
     ROLE_SPECIALIZED,
     HttpLlm,
@@ -45,10 +46,10 @@ class Settings:
     max_depth_cap: int = 4
     relaxation: bool = True
     workers: int = 1
-    price_specialized_input: float = 0.05
-    price_specialized_output: float = 0.25
-    price_general_input: float = 0.15
-    price_general_output: float = 0.60
+    price_specialized_input: float = DEFAULT_PRICES[ROLE_SPECIALIZED][0]
+    price_specialized_output: float = DEFAULT_PRICES[ROLE_SPECIALIZED][1]
+    price_general_input: float = DEFAULT_PRICES[ROLE_GENERAL][0]
+    price_general_output: float = DEFAULT_PRICES[ROLE_GENERAL][1]
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Settings)}

@@ -20,7 +20,7 @@ from .errors import DatasetError, KgRelayError
 from .execute import evaluate_query
 from .kg import KnowledgeGraph, NodeRef, node_sort_key, node_text
 from .pipeline import QuestionResult, answer_question, run_stage2_only
-from .providers import CostLedger
+from .providers import DEFAULT_PRICES, CostLedger, price_calls
 from .reasoning import (
     Constraint,
     EntityMatch,
@@ -277,8 +277,9 @@ def run_batch(
     questions). Per-record failures are flagged and score zero; the batch
     itself never aborts. With workers > 1 records run concurrently but
     aggregation stays in dataset order, so output is identical. Every
-    report figure is a sum or mean over the rows, except cost, which is
-    priced per call from the records' ledgers merged in dataset order.
+    report figure is a sum or mean over the rows, except cost. Calls are
+    priced here and nowhere else, under ``prices`` (default
+    ``DEFAULT_PRICES``), summed in dataset order, then call order.
     """
     repair_cfg = repair_cfg or RepairConfig()
 
@@ -288,11 +289,10 @@ def run_batch(
         specialized, general, embedder = provider_factory()
         if stage2_only:
             return run_stage2_only(
-                g, rec.question, rec.topic, rec.depth, general, embedder,
-                repair_cfg, prices,
+                g, rec.question, rec.topic, rec.depth, general, embedder, repair_cfg
             )
         return answer_question(
-            g, rec.question, specialized, general, embedder, repair_cfg, prices, relax
+            g, rec.question, specialized, general, embedder, repair_cfg, relax
         )
 
     if workers > 1:
@@ -301,12 +301,9 @@ def run_batch(
     else:
         results = [work(rec) for rec in records]
 
-    ledger = CostLedger(prices)
     rows: list[dict] = []
     f1s: list[float] = []
     for rec, result in zip(records, results):
-        if result is not None:
-            ledger.merge(result.ledger)
         row, f1 = _row(g, rec, result, include_trace)
         rows.append(row)
         f1s.append(f1)
@@ -317,7 +314,10 @@ def run_batch(
     n = len(rows)
     scored = sum("skeleton_accuracy" in r for r in rows)
     prompt, completion = total("prompt_tokens"), total("completion_tokens")
-    cost = ledger.cost_usd()
+    cost = price_calls(
+        (call for result in results if result for call in result.ledger.records),
+        DEFAULT_PRICES if prices is None else prices,
+    )
     return MetricReport(
         questions=n,
         flagged=total("flagged"),

@@ -79,7 +79,6 @@ def answer_question(
     general: LlmProvider,
     embedder: EmbeddingProvider,
     repair_cfg: RepairConfig | None = None,
-    prices: dict | None = None,
     relax: bool = True,
 ) -> QuestionResult:
     """Answer one question; never raises on provider or path failures.
@@ -88,7 +87,7 @@ def answer_question(
     error recorded on the result.
     """
     repair_cfg = repair_cfg or RepairConfig()
-    ledger = CostLedger(prices)
+    ledger = CostLedger()
     spec_llm = TrackedLlm(specialized, ROLE_SPECIALIZED, ledger)
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
     trace: list = []
@@ -142,7 +141,6 @@ def run_stage2_only(
     general: LlmProvider,
     embedder: EmbeddingProvider,
     repair_cfg: RepairConfig | None = None,
-    prices: dict | None = None,
 ) -> QuestionResult:
     """Repair-only ablation: no specialized model, no constraints.
 
@@ -151,7 +149,7 @@ def run_stage2_only(
     the repaired skeleton reaches.
     """
     repair_cfg = repair_cfg or RepairConfig()
-    ledger = CostLedger(prices)
+    ledger = CostLedger()
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
     trace: list = []
     if topic_surface is None or depth is None:

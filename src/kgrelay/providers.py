@@ -1,20 +1,19 @@
-"""LLM and embedding providers, plus per-call cost accounting.
+"""LLM and embedding providers, plus per-call usage accounting.
 
 Providers are tiny protocols so tests can substitute scripted fakes. The
 cost ledger records every call with its role ("specialized" for the path
-generator, "general" for repair) and prices token totals per million.
+generator, "general" for repair); ``price_calls`` turns call records into
+USD from a per-million-token price table.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Protocol
 
 import requests
@@ -116,11 +115,6 @@ class ScriptedLlm:
         self._remaining = [e.repeat for e in self.entries]
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedLlm":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
-
     def complete(self, prompt: str, temperature: float = 0.0) -> tuple[str, LlmUsage]:
         with self._lock:
             for i, entry in enumerate(self.entries):
@@ -181,6 +175,8 @@ class HttpLlm:
         max_retries: int = 3,
         backoff: float = 1.0,
     ):
+        if max_retries < 1:
+            raise ValueError(f"max_retries must be >= 1, got {max_retries}")
         key = os.environ.get(key_env)
         if not key:
             raise MissingKey(key_env)
@@ -249,20 +245,15 @@ class CallRecord:
 
 
 class CostLedger:
-    """Thread-safe per-call usage log with price-table costing."""
+    """Thread-safe per-call usage log for one question."""
 
-    def __init__(self, prices: dict[str, tuple[float, float]] | None = None):
-        self.prices = dict(DEFAULT_PRICES if prices is None else prices)
+    def __init__(self):
         self.records: list[CallRecord] = []
         self._lock = threading.Lock()
 
     def record(self, role: str, usage: LlmUsage) -> None:
         with self._lock:
             self.records.append(CallRecord(role, usage))
-
-    def merge(self, other: "CostLedger") -> None:
-        with self._lock:
-            self.records.extend(other.records)
 
     def calls(self, role: str | None = None) -> int:
         return sum(1 for r in self.records if role is None or r.role == role)
@@ -279,18 +270,19 @@ class CostLedger:
             if role is None or r.role == role
         )
 
-    def fully_reported(self) -> bool:
-        return all(r.usage.provider_reported for r in self.records)
 
-    def cost_usd(self) -> float:
-        total = 0.0
-        for r in self.records:
-            price_in, price_out = self.prices[r.role]
-            total += (
-                r.usage.prompt_tokens * price_in
-                + r.usage.completion_tokens * price_out
-            ) / 1e6
-        return total
+def price_calls(
+    records: Iterable[CallRecord], prices: dict[str, tuple[float, float]]
+) -> float:
+    """USD for the calls, summed in the order given; prices per 1M tokens."""
+    total = 0.0
+    for r in records:
+        price_in, price_out = prices[r.role]
+        total += (
+            r.usage.prompt_tokens * price_in
+            + r.usage.completion_tokens * price_out
+        ) / 1e6
+    return total
 
 
 class TrackedLlm:
@@ -305,21 +297,3 @@ class TrackedLlm:
         text, usage = self.inner.complete(prompt, temperature)
         self.ledger.record(self.role, usage)
         return text, usage
-
-
-def ledger_summary(ledger: CostLedger, question_count: int) -> dict:
-    """Per-question averages and extrapolated cost per 10k questions."""
-    n = max(question_count, 1)
-    prompt = ledger.prompt_tokens()
-    completion = ledger.completion_tokens()
-    return {
-        "questions": question_count,
-        "llm_calls": ledger.calls(),
-        "avg_llm_calls": ledger.calls() / n,
-        "avg_prompt_tokens": prompt / n,
-        "avg_completion_tokens": completion / n,
-        "avg_tokens": (prompt + completion) / n,
-        "cost_usd": ledger.cost_usd(),
-        "cost_per_10k_usd": ledger.cost_usd() / n * 10_000,
-        "provider_reported": ledger.fully_reported(),
-    }

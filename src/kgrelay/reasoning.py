@@ -143,9 +143,12 @@ class ReasoningPath:
 
 # --- parsing ---
 
-_TOPIC_RE = re.compile(r"^TOPIC:\s*(.+?)\s*$")
-_PATH_RE = re.compile(r"^PATH:\s*(.+?)\s*$")
-_CONSTRAINT_RE = re.compile(r"^CONSTRAINT:\s*hop=(\d+);\s*rel=([^;\s]+);\s*(.+?)\s*$")
+# Matched against stripped lines, so a greedy tail ends at the last
+# non-space character; a lazy (.+?)\s*$ backtracks quadratically over a
+# run of inner spaces.
+_TOPIC_RE = re.compile(r"^TOPIC:\s*(.+)$")
+_PATH_RE = re.compile(r"^PATH:\s*(.+)$")
+_CONSTRAINT_RE = re.compile(r"^CONSTRAINT:\s*hop=(\d+);\s*rel=([^;\s]+);\s*(.+)$")
 _QUOTED_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$')
 _BINARY_BODY_RE = re.compile(r"^op=(EQ|GE|LE|GT|LT);\s*value=(.+)$")
 _EXTREMAL_BODY_RE = re.compile(r"^op=(ARGMAX|ARGMIN)$")

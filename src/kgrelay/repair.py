@@ -21,7 +21,10 @@ from .providers import EmbeddingProvider, LlmProvider
 
 log = logging.getLogger(__name__)
 
-_STEP_RE = re.compile(r"^\s*#\d+\s*(.+?)\s*$")
+# The step runs to the last non-space character (a number followed only
+# by spaces gives one space). Unlike a lazy (.+?)\s*$, this does not
+# backtrack quadratically over a run of inner spaces.
+_STEP_RE = re.compile(r"^\s*#\d+\s*(.*\S|\s)\s*$")
 
 
 @dataclass(frozen=True)

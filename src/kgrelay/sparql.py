@@ -43,10 +43,11 @@ from .errors import (
     UnresolvedConstraintEntity,
     UnsupportedFeature,
 )
-from .kg import STRING, Literal, escape_quotes, parse_literal_token
+from .kg import STRING, Literal, parse_literal_token
 from .reasoning import (
     ComparisonOp,
     Constraint,
+    ConstraintValue,
     EntityMatch,
     NumericCompare,
     ReasoningPath,
@@ -424,6 +425,21 @@ def _literal_value(op: ComparisonOp, lit: Literal) -> StringMatch | NumericCompa
     return StringMatch(lit.text) if lit.kind == STRING else NumericCompare(op, lit)
 
 
+def _branch_values(b: Branch) -> list[ConstraintValue]:
+    """What a branch constrains on its hop; [] for a bare branch variable,
+    one with neither a filter nor an order."""
+    obj = b.pattern.object
+    if isinstance(obj, str):
+        return [EntityMatch(obj, entity=obj)]
+    if isinstance(obj, Literal):
+        return [_literal_value(ComparisonOp.EQ, obj)]
+    values = [_literal_value(f.op, f.value) for f in b.filters]
+    if b.descending is not None:
+        op = ComparisonOp.ARGMAX if b.descending else ComparisonOp.ARGMIN
+        values.append(NumericCompare(op))
+    return values
+
+
 def sparql_to_path(q: SparqlQuery) -> ReasoningPath:
     """Convert a chain-shaped query into a reasoning path.
 
@@ -437,20 +453,11 @@ def sparql_to_path(q: SparqlQuery) -> ReasoningPath:
     topic, chain, branches = chain_branches(q)
     constraints: list[Constraint] = []
     for b in branches:
-        obj = b.pattern.object
-        if isinstance(obj, str):
-            values = [EntityMatch(obj, entity=obj)]
-        elif isinstance(obj, Literal):
-            values = [_literal_value(ComparisonOp.EQ, obj)]
-        elif not b.filters and b.descending is None:
+        values = _branch_values(b)
+        if not values:
             raise UnclassifiableBranch(
-                f"branch variable ?{obj.name} has no filter or order clause"
+                f"branch variable ?{b.pattern.object.name} has no filter or order clause"
             )
-        else:
-            values = [_literal_value(f.op, f.value) for f in b.filters]
-            if b.descending is not None:
-                op = ComparisonOp.ARGMAX if b.descending else ComparisonOp.ARGMIN
-                values.append(NumericCompare(op))
         constraints += [Constraint(b.hop, b.pattern.relation, v) for v in values]
 
     rp = ReasoningPath(
@@ -516,20 +523,11 @@ def _retype(lit: Literal) -> Literal:
 
 
 def _branch_body(b: Branch) -> str:
-    # Mirrors Constraint.body_text so canonical clause order agrees with
-    # canonical constraint order.
-    obj = b.pattern.object
-    if isinstance(obj, str):
-        return f"entity={obj}"
-    parts = []
-    for f in b.filters:
-        if f.value.kind == STRING:
-            parts.append(f'string="{escape_quotes(f.value.text)}"')
-        else:
-            parts.append(f'op={f.op.value}; value="{escape_quotes(f.value.text)}"')
-    if b.descending is not None:
-        parts.append(f"op={'ARGMAX' if b.descending else 'ARGMIN'}")
-    return " | ".join(sorted(parts))
+    # The branch's constraint texts, so canonical clause order agrees
+    # with canonical constraint order.
+    return " | ".join(sorted(
+        Constraint(b.hop, b.pattern.relation, v).body_text() for v in _branch_values(b)
+    ))
 
 
 def _canonical_ast(q: SparqlQuery) -> SparqlQuery:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -147,6 +148,30 @@ def test_eval_reruns_are_byte_identical(cfg_path, data_dir, tmp_path):
         assert result.exit_code == 0
     assert (out1 / "results.jsonl").read_bytes() == (out2 / "results.jsonl").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("trace, results_file", [
+    (False, "results.jsonl"),
+    (True, "results_trace.jsonl"),
+])
+def test_eval_matches_golden_outputs(cfg_path, data_dir, tmp_path, trace, results_file):
+    """The demo eval writes exactly the checked-in outputs, float bits included.
+
+    tests/golden/ holds ``kgrelay --config data/demo.cfg [--trace] eval
+    data/routing_eval.jsonl`` output; a change that moves any byte, such
+    as the order in which call costs are summed, fails here.
+    """
+    out = tmp_path / "out"
+    result = run(
+        "--config", cfg_path, *(["--trace"] if trace else []),
+        "eval", str(data_dir / "routing_eval.jsonl"), "--out", str(out),
+    )
+    assert result.exit_code == 0
+    assert (out / "results.jsonl").read_bytes() == (GOLDEN / results_file).read_bytes()
+    assert (out / "summary.json").read_bytes() == (GOLDEN / "summary.json").read_bytes()
 
 
 def test_eval_flagged_records_exit_1(cfg_path, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,24 @@ def test_parse_errors(text, line):
         parse_reasoning_path(text)
     if line:
         assert err.value.line == line
+
+
+LONG_GAP = " " * 200_000
+
+
+def test_parse_long_lines_is_fast():
+    # A run of inner spaces must not make line matching quadratic.
+    text = (
+        f"TOPIC: a{LONG_GAP}b\nPATH: r\n"
+        f"CONSTRAINT: hop=1; rel=r; entity=x{LONG_GAP}y\n"
+    )
+    start = time.perf_counter()
+    rp = parse_reasoning_path(text)
+    with pytest.raises(ParseError, match="bad relation chain"):
+        parse_reasoning_path(f"TOPIC: a\nPATH: r{LONG_GAP}s")
+    assert time.perf_counter() - start < 1.0
+    assert rp.topic_surface == f"a{LONG_GAP}b"
+    assert rp.constraints[0].value == EntityMatch(f"x{LONG_GAP}y")
 
 
 def test_parse_hop_out_of_range():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -50,6 +51,16 @@ def test_blueprint_parses_numbered_lines():
     llm = ReplyLlm("preamble\n#1 find the terms\n#2  find the holder \nnoise")
     bp = generate_blueprint(llm, "who?")
     assert bp == Blueprint(("find the terms", "find the holder"))
+
+
+def test_blueprint_long_line_is_fast():
+    gap = " " * 200_000
+    llm = ReplyLlm(f"#1 find{gap}the terms  \n#2{gap}\n#3 holder")
+    start = time.perf_counter()
+    bp = generate_blueprint(llm, "who?")
+    assert time.perf_counter() - start < 1.0
+    # a number followed only by spaces still gives a one-space step
+    assert bp == Blueprint((f"find{gap}the terms", " ", "holder"))
 
 
 def test_blueprint_empty_raises():
