@@ -18,6 +18,7 @@ the form ``@alias<TAB>surface<TAB>entity`` add alias-table entries.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -127,12 +128,6 @@ def parse_literal_token(token: str) -> Literal:
     return Literal(STRING, text, lang=m.group("lang"))
 
 
-def parse_object_token(token: str) -> NodeRef:
-    if token.startswith('"'):
-        return parse_literal_token(token)
-    return token
-
-
 class KnowledgeGraph:
     """Immutable adjacency index with an alias table and a triple count."""
 
@@ -217,9 +212,16 @@ class KnowledgeGraph:
 
 
 def load_tsv(path: str | Path) -> KnowledgeGraph:
-    """Load a graph from a TSV file. Duplicate triples collapse silently."""
+    """Load a graph from a TSV file. Duplicate triples collapse silently.
+
+    Names repeat across lines, so every subject, relation and entity
+    object is interned and each distinct literal token parses to one
+    shared ``Literal``.
+    """
     triples: list[tuple[EntityId, RelationId, NodeRef]] = []
     aliases: dict[str, set[EntityId]] = {}
+    literals: dict[str, Literal] = {}
+    intern = sys.intern
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -236,9 +238,12 @@ def load_tsv(path: str | Path) -> KnowledgeGraph:
                 continue
             if not first or not second or not third:
                 raise MalformedLine(line_no, "empty field")
-            try:
-                obj = parse_object_token(third)
-            except ValueError as exc:
-                raise BadLiteral(line_no, third, str(exc)) from exc
-            triples.append((first, second, obj))
+            if not third.startswith('"'):
+                obj = intern(third)
+            elif (obj := literals.get(third)) is None:
+                try:
+                    obj = literals[third] = parse_literal_token(third)
+                except ValueError as exc:
+                    raise BadLiteral(line_no, third, str(exc)) from exc
+            triples.append((intern(first), intern(second), obj))
     return KnowledgeGraph(triples, aliases)

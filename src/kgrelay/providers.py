@@ -8,6 +8,7 @@ USD from a per-million-token price table.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import re
@@ -136,6 +137,16 @@ class ScriptedLlm:
 _TOKEN_SPLIT_RE = re.compile(r"[\s._\-]+")
 
 
+# Repair scores the same relation names and blueprint steps hundreds of
+# times per question, so each distinct string is split once. The cache
+# lives at module level because callers build a fresh embedder per
+# question; its bound keeps one-off strings (questions, linearized
+# paths) from growing it for the life of the process.
+@functools.lru_cache(maxsize=1024)
+def _tokens(text: str) -> frozenset[str]:
+    return frozenset(t for t in _TOKEN_SPLIT_RE.split(text.casefold()) if t)
+
+
 def token_overlap_similarity(a: str, b: str) -> float:
     """Jaccard overlap of casefolded tokens; 0 when either side is empty.
 
@@ -143,11 +154,12 @@ def token_overlap_similarity(a: str, b: str) -> float:
     so "president.office_holder" shares tokens with "who holds the
     office". A deterministic stand-in for an embedding model.
     """
-    ta = {t for t in _TOKEN_SPLIT_RE.split(a.casefold()) if t}
-    tb = {t for t in _TOKEN_SPLIT_RE.split(b.casefold()) if t}
+    ta = _tokens(a)
+    tb = _tokens(b)
     if not ta or not tb:
         return 0.0
-    return len(ta & tb) / len(ta | tb)
+    shared = len(ta & tb)
+    return shared / (len(ta) + len(tb) - shared)
 
 
 class TokenOverlapEmbedder:
@@ -162,8 +174,10 @@ class HttpLlm:
 
     The API key is read from the environment at construction; a missing
     variable fails before any network traffic. Retries cover timeouts,
-    failed connections, 429, and 5xx responses with exponential backoff.
-    Every failure raises a ProviderError subclass.
+    failed connections, 429, and 5xx responses with exponential backoff;
+    a 429 that names a Retry-After delay in seconds waits that long
+    instead, never longer than the schedule's last delay. Every failure
+    raises a ProviderError subclass.
     """
 
     def __init__(
@@ -195,9 +209,11 @@ class HttpLlm:
         }
         headers = {"Authorization": f"Bearer {self._key}"}
         last_error: ProviderError | None = None
+        delay = 0.0
         for attempt in range(self.max_retries):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(delay)
+            delay = self.backoff * (2 ** attempt)
             try:
                 resp = requests.post(
                     f"{self.base_url}/chat/completions",
@@ -215,6 +231,11 @@ class HttpLlm:
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = HttpError(resp.status_code, f"after {self.max_retries} attempts")
+                after = resp.headers.get("Retry-After", "").strip()
+                if resp.status_code == 429 and after.isascii() and after.isdigit():
+                    # Delta-seconds (an HTTP date keeps the schedule), never
+                    # longer than the schedule's last delay.
+                    delay = min(float(after), self.backoff * 2 ** (self.max_retries - 2))
                 continue
             if resp.status_code != 200:
                 raise HttpError(resp.status_code, resp.text[:200])

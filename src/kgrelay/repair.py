@@ -21,10 +21,10 @@ from .providers import EmbeddingProvider, LlmProvider
 
 log = logging.getLogger(__name__)
 
-# The step runs to the last non-space character (a number followed only
-# by spaces gives one space). Unlike a lazy (.+?)\s*$, this does not
-# backtrack quadratically over a run of inner spaces.
-_STEP_RE = re.compile(r"^\s*#\d+\s*(.*\S|\s)\s*$")
+# A numbered line is "#", digits, then the step text. The text is
+# stripped in code, not by the pattern: a pattern that trims trailing
+# spaces itself backtracks quadratically over a run of inner spaces.
+_STEP_RE = re.compile(r"\s*#\d+(.*)")
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,17 @@ def linearize(relations: tuple[str, ...]) -> str:
 
 
 def generate_blueprint(llm: LlmProvider, question: str) -> Blueprint:
-    """One LLM call producing numbered reasoning steps (#1, #2, ...)."""
+    """One LLM call producing numbered reasoning steps (#1, #2, ...).
+
+    A numbered line with no text after the number gives no step.
+    """
     reply, _ = llm.complete(blueprint_prompt(question))
     steps = []
     for line in reply.splitlines():
         m = _STEP_RE.match(line)
-        if m:
-            steps.append(m.group(1))
+        step = m.group(1).strip() if m else ""
+        if step:
+            steps.append(step)
     if not steps:
         raise EmptyBlueprint(f"no numbered steps in reply: {reply[:80]!r}")
     return Blueprint(tuple(steps))

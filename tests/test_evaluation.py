@@ -33,6 +33,7 @@ from kgrelay.evaluation import (
     write_results,
     write_summary,
 )
+from kgrelay.kg import load_tsv
 from kgrelay.providers import LlmUsage, ScriptedLlm, TokenOverlapEmbedder, approx_tokens
 from kgrelay.reasoning import parse_reasoning_path
 from metric_cases import ANSWER_CASES, PATH_CASES
@@ -276,6 +277,65 @@ def test_run_batch_workers_do_not_change_output(presidents, tmp_path):
     report2, rows2 = run_batch(presidents, records, make_factory(), workers=3)
     assert json.dumps(rows1) == json.dumps(rows2)
     assert report1.to_dict() == report2.to_dict()
+
+
+REPAIR_WORDS = [
+    "film", "director", "office", "holder", "term", "start", "award", "winner",
+    "city", "river", "mouth", "author", "genre", "team", "coach", "league",
+]
+
+
+def repair_graph(tmp_path, rng):
+    """A topic with 60 two-word relations over three levels of hubs."""
+    names = [f"{a}.{b}" for a in REPAIR_WORDS for b in REPAIR_WORDS if a != b]
+    levels = [["T"]] + [[f"L{d}_{i}" for i in range(8)] for d in (1, 2, 3)]
+    lines = []
+    for d in range(3):
+        fan_out = 60 if d == 0 else 8
+        for s in levels[d]:
+            for rel in rng.sample(names, fan_out):
+                lines.append(f"{s}\t{rel}\t{rng.choice(levels[d + 1])}")
+    p = tmp_path / "repair.tsv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_tsv(p)
+
+
+class PromptSeededLlm:
+    """Replies drawn from a generator seeded by the prompt alone, so no
+    reply depends on which worker sends it. Stage 1 always needs repair."""
+
+    def complete(self, prompt, temperature=0.0):
+        rng = random.Random(prompt)
+        if "reasoning steps" in prompt:
+            reply = "\n".join(
+                f"#{i} find the {' '.join(rng.sample(REPAIR_WORDS, 2))}" for i in (1, 2, 3)
+            )
+        elif "Select up to" in prompt:
+            reply = rng.choice(["Path 1", "Path 2, Path 3", "Path 7", "Path 99", "none"])
+        else:
+            reply = "TOPIC: T\nPATH: made.up -> made.up -> made.up\n"
+        return reply, LlmUsage(approx_tokens(prompt), approx_tokens(reply))
+
+
+def test_run_batch_workers_do_not_change_repair_output(tmp_path):
+    # Many repairs at once share the embedder's module-level token cache;
+    # 80 questions score more distinct strings than it holds.
+    rng = random.Random(11)
+    g = repair_graph(tmp_path, rng)
+    records = [
+        DatasetRecord(f"q{i}", "which " + " ".join(rng.sample(REPAIR_WORDS, 4)), ("L3_1",))
+        for i in range(80)
+    ]
+
+    def factory():
+        llm = PromptSeededLlm()
+        return llm, llm, TokenOverlapEmbedder()
+
+    report1, rows1 = run_batch(g, records, factory, workers=1)
+    report4, rows4 = run_batch(g, records, factory, workers=4)
+    assert {row["route"] for row in rows1} == {"stage1_plus_2"}
+    assert json.dumps(rows1) == json.dumps(rows4)
+    assert report1.to_dict() == report4.to_dict()
 
 
 def test_run_batch_include_trace(presidents, tmp_path):

@@ -20,7 +20,6 @@ from kgrelay.kg import (
     node_sort_key,
     node_text,
     parse_literal_token,
-    parse_object_token,
     unescape_quotes,
 )
 from oracle import keyset, oracle_reach, parse_tsv, random_graph_tsv
@@ -90,11 +89,6 @@ def test_parse_literal_token_rejects(token):
         parse_literal_token(token)
 
 
-def test_parse_object_token_entity_vs_literal():
-    assert parse_object_token("Obama") == "Obama"
-    assert parse_object_token('"Obama"') == Literal(STRING, "Obama")
-
-
 @pytest.mark.parametrize(
     "kind,text",
     [(NUMERIC, "abc"), (NUMERIC, "NaN"), (NUMERIC, "Infinity"),
@@ -162,6 +156,26 @@ def test_load_tsv_skips_blank_lines_and_collapses_duplicates(tmp_path):
     p.write_text("a\trel\tb\n\n   \na\trel\tb\n", encoding="utf-8")
     g = load_tsv(p)
     assert len(g) == 1
+
+
+def test_load_tsv_shares_names_and_literals(tmp_path):
+    p = tmp_path / "shared.tsv"
+    p.write_text(
+        'Obama\tname\t"Obama"\nClinton\tname\t"Obama"\n'
+        "Obama\tparty\tDemocrats\nClinton\tparty\tDemocrats\n",
+        encoding="utf-8",
+    )
+    g = load_tsv(p)
+    # a quoted token is a literal, a bare one an entity symbol
+    [lit] = g.neighbors("Obama", "name")
+    [same_lit] = g.neighbors("Clinton", "name")
+    assert lit == Literal(STRING, "Obama")
+    assert same_lit is lit
+    [party] = g.neighbors("Obama", "party")
+    [same_party] = g.neighbors("Clinton", "party")
+    assert party == "Democrats"
+    assert same_party is party
+    assert g.outgoing_relations(["Obama"])[0] is g.outgoing_relations(["Clinton"])[0]
 
 
 def test_alias_lines(tmp_path):

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import re
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kgrelay.providers as providers
 from kgrelay.errors import (
@@ -94,6 +101,46 @@ def test_token_overlap(a, b, expected):
     assert token_overlap_similarity(a, b) == pytest.approx(expected)
 
 
+_REFERENCE_SPLIT_RE = re.compile(r"[\s._\-]+")
+
+
+def uncached_overlap(a, b):
+    """The scorer as written before its token cache, splitting every call."""
+    ta = {t for t in _REFERENCE_SPLIT_RE.split(a.casefold()) if t}
+    tb = {t for t in _REFERENCE_SPLIT_RE.split(b.casefold()) if t}
+    if not ta or not tb:
+        return 0.0
+    return len(ta & tb) / len(ta | tb)
+
+
+SCORER_TEXT = st.text(
+    alphabet=st.sampled_from(list("aAsSßẞİiı ._-\t\u00a0\u2028")), max_size=12
+) | st.text(max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=SCORER_TEXT, b=SCORER_TEXT)
+@example(a="ß", b="SS")
+@example(a="Straße.name", b="STRASSE name")
+@example(a="._- \t", b="anything")
+@example(a="", b="")
+def test_cached_overlap_matches_uncached_split(a, b):
+    expected = uncached_overlap(a, b)
+    # The second call answers from the cache.
+    assert token_overlap_similarity(a, b) == expected
+    assert token_overlap_similarity(a, b) == expected
+    assert TokenOverlapEmbedder().similarity(b, a) == uncached_overlap(b, a)
+
+
+def test_token_cache_is_bounded():
+    maxsize = providers._tokens.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    for i in range(maxsize + 100):
+        token_overlap_similarity(f"bound probe {i}", "probe")
+        assert providers._tokens.cache_info().currsize <= maxsize
+    assert providers._tokens.cache_info().currsize == maxsize
+
+
 def test_embedder_wraps_function():
     emb = TokenOverlapEmbedder()
     assert emb.similarity("a b", "b c") == pytest.approx(1 / 3)
@@ -148,10 +195,11 @@ def test_default_price_table():
 # --- HTTP provider ---
 
 class FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         return self._body
@@ -354,3 +402,112 @@ def test_http_backoff_schedule(monkeypatch):
     with pytest.raises(HttpError):
         llm.complete("p")
     assert sleeps == [0.5, 1.0]
+
+
+def test_http_retry_after_replaces_the_next_delay_only(monkeypatch):
+    # A 429's Retry-After sets the wait before the next attempt; a later
+    # failure without one goes back to the schedule.
+    monkeypatch.setenv("KGRELAY_API_KEY", "k")
+    sleeps = []
+    monkeypatch.setattr(providers.time, "sleep", sleeps.append)
+    replies = iter([FakeResponse(429, headers={"Retry-After": "0"}), FakeResponse(500)])
+
+    def post(*a, **k):
+        return next(replies, FakeResponse(503))
+
+    monkeypatch.setattr(providers.requests, "post", post)
+    llm = HttpLlm("http://x", "m", max_retries=4, backoff=0.5)
+    with pytest.raises(HttpError):
+        llm.complete("p")
+    assert sleeps == [0.0, 1.0, 2.0]
+
+
+# --- HTTP provider against a loopback server ---
+
+class StubHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the server's next (status, headers, body)."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            status, headers, body = self.server.replies.pop(0)
+            self.server.posts += 1
+        data = body.encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+OK_BODY = json.dumps({
+    "choices": [{"message": {"content": "ok"}}],
+    "usage": {"prompt_tokens": 3, "completion_tokens": 1},
+})
+
+
+@pytest.fixture
+def stub():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    server.replies = []
+    server.posts = 0
+    server.lock = threading.Lock()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    monkeypatch.setenv("KGRELAY_API_KEY", "k-test")
+    seen = []
+    monkeypatch.setattr(providers.time, "sleep", seen.append)
+    return seen
+
+
+def stub_llm(stub, max_retries=3):
+    return HttpLlm(
+        f"http://127.0.0.1:{stub.server_port}/v1", "m",
+        timeout=5.0, max_retries=max_retries, backoff=0.01,
+    )
+
+
+def test_stub_5xx_then_200_succeeds(stub, sleeps):
+    stub.replies = [(503, {}, "busy"), (502, {}, "bad gateway"), (200, {}, OK_BODY)]
+    assert stub_llm(stub).complete("p") == ("ok", LlmUsage(3, 1))
+    assert stub.posts == 3
+    assert sleeps == [0.01, 0.02]
+
+
+@pytest.mark.parametrize(
+    "retry_after,expected",
+    [
+        ("0", 0.0),                               # honoured: shorter than 0.01
+        ("3600", 0.04),                           # capped at the last delay
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.01),  # a date: the schedule
+    ],
+)
+def test_stub_429_retry_after_is_honoured_and_capped(stub, sleeps, retry_after, expected):
+    stub.replies = [(429, {"Retry-After": retry_after}, "slow down"), (200, {}, OK_BODY)]
+    assert stub_llm(stub, max_retries=4).complete("p")[0] == "ok"
+    assert stub.posts == 2
+    assert sleeps == [expected]
+
+
+def test_stub_malformed_200_raises(stub, sleeps):
+    stub.replies = [(200, {}, "<html>gateway</html>"), (200, {}, OK_BODY)]
+    with pytest.raises(MalformedReply):
+        stub_llm(stub).complete("p")
+    assert stub.posts == 1
+    assert sleeps == []

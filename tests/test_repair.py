@@ -59,14 +59,22 @@ def test_blueprint_long_line_is_fast():
     start = time.perf_counter()
     bp = generate_blueprint(llm, "who?")
     assert time.perf_counter() - start < 1.0
-    # a number followed only by spaces still gives a one-space step
-    assert bp == Blueprint((f"find{gap}the terms", " ", "holder"))
+    # a number followed only by spaces gives no step
+    assert bp == Blueprint((f"find{gap}the terms", "holder"))
+
+
+def test_blueprint_skips_numbers_without_text():
+    llm = ReplyLlm("#12\n#1 \t\n#3find it\n# 4 not numbered\n#5 2 hops ")
+    assert generate_blueprint(llm, "who?") == Blueprint(("find it", "2 hops"))
 
 
 def test_blueprint_empty_raises():
     llm = ReplyLlm("no steps here, sorry")
     with pytest.raises(EmptyBlueprint):
         generate_blueprint(llm, "who?")
+    # numbered lines that are all blank steps give no blueprint either
+    with pytest.raises(EmptyBlueprint):
+        generate_blueprint(ReplyLlm("#1\n#2   \n#33\t"), "who?")
 
 
 # --- expansion ---
