@@ -66,7 +66,10 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
             question = obj["question"]
             if not isinstance(question, str) or not question:
                 raise ValueError("missing question")
-            answers = tuple(str(a) for a in obj.get("answers", []))
+            answers = obj.get("answers", [])
+            if not isinstance(answers, list):
+                raise ValueError("answers is not a list")
+            answers = tuple(str(a) for a in answers)
             sparql, topic, depth = obj.get("sparql"), obj.get("topic"), obj.get("depth")
             if not answers and not sparql:
                 raise ValueError("record needs answers or a gold query")

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import UngroundedTopic, UnknownEntity
+from .errors import UngroundedTopic
 from .kg import DATETIME, NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, NodeRef
 from .reasoning import (
     ComparisonOp,
@@ -134,22 +134,15 @@ def _literal_step(relation: str, conds: list, pick: Callable | None = None) -> S
     return Step(relation, lambda objs: any(isinstance(o, Literal) and admits(o) for o in objs))
 
 
-def _constraint_step(g: KnowledgeGraph, c: Constraint) -> Step:
-    """Compile one reasoning-path constraint.
+def _constraint_step(c: Constraint) -> Step:
+    """Compile one constraint of a grounded reasoning path.
 
     Every constraint is existential over the objects of the constraint
-    relation. An entity constraint whose surface cannot be grounded
-    matches nothing.
+    relation. An entity constraint left ungrounded matches nothing.
     """
     v = c.value
     if isinstance(v, EntityMatch):
-        target = v.entity
-        if target is None:
-            try:
-                target = g.ground_entity(v.surface)
-            except UnknownEntity:
-                pass
-        return _entity_step(c.relation, target)
+        return _entity_step(c.relation, v.entity)
     if isinstance(v, StringMatch):
         return _literal_step(c.relation, [(ComparisonOp.EQ, Literal(STRING, v.text))])
     if v.op.is_extremal:
@@ -178,7 +171,7 @@ def apply_constraint(
     g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
 ) -> set[EntityId]:
     """Filter a candidate entity set by one constraint."""
-    return _apply_step(g, candidates, _constraint_step(g, c))
+    return _apply_step(g, candidates, _constraint_step(c))
 
 
 # --- the walker ---
@@ -252,7 +245,7 @@ def _run_tiers(g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int]) -> An
     """Walk the path at each tier in turn; the first non-empty tier wins."""
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
-    compiled = [(c, _constraint_step(g, c)) for c in sorted(rp.constraints, key=_step_order)]
+    compiled = [(c, _constraint_step(c)) for c in sorted(rp.constraints, key=_step_order)]
     memo: dict = {}
     for tier in tiers:
         hops = [

@@ -21,8 +21,9 @@ import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import BadLiteral, MalformedLine, UnknownEntity
 
@@ -136,6 +137,8 @@ class KnowledgeGraph:
         triples: Iterable[tuple[EntityId, RelationId, NodeRef]],
         aliases: dict[str, set[EntityId]] | None = None,
     ):
+        """``aliases`` maps a surface to candidate ids. It is read only
+        after ``triples`` is consumed, so a generator may fill it."""
         adj: dict[EntityId, dict[RelationId, frozenset[NodeRef]]] = {}
         entities: set[EntityId] = set()
         for s, r, o in triples:
@@ -152,16 +155,14 @@ class KnowledgeGraph:
         self.entities: frozenset[EntityId] = frozenset(entities)
         self.relations = frozenset(r for rels in adj.values() for r in rels)
 
-        # Alias table: casefolded surface -> candidate entity ids. Every
-        # entity symbol is reachable through its own casefolded name.
-        table: dict[str, set[EntityId]] = {}
-        for e in entities:
-            table.setdefault(e.casefold(), set()).add(e)
-        for surface, targets in (aliases or {}).items():
-            table.setdefault(surface.casefold(), set()).update(targets)
-        self.aliases: dict[str, frozenset[EntityId]] = {
-            s: frozenset(ids) for s, ids in table.items()
-        }
+        # Alias table: casefolded surface -> smallest candidate id, so ties
+        # are decided once, here. Every entity is a candidate for its own
+        # casefolded name, which interning shares when it is the name itself.
+        self.aliases: dict[str, EntityId] = {}
+        for surface, ids in chain(((e, (e,)) for e in entities), (aliases or {}).items()):
+            key = sys.intern(surface.casefold())
+            for e in ids:
+                self.aliases[key] = min(e, self.aliases.get(key, e))
 
     def __len__(self) -> int:
         return self._count
@@ -205,45 +206,46 @@ class KnowledgeGraph:
         Matching is exact after casefolding; ties resolve to the
         lexicographically smallest id so grounding is deterministic.
         """
-        candidates = self.aliases.get(surface.casefold())
-        if not candidates:
+        if (entity := self.aliases.get(surface.casefold())) is None:
             raise UnknownEntity(surface)
-        return min(candidates)
+        return entity
 
 
 def load_tsv(path: str | Path) -> KnowledgeGraph:
     """Load a graph from a TSV file. Duplicate triples collapse silently.
 
-    Names repeat across lines, so every subject, relation and entity
-    object is interned and each distinct literal token parses to one
-    shared ``Literal``.
+    One pass feeds each line to the index as it is read. Names repeat
+    across lines, so every subject, relation and entity object is interned
+    and each distinct literal token parses to one shared ``Literal``.
     """
-    triples: list[tuple[EntityId, RelationId, NodeRef]] = []
     aliases: dict[str, set[EntityId]] = {}
     literals: dict[str, Literal] = {}
     intern = sys.intern
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedLine(line_no, f"expected 3 fields, got {len(fields)}")
-            first, second, third = fields
-            if first == "@alias":
-                if not second or not third:
-                    raise MalformedLine(line_no, "empty alias field")
-                aliases.setdefault(second, set()).add(third)
-                continue
-            if not first or not second or not third:
-                raise MalformedLine(line_no, "empty field")
-            if not third.startswith('"'):
-                obj = intern(third)
-            elif (obj := literals.get(third)) is None:
-                try:
-                    obj = literals[third] = parse_literal_token(third)
-                except ValueError as exc:
-                    raise BadLiteral(line_no, third, str(exc)) from exc
-            triples.append((intern(first), intern(second), obj))
-    return KnowledgeGraph(triples, aliases)
+
+    def triples() -> Iterator[tuple[EntityId, RelationId, NodeRef]]:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise MalformedLine(line_no, f"expected 3 fields, got {len(fields)}")
+                first, second, third = fields
+                if first == "@alias":
+                    if not second or not third:
+                        raise MalformedLine(line_no, "empty alias field")
+                    aliases.setdefault(second, set()).add(third)
+                    continue
+                if not first or not second or not third:
+                    raise MalformedLine(line_no, "empty field")
+                if not third.startswith('"'):
+                    obj = intern(third)
+                elif (obj := literals.get(third)) is None:
+                    try:
+                        obj = literals[third] = parse_literal_token(third)
+                    except ValueError as exc:
+                        raise BadLiteral(line_no, third, str(exc)) from exc
+                yield intern(first), intern(second), obj
+
+    return KnowledgeGraph(triples(), aliases)

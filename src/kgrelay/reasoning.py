@@ -226,7 +226,10 @@ def parse_reasoning_path(text: str) -> ReasoningPath:
         m = _CONSTRAINT_RE.match(ln)
         if not m:
             raise ParseError(f"expected CONSTRAINT line, got {ln!r}", line_no)
-        hop = int(m.group(1))
+        try:
+            hop = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("hop number too long", line_no) from None
         value = _parse_constraint_body(m.group(3), line_no)
         constraints.append(Constraint(hop, m.group(2), value))
         if not 1 <= hop <= len(path):

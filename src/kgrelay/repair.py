@@ -143,23 +143,14 @@ def select_paths(
     prompt = selection_prompt(question, s1_names, lines, n)
     reply, _ = llm.complete(prompt)
 
-    refs = [int(m) for m in _PATH_REF_RE.findall(reply)]
-    chosen: list[PartialPath] = []
-    seen: set[int] = set()
-    bad = not refs
-    for k in refs:
-        if not 1 <= k <= len(cands):
-            bad = True
-            break
-        if k in seen:
-            continue
-        seen.add(k)
-        if len(chosen) < n:
-            chosen.append(cands[k - 1])
-    if bad:
+    try:
+        refs = [int(m) for m in _PATH_REF_RE.findall(reply)]
+    except ValueError:  # more digits than int() converts: out of range
+        refs = [0]
+    if not refs or not all(1 <= k <= len(cands) for k in refs):
         log.warning("selection fallback, reply was %r", reply[:80])
-        chosen = cands[:n]
-    return chosen, reply
+        return cands[:n], reply
+    return [cands[k - 1] for k in dict.fromkeys(refs)][:n], reply
 
 
 def repair(

@@ -243,6 +243,19 @@ def test_convert_path_to_query_grounds_through_graph(tmp_path, data_dir):
     assert ":USA :country.presidents ?h1 ." in result.output
 
 
+def test_convert_path_to_query_reports_a_hop_too_long(tmp_path):
+    p = tmp_path / "p.crp"
+    p.write_text(
+        "TOPIC: USA\nPATH: r\nCONSTRAINT: hop=1; rel=s; entity=X\n\n"
+        "TOPIC: USA\nPATH: r\nCONSTRAINT: hop=" + "9" * 5000 + "; rel=s; entity=X\n",
+        encoding="utf-8",
+    )
+    result = run("convert", str(p), "--direction", "path-to-query")
+    assert result.exit_code == 1
+    assert "?h1 :s :X ." in result.output
+    assert result.stderr == "block 2: ParseError: line 3: hop number too long\n"
+
+
 def test_convert_reports_block_failures(tmp_path):
     p = tmp_path / "q.sparql"
     p.write_text(

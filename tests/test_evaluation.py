@@ -6,7 +6,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import random
@@ -117,6 +117,8 @@ def test_load_dataset_fields(tmp_path):
         json.dumps({"question": "q", "answers": ["a"], "depth": True}),
         json.dumps({"question": "q", "answers": ["a"], "topic": ["USA"]}),
         json.dumps({"question": "q", "sparql": 5}),
+        json.dumps({"question": "q", "answers": "Obama"}),
+        json.dumps({"question": "q", "answers": {"Obama": 1}}),
     ],
 )
 def test_load_dataset_flags_bad_lines(tmp_path, line):
@@ -412,8 +414,10 @@ RECORD_LIKE = st.fixed_dictionaries({}, optional={
     "topic": st.sampled_from(["USA", "Obama", "Nowhere"]) | JSON_VALUES,
     "depth": st.integers(-1, 5) | JSON_VALUES,
 })
+TOO_LONG_FOR_INT = "Path " + "9" * 5000
 REPLIES = st.sampled_from([
     WORKED_REPLY, SKELETON_REPLY, BROKEN_REPLY, "#1 step one\n#2 step two", "Path 1", "Path 9",
+    TOO_LONG_FOR_INT,
 ]) | st.text(max_size=40)
 FAILURES = st.sampled_from([
     lambda: NoScriptMatch("prompt"),
@@ -443,6 +447,11 @@ class FlakyLlm:
 @given(
     lines=st.lists(JSON_VALUES | RECORD_LIKE, min_size=1, max_size=5),
     outcomes=st.lists(REPLIES | FAILURES, max_size=8),
+)
+# a repair after stage 1 whose selection reply int() cannot convert
+@example(
+    lines=[{"question": "who?", "answers": ["Obama"], "topic": "USA", "depth": 2}],
+    outcomes=[BROKEN_REPLY, "#1 step one\n#2 step two", TOO_LONG_FOR_INT],
 )
 def test_run_batch_keeps_its_promise(presidents, tmp_path_factory, stage2_only, lines, outcomes):
     p = tmp_path_factory.mktemp("batch") / "d.jsonl"

@@ -134,6 +134,18 @@ def test_entity_constraint_ungrounded_matches_nothing(tmp_path):
     assert execute_full(g, rp) == frozenset()
 
 
+def test_execution_does_not_ground_entity_constraints(tmp_path):
+    # execution takes a grounded path: a surface that would ground does not
+    # make an ungrounded constraint match
+    g = graph(tmp_path, "S\tr\tA\nA\te\tX\n")
+    c = Constraint(1, "e", EntityMatch("x"))
+    assert g.ground_entity("x") == "X"
+    assert apply_constraint(g, {"A"}, c) == set()
+    rp = ReasoningPath("S", ("r",), (c,), topic_entity="S")
+    assert execute_full(g, rp) == frozenset()
+    assert execute_full(g, ground_reasoning_path(g, rp)) == frozenset({"A"})
+
+
 def test_string_match_trims_and_ignores_lang(tmp_path):
     g = graph(
         tmp_path,

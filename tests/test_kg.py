@@ -198,6 +198,33 @@ def test_alias_to_unknown_entity_is_accepted(tmp_path):
     assert g.reach("Nowhere", ("rel",)) == set()
 
 
+def test_alias_line_after_the_triples_grounds(tmp_path):
+    p = tmp_path / "alias.tsv"
+    p.write_text(
+        "@alias\tStates\tT1\nUSA\thas\tT1\nUSA\thas\tT2\n\n@alias\tStates\tT2\n"
+        "@alias\tthe union\tUSA\n",
+        encoding="utf-8",
+    )
+    g = load_tsv(p)
+    assert g.ground_entity("the union") == "USA"
+    assert g.ground_entity("states") == "T1"
+
+
+def test_alias_ties_resolve_to_the_smallest_id():
+    # "Usa" and "USA" share a casefolded surface; an alias adds a third
+    # candidate that sorts before both
+    triples = [("Usa", "r", "x"), ("USA", "r", "x")]
+    g = KnowledgeGraph(triples)
+    assert [g.ground_entity(s) for s in ("usa", "Usa", "USA")] == ["USA"] * 3
+    g = KnowledgeGraph(triples, {"usa": {"Zed", "America"}, "USa": {"Usa"}})
+    assert [g.ground_entity(s) for s in ("usa", "Usa", "USA")] == ["America"] * 3
+
+
+def test_alias_table_maps_surfaces_to_ids(presidents):
+    assert presidents.aliases == {e.casefold(): e for e in presidents.entities}
+    assert len(presidents.aliases) == 9
+
+
 # --- traversal ---
 
 def test_neighbors_and_outgoing_sorted(presidents):

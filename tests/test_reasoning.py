@@ -85,6 +85,10 @@ def test_parse_constraint_bodies(body, value):
         ("TOPIC: A\nPATH: r\nCONSTRAINT: hop=1; rel=s; op=EQ; value=\"x\"", 3),
         ("TOPIC: A\nPATH: r\nCONSTRAINT: hop=1; rel=s; entity=", 3),
         ("TOPIC: A\nPATH: r\nCONSTRAINT: rel=s; entity=B", 3),
+        pytest.param(  # more digits than int() converts
+            "TOPIC: A\nPATH: r\nCONSTRAINT: hop=" + "9" * 5000 + "; rel=s; entity=B", 3,
+            id="hop-too-long",
+        ),
     ],
 )
 def test_parse_errors(text, line):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 import time
 
@@ -174,11 +175,17 @@ def test_select_paths_caps_at_n():
     assert [p.relations for p in chosen] == [("a",), ("b",)]
 
 
-@pytest.mark.parametrize("reply", ["Path 9", "Path 0", "no idea"])
-def test_select_paths_falls_back(reply):
+@pytest.mark.parametrize(
+    "reply",
+    ["Path 9", "Path 0", "no idea",
+     pytest.param("Path 1, Path " + "9" * 5000, id="too-long-for-int")],
+)
+def test_select_paths_falls_back(reply, caplog):
     llm = ReplyLlm(reply)
-    chosen, _ = select_paths(llm, "q", "S", CANDS, n=2)
+    with caplog.at_level(logging.WARNING, logger="kgrelay.repair"):
+        chosen, _ = select_paths(llm, "q", "S", CANDS, n=2)
     assert [p.relations for p in chosen] == [("a",), ("b",)]
+    assert [r.msg for r in caplog.records] == ["selection fallback, reply was %r"]
 
 
 def test_select_paths_prompt_numbers_candidates():
