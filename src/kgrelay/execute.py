@@ -1,20 +1,23 @@
 """Execution of reasoning paths and subset queries over a knowledge graph.
 
 Both forms compile to one hop plan: for each hop of the main chain, the
-relation to expand and the steps that filter the hop's entity frontier.
-A binary step keeps an entity when a test on its objects under the step
-relation holds; an extremal step (ARGMAX/ARGMIN) keeps the entities whose
-best admitted value is the extreme one. Binary steps run before extremal
-ones, so the result does not depend on the order constraints were written
-in. One walker runs every plan. Relaxation compiles each constraint once
-and walks every tier through one memo, so the expansions and filters that
-tiers have in common run once.
+relation to expand and the steps that filter the hop's frontier. An
+entity step keeps the frontier entities that have the target entity among
+their objects under the step relation, as one set intersection; a binary
+step keeps an entity when a test on those objects holds; an extremal step
+(ARGMAX/ARGMIN) keeps the entities whose best admitted value is the
+extreme one. Binary steps run before extremal ones, so the result does
+not depend on the order constraints were written in. One walker runs
+every plan, reading each relation's index once per hop. Relaxation
+compiles each constraint once and walks every tier through one memo, so
+the expansions and filters that tiers have in common run once.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import UngroundedTopic
@@ -77,24 +80,32 @@ def _value_key(lit: Literal) -> tuple:
 
 # --- compiled steps ---
 
+_NO_NODES: frozenset = frozenset()
+
+
 @dataclass(frozen=True, eq=False)
 class Step:
-    """A filter on a hop's entity frontier; compares by identity.
+    """A filter on a hop's frontier; compares by identity.
 
-    A binary step (``pick`` is None) keeps an entity when
-    ``test(g.neighbors(entity, relation))`` holds. An extremal step keeps
-    the entities whose best date or number admitted by ``test`` is the
-    extreme one under ``pick`` (max or min); ties survive.
+    An entity step (``test`` is None) keeps the entities that have
+    ``target`` among their objects under ``relation``, as one intersection
+    with ``g.subjects(relation, target)``. A binary step (``pick`` is None)
+    keeps an entity when ``test`` holds on its object set in
+    ``g.objects(relation)``. An extremal step keeps the entities whose best
+    date or number admitted by ``test`` is the extreme one under ``pick``
+    (max or min); ties survive. A literal in the frontier has no objects,
+    so every step drops it.
     """
 
     relation: str
-    test: Callable
+    test: Callable | None
     pick: Callable | None = None
+    target: EntityId | None = None
 
 
 def _entity_step(relation: str, target: EntityId | None) -> Step:
-    # An ungrounded target (None) is in no object set, so it keeps nothing.
-    return Step(relation, lambda objs: target in objs)
+    # An ungrounded target (None) has no subjects, so it keeps nothing.
+    return Step(relation, None, target=target)
 
 
 def _literal_step(relation: str, conds: list, pick: Callable | None = None) -> Step:
@@ -150,15 +161,18 @@ def _constraint_step(c: Constraint) -> Step:
     return _literal_step(c.relation, [(v.op, v.threshold)])
 
 
-def _apply_step(g: KnowledgeGraph, entities: set[EntityId], step: Step) -> set[EntityId]:
-    rel, test, pick = step.relation, step.test, step.pick
+def _apply_step(g: KnowledgeGraph, frontier: set[NodeRef], step: Step) -> set[EntityId]:
+    test, pick = step.test, step.pick
+    if test is None:
+        return frontier & g.subjects(step.relation, step.target)
+    objs = g.objects(step.relation)
     if pick is None:
-        return {e for e in entities if test(g.neighbors(e, rel))}
+        return {e for e in frontier if test(objs.get(e, _NO_NODES))}
     best_of = {}
-    for e in entities:
+    for e in frontier:
         values = [
             _value_key(o)
-            for o in g.neighbors(e, rel)
+            for o in objs.get(e, _NO_NODES)
             if isinstance(o, Literal) and o.kind in (NUMERIC, DATETIME) and test(o)
         ]
         if values:
@@ -179,34 +193,28 @@ def apply_constraint(
 def _walk(g: KnowledgeGraph, topic: EntityId, hops: list, memo: dict) -> frozenset[NodeRef]:
     """Run a hop plan, a list of (relation, steps), from the topic entity.
 
-    Literals cannot expand, and at the final hop they are answers only
-    when the hop has no steps. ``memo`` maps a walk prefix (the relations
-    and steps applied so far) to its frontier; walks that share it compute
-    a shared prefix once.
+    A literal has no objects, so it ends a walk where it is reached and
+    every step drops it: at the final hop literals are answers only when
+    the hop has no steps. ``memo`` maps a walk prefix (the relations and
+    steps applied so far) to its frontier; walks that share it compute a
+    shared prefix once.
     """
-    entities, literals = {topic}, frozenset()
+    frontier: set[NodeRef] = {topic}
     key: tuple = ()
     for rel, steps in hops:
-        if not entities:
+        if not frontier:
             return frozenset()
         key += (rel,)
         if key not in memo:
-            reached: set[EntityId] = set()
-            leaves: set[NodeRef] = set()
-            for e in entities:
-                for o in g.neighbors(e, rel):
-                    if isinstance(o, str):
-                        reached.add(o)
-                    else:
-                        leaves.add(o)
-            memo[key] = reached, leaves
-        entities, literals = memo[key]
+            objs = g.objects(rel)
+            memo[key] = set().union(*map(objs.get, frontier, repeat(_NO_NODES)))
+        frontier = memo[key]
         for step in steps:
             key += (step,)
             if key not in memo:
-                memo[key] = _apply_step(g, entities, step)
-            entities, literals = memo[key], frozenset()
-    return frozenset(entities | literals)
+                memo[key] = _apply_step(g, frontier, step)
+            frontier = memo[key]
+    return frozenset(frontier)
 
 
 # --- reasoning paths ---

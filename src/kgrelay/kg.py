@@ -1,9 +1,12 @@
 """In-memory knowledge graph with indexed traversal primitives.
 
 Triples are (subject, relation, object); the object is either an entity
-symbol or a typed literal. The graph keeps one adjacency index
-(subject -> relation -> frozen object set) and a count of distinct
-triples. It is immutable once built, so it can be shared freely across
+symbol or a typed literal. The graph keeps one relation-major index
+(relation -> subject -> frozen object set), in which equal object sets are
+one shared frozenset, plus each subject's relation tuple and a count of
+distinct triples. The inverse of a relation (entity object -> frozen
+subject set) is built the first time it is asked for. What the graph
+answers never changes once it is built, so it can be shared freely across
 worker threads.
 
 TSV input format, one triple per line::
@@ -21,9 +24,10 @@ import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BadLiteral, MalformedLine, UnknownEntity
 
@@ -98,6 +102,9 @@ class Literal:
 
 NodeRef = EntityId | Literal
 
+_NO_NODES: frozenset = frozenset()
+_NO_OBJECTS: Mapping = MappingProxyType({})
+
 
 def node_text(node: NodeRef) -> str:
     """Plain answer text for an entity symbol or literal."""
@@ -130,7 +137,7 @@ def parse_literal_token(token: str) -> Literal:
 
 
 class KnowledgeGraph:
-    """Immutable adjacency index with an alias table and a triple count."""
+    """Immutable relation-major index with an alias table and a triple count."""
 
     def __init__(
         self,
@@ -139,27 +146,49 @@ class KnowledgeGraph:
     ):
         """``aliases`` maps a surface to candidate ids. It is read only
         after ``triples`` is consumed, so a generator may fill it."""
-        adj: dict[EntityId, dict[RelationId, frozenset[NodeRef]]] = {}
-        entities: set[EntityId] = set()
+        # The first object of a (relation, subject) pair is stored bare; a
+        # second, different one turns it into a set.
+        index: dict[RelationId, dict[EntityId, NodeRef | set[NodeRef]]] = {}
         for s, r, o in triples:
-            adj.setdefault(s, {}).setdefault(r, set()).add(o)
-            if isinstance(o, str):
-                entities.add(o)
-        entities.update(adj)
-        # Freeze each object set in place; duplicates have already collapsed.
-        for rels in adj.values():
-            for r, objs in rels.items():
-                rels[r] = frozenset(objs)
-        self._adj = adj
-        self._count = sum(len(objs) for rels in adj.values() for objs in rels.values())
-        self.entities: frozenset[EntityId] = frozenset(entities)
-        self.relations = frozenset(r for rels in adj.values() for r in rels)
+            if (objs := index.get(r)) is None:
+                objs = index[r] = {}
+            if (prev := objs.get(s)) is None:
+                objs[s] = o
+            elif type(prev) is set:
+                prev.add(o)
+            elif prev != o:
+                objs[s] = {prev, o}
+
+        # Freeze: one shared frozenset per distinct object set (a bare object
+        # is keyed by itself), and one shared tuple per distinct relation
+        # list, which follows index order for every subject.
+        shared: dict[NodeRef | frozenset[NodeRef], frozenset[NodeRef]] = {}
+        out: dict[EntityId, list[RelationId] | tuple[RelationId, ...]] = {}
+        count = 0
+        for r, objs in index.items():
+            for s, v in objs.items():
+                if type(v) is set:
+                    v = frozenset(v)
+                    frozen = shared.setdefault(v, v)
+                elif (frozen := shared.get(v)) is None:
+                    frozen = shared[v] = frozenset((v,))
+                objs[s] = frozen
+                count += len(frozen)
+                out.setdefault(s, []).append(r)
+        tuples: dict[tuple[RelationId, ...], tuple[RelationId, ...]] = {}
+        for s, rels in out.items():
+            out[s] = tuples.setdefault(t := tuple(rels), t)
+        self._index: dict[RelationId, dict[EntityId, frozenset[NodeRef]]] = index
+        self._relations_of = out
+        self._inverse: dict[RelationId, dict[EntityId, frozenset[EntityId]]] = {}
+        self._count = count
 
         # Alias table: casefolded surface -> smallest candidate id, so ties
         # are decided once, here. Every entity is a candidate for its own
         # casefolded name, which interning shares when it is the name itself.
         self.aliases: dict[str, EntityId] = {}
-        for surface, ids in chain(((e, (e,)) for e in entities), (aliases or {}).items()):
+        own = ((e, (e,)) for e in self._entities(shared.values()))
+        for surface, ids in chain(own, (aliases or {}).items()):
             key = sys.intern(surface.casefold())
             for e in ids:
                 self.aliases[key] = min(e, self.aliases.get(key, e))
@@ -167,9 +196,59 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return self._count
 
+    def _entities(self, object_sets: Iterable[frozenset[NodeRef]]) -> set[EntityId]:
+        found = set(self._relations_of)
+        for objs in object_sets:
+            found.update(o for o in objs if isinstance(o, str))
+        return found
+
+    @property
+    def entities(self) -> frozenset[EntityId]:
+        """Every subject and entity object, derived from the index on each
+        access; nothing but counts needs it, so no copy is kept."""
+        shared = {f for objs in self._index.values() for f in objs.values()}
+        return frozenset(self._entities(shared))
+
+    @property
+    def relations(self) -> frozenset[RelationId]:
+        """Every relation name, derived from the index on each access."""
+        return frozenset(self._index)
+
+    def objects(self, relation: RelationId) -> Mapping[EntityId, frozenset[NodeRef]]:
+        """The index for one relation: subject -> frozen object set.
+
+        Subjects without the relation are absent. The mapping is the
+        graph's own and must not be changed; it is returned bare because
+        the executor reads it once per hop for whole frontiers.
+        """
+        return self._index.get(relation, _NO_OBJECTS)
+
+    def subjects(self, relation: RelationId, entity: EntityId | None) -> frozenset[EntityId]:
+        """Subjects of (*, relation, entity); empty when none exist.
+
+        The inverse of a relation is built on its first use and published
+        with one dict store. Threads that race build equal inverses, so
+        the answer never depends on which store lands.
+        """
+        if (inverse := self._inverse.get(relation)) is None:
+            if relation not in self._index:
+                return _NO_NODES
+            found: dict[EntityId, list[EntityId]] = {}
+            for s, objs in self._index[relation].items():
+                for o in objs:
+                    if isinstance(o, str):
+                        found.setdefault(o, []).append(s)
+            inverse = {o: frozenset(subs) for o, subs in found.items()}
+            self._inverse[relation] = inverse
+        return inverse.get(entity, _NO_NODES)
+
     def neighbors(self, entity: EntityId, relation: RelationId) -> frozenset[NodeRef]:
-        """Objects of (entity, relation, *); empty set when none exist."""
-        return self._adj.get(entity, {}).get(relation, frozenset())
+        """Objects of (entity, relation, *); empty set when none exist.
+
+        Two lookups per call. The executor does not use it: it reads
+        ``objects(relation)`` once per hop instead.
+        """
+        return self._index.get(relation, _NO_OBJECTS).get(entity, _NO_NODES)
 
     def outgoing_relations(self, frontier: Iterable[EntityId]) -> list[RelationId]:
         """Sorted union of relations leaving any frontier entity.
@@ -177,10 +256,7 @@ class KnowledgeGraph:
         Sorted output keeps downstream tie-breaking independent of set
         iteration order, which varies across processes.
         """
-        rels: set[RelationId] = set()
-        for e in frontier:
-            rels.update(self._adj.get(e, ()))
-        return sorted(rels)
+        return sorted(set().union(*map(self._relations_of.get, frontier, repeat(()))))
 
     def reach(self, start: EntityId, relations: Iterable[RelationId]) -> set[NodeRef]:
         """Entities/literals reached from start along a relation chain.
@@ -191,13 +267,11 @@ class KnowledgeGraph:
         """
         frontier: set[NodeRef] = {start}
         for rel in relations:
-            step: set[NodeRef] = set()
-            for node in frontier:
-                if isinstance(node, str):
-                    step.update(self._adj.get(node, {}).get(rel, ()))
-            frontier = step
+            # A literal is never a subject, so it finds no objects.
+            objs = self._index.get(rel, _NO_OBJECTS)
+            frontier = set().union(*map(objs.get, frontier, repeat(_NO_NODES)))
             if not frontier:
-                return set()
+                break
         return frontier
 
     def ground_entity(self, surface: str) -> EntityId:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from collections import Counter
 
 import pytest
@@ -336,6 +338,62 @@ def test_run_batch_workers_do_not_change_repair_output(tmp_path):
     report1, rows1 = run_batch(g, records, factory, workers=1)
     report4, rows4 = run_batch(g, records, factory, workers=4)
     assert {row["route"] for row in rows1} == {"stage1_plus_2"}
+    assert json.dumps(rows1) == json.dumps(rows4)
+    assert report1.to_dict() == report4.to_dict()
+
+
+class HubPathLlm:
+    """Stage-1 replies that walk the hub named in the question and keep
+    the members whose ``member.party<k>`` is the named party."""
+
+    def complete(self, prompt, temperature=0.0):
+        hub, k, party = re.search(r"members of (\w+) in party(\d) (\w+)", prompt).groups()
+        reply = (
+            f"TOPIC: {hub}\nPATH: hub.member\n"
+            f"CONSTRAINT: hop=1; rel=member.party{k}; entity={party}\n"
+        )
+        return reply, LlmUsage(approx_tokens(prompt), approx_tokens(reply))
+
+
+def test_run_batch_workers_do_not_change_entity_constraint_output(tmp_path):
+    # Each entity constraint asks the graph for a relation's inverse, which
+    # a fresh graph builds on first use; here four workers race to build
+    # the eight party relations, eight questions at a time on each.
+    rng = random.Random(3)
+    lines = [
+        f"H{h}\thub.member\tM{h}_{i}\n" + "".join(
+            f"M{h}_{i}\tmember.party{k}\tP{rng.randrange(4)}\n" for k in range(8)
+        )
+        for h in range(3)
+        for i in range(400)
+    ]
+    p = tmp_path / "hub.tsv"
+    p.write_text("".join(lines), encoding="utf-8")
+    records = []
+    for i in range(64):
+        hub, k, party = f"H{i % 3}", i // 8, f"P{i % 4}"
+        query = (
+            f"SELECT DISTINCT ?x WHERE {{ :{hub} :hub.member ?x . "
+            f"?x :member.party{k} :{party} . }}"
+        )
+        records.append(DatasetRecord(f"q{i}", f"members of {hub} in party{k} {party}",
+                                     sparql=query))
+
+    def factory():
+        llm = HubPathLlm()
+        return llm, llm, TokenOverlapEmbedder()
+
+    report1, rows1 = run_batch(load_tsv(p), records, factory, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report4, rows4 = run_batch(load_tsv(p), records, factory, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert {(row["route"], row["relaxation_tier"], row["hits_at_1"]) for row in rows1} == {
+        ("stage1_only", 0, 1)
+    }
+    assert all(len(row["answers"]) > 50 for row in rows1)
     assert json.dumps(rows1) == json.dumps(rows4)
     assert report1.to_dict() == report4.to_dict()
 

@@ -362,10 +362,11 @@ def test_relaxation_expands_topic_once():
     class CountingGraph(KnowledgeGraph):
         topic_expansions = 0
 
-        def neighbors(self, entity, relation):
-            if (entity, relation) == ("S", "r"):
+        def objects(self, relation):
+            # Only the first hop, from the topic, expands relation r.
+            if relation == "r":
                 self.topic_expansions += 1
-            return super().neighbors(entity, relation)
+            return super().objects(relation)
 
     g = CountingGraph([("S", "r", "A"), ("A", "q", "B"), ("B", "e", "X")])
     rp = grounded(
