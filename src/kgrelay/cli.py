@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import config as cfg
-from .errors import ConfigError, DatasetError, KgRelayError
+from .errors import ConfigError, KgRelayError
 from .evaluation import load_dataset, run_batch, write_results, write_summary
 from .kg import load_tsv, node_sort_key, node_text
 from .pipeline import answer_question, run_stage2_only
@@ -146,7 +146,7 @@ def eval_cmd(ctx, dataset, out_dir, stage2_only):
         records = load_dataset(dataset)
         repair_cfg = cfg.repair_config(settings)
         factory = cfg.provider_factory(settings, need_specialized=not stage2_only)
-    except (DatasetError, ConfigError) as exc:
+    except KgRelayError as exc:
         _die(str(exc), 2)
 
     report, rows = run_batch(

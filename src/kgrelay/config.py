@@ -160,7 +160,10 @@ def _role_provider(settings: Settings, role: str, needed: bool):
     if url:
         if not model:
             raise ConfigError(f"{role}_model is required with {role}_url")
-        return HttpLlm(url, model, key_env=key_env)
+        try:
+            return HttpLlm(url, model, key_env=key_env)
+        except ValueError as exc:
+            raise ConfigError(f"{role} provider: {exc}") from exc
     if needed:
         raise ConfigError(f"no {role} provider configured")
     return None
@@ -173,7 +176,8 @@ def provider_factory(settings: Settings, need_specialized: bool = True,
     Script files are read and checked once, here; every call gets fresh
     use counters over the same entries, so replay state never leaks
     between questions. HTTP providers are shared. Raises
-    ConfigError when a needed role has no provider configured.
+    ConfigError when a needed role has no provider configured or an HTTP
+    role's URL or API key is unusable, and MissingKey when its key is unset.
     """
     roles = (
         _role_provider(settings, ROLE_SPECIALIZED, need_specialized),

@@ -149,7 +149,8 @@ class ProviderTimeout(ProviderError):
 
 
 class ProviderUnreachable(ProviderError):
-    """The HTTP provider exhausted retries on failed connections."""
+    """The HTTP provider exhausted retries on failed, dropped or cut-short
+    connections."""
 
 
 class MalformedReply(ProviderError):

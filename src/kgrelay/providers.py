@@ -9,15 +9,18 @@ USD from a per-million-token price table.
 from __future__ import annotations
 
 import functools
+import http.client
+import json
 import logging
 import os
 import re
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass
 from typing import Iterable, Protocol
-
-import requests
+from urllib.error import HTTPError, URLError
+from urllib.parse import urlsplit
 
 from .errors import (
     HttpError,
@@ -172,12 +175,19 @@ class TokenOverlapEmbedder:
 class HttpLlm:
     """OpenAI-style chat completion client with bounded retries.
 
-    The API key is read from the environment at construction; a missing
-    variable fails before any network traffic. Retries cover timeouts,
-    failed connections, 429, and 5xx responses with exponential backoff;
-    a 429 that names a Retry-After delay in seconds waits that long
-    instead, never longer than the schedule's last delay. Every failure
-    raises a ProviderError subclass.
+    The transport is the standard library's ``urllib.request``: one
+    connection per call (keep-alive stalls on servers that write headers
+    and body separately), proxies from the environment, HTTPS verified
+    against the system CA store. The URL and the API key are checked at
+    construction, so a bad value fails before any network traffic: only
+    http and https URLs with a host are accepted, because the opener would
+    also read file:, ftp: and data: URLs. A 301, 302 or 303 is followed
+    as a GET without the API key; a 307 or 308 is not followed and fails
+    as an HttpError. Retries cover timeouts, failed or cut-short
+    connections, 429, and 5xx responses with exponential backoff; a 429
+    that names a Retry-After delay in seconds waits that long instead,
+    never longer than the schedule's last delay. Every failure of
+    ``complete`` raises a ProviderError subclass.
     """
 
     def __init__(
@@ -191,9 +201,14 @@ class HttpLlm:
     ):
         if max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+        if not _is_http_url(base_url):
+            raise ValueError(f"URL must be http or https with a host, got {base_url!r}")
         key = os.environ.get(key_env)
         if not key:
             raise MissingKey(key_env)
+        if not (key.isascii() and key.isprintable()):
+            # http.client refuses such a header value with a ValueError.
+            raise ValueError(f"{key_env} holds characters an HTTP header cannot carry")
         self._key = key
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -201,13 +216,30 @@ class HttpLlm:
         self.max_retries = max_retries
         self.backoff = backoff
 
+    def _post(self, request: urllib.request.Request):
+        """One call on its own connection: (status, headers, body bytes)."""
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                return resp.status, resp.headers, resp.read()
+        except HTTPError as exc:
+            with exc:
+                return exc.code, exc.headers, exc.read()
+
     def complete(self, prompt: str, temperature: float = 0.0) -> tuple[str, LlmUsage]:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
-        headers = {"Authorization": f"Bearer {self._key}"}
+        request = urllib.request.Request(
+            f"{self.base_url}/chat/completions",
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        # Unredirected: urllib copies ordinary headers onto a redirect's
+        # request, which would send the key to whatever host it names.
+        request.add_unredirected_header("Authorization", f"Bearer {self._key}")
         last_error: ProviderError | None = None
         delay = 0.0
         for attempt in range(self.max_retries):
@@ -215,32 +247,30 @@ class HttpLlm:
                 time.sleep(delay)
             delay = self.backoff * (2 ** attempt)
             try:
-                resp = requests.post(
-                    f"{self.base_url}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.Timeout:
-                last_error = ProviderTimeout(f"no response after {self.max_retries} attempts")
+                status, headers, raw = self._post(request)
+            except (OSError, http.client.HTTPException) as exc:
+                # URLError wraps the socket error; IncompleteRead and
+                # RemoteDisconnected are HTTPExceptions.
+                reason = exc.reason if isinstance(exc, URLError) else exc
+                if isinstance(reason, TimeoutError):
+                    last_error = ProviderTimeout(f"no response after {self.max_retries} attempts")
+                else:
+                    last_error = ProviderUnreachable(
+                        f"no connection after {self.max_retries} attempts: {reason}"
+                    )
                 continue
-            except requests.ConnectionError as exc:
-                last_error = ProviderUnreachable(
-                    f"no connection after {self.max_retries} attempts: {exc}"
-                )
-                continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = HttpError(resp.status_code, f"after {self.max_retries} attempts")
-                after = resp.headers.get("Retry-After", "").strip()
-                if resp.status_code == 429 and after.isascii() and after.isdigit():
+            if status == 429 or status >= 500:
+                last_error = HttpError(status, f"after {self.max_retries} attempts")
+                after = headers.get("Retry-After", "").strip()
+                if status == 429 and after.isascii() and after.isdigit():
                     # Delta-seconds (an HTTP date keeps the schedule), never
                     # longer than the schedule's last delay.
                     delay = min(float(after), self.backoff * 2 ** (self.max_retries - 2))
                 continue
-            if resp.status_code != 200:
-                raise HttpError(resp.status_code, resp.text[:200])
+            if status != 200:
+                raise HttpError(status, raw.decode("utf-8", "replace")[:200])
             try:
-                body = resp.json()
+                body = json.loads(raw)
                 text = body["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
                     raise MalformedReply("reply content is not text")
@@ -255,6 +285,24 @@ class HttpLlm:
                 approx_tokens(prompt), approx_tokens(text), provider_reported=False
             )
         raise last_error
+
+
+def _is_http_url(url: str) -> bool:
+    """An http or https URL with a host and a valid port, without user info
+    or any character that http.client refuses in a request line."""
+    parts = urlsplit(url)
+    try:
+        parts.port
+    except ValueError:
+        return False
+    return (
+        parts.scheme in ("http", "https")
+        and bool(parts.hostname)
+        and "@" not in parts.netloc
+        and url.isascii()
+        and url.isprintable()
+        and " " not in url
+    )
 
 
 # --- cost accounting ---

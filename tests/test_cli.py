@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kgrelay
 from kgrelay.cli import main
 
 RUNNER = CliRunner()
@@ -188,6 +192,43 @@ def test_eval_missing_dataset(cfg_path, tmp_path):
     )
     assert result.exit_code == 2
     assert "cannot read dataset" in result.stderr
+
+
+@pytest.mark.parametrize("url, key, message", [
+    ("localhost:9/v1", "k", "error: specialized provider: URL must be http or https"),
+    ("http://127.0.0.1:9/v1", None, "error: environment variable KGRELAY_API_KEY is not set"),
+], ids=["bad_url", "missing_key"])
+def test_eval_unusable_http_provider_exits_2(tmp_path, data_dir, monkeypatch, url, key, message):
+    if key is None:
+        monkeypatch.delenv("KGRELAY_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("KGRELAY_API_KEY", key)
+    cfg = tmp_path / "http.cfg"
+    cfg.write_text(
+        f"kg = {data_dir / 'presidents.tsv'}\n"
+        f"specialized_url = {url}\nspecialized_model = m\n"
+        f"general_script = {data_dir / 'scripts' / 'general.json'}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    result = run("--config", str(cfg), "eval", str(data_dir / "routing_eval.jsonl"),
+                 "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(message)
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_load_requests():
+    # The standard library carries the HTTP transport; click is the one
+    # runtime dependency.
+    src = Path(kgrelay.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, kgrelay.cli; print('requests' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # --- convert ---

@@ -204,6 +204,16 @@ def test_factory_http_missing_key(tmp_path, monkeypatch):
         ))
 
 
+def test_factory_http_rejects_unusable_url(tmp_path, monkeypatch):
+    # Checked when the providers are built, before any question is asked.
+    monkeypatch.setenv("KGRELAY_API_KEY", "k")
+    spec = script_file(tmp_path, "spec.json", [])
+    with pytest.raises(ConfigError, match="general provider: URL must be http or https"):
+        provider_factory(Settings(
+            specialized_script=spec, general_url="localhost:9/v1", general_model="m",
+        ))
+
+
 def test_factory_bad_script_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,23 +196,118 @@ def test_default_price_table():
     assert DEFAULT_PRICES[ROLE_GENERAL] == (0.15, 0.60)
 
 
-# --- HTTP provider ---
+# --- HTTP provider against loopback servers ---
 
-class FakeResponse:
-    def __init__(self, status_code, body=None, text="", headers=None):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-        self.headers = headers or {}
+class StubHandler(BaseHTTPRequestHandler):
+    """Answers each POST or GET with the server's next (status, headers,
+    body) and records its path, headers and JSON body (None for a GET);
+    the last reply repeats. A reply of None closes the connection
+    unanswered, and a Content-Length among the headers replaces the true
+    one."""
 
-    def json(self):
-        return self._body
+    def do_POST(self):
+        length = self.headers["Content-Length"]
+        payload = json.loads(self.rfile.read(int(length))) if length else None
+        with self.server.lock:
+            replies = self.server.replies
+            reply = replies.pop(0) if len(replies) > 1 else replies[0]
+            self.server.seen.append((self.path, self.headers, payload))
+        if reply is None:
+            return
+        status, headers, body = reply
+        data = body.encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        if "Content-Length" not in headers:
+            self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST
+
+    def log_message(self, *args):
+        pass
+
+
+OK_BODY = json.dumps({
+    "choices": [{"message": {"content": "ok"}}],
+    "usage": {"prompt_tokens": 3, "completion_tokens": 1},
+})
+
+
+@contextlib.contextmanager
+def serving():
+    """A StubHandler server on a loopback port, shut down on exit."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    server.replies = []
+    server.seen = []
+    server.lock = threading.Lock()
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    # A short poll keeps shutdown() from waiting half a second per test.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 @pytest.fixture
-def http_env(monkeypatch):
+def stub():
+    with serving() as server:
+        yield server
+
+
+@pytest.fixture
+def silent():
+    """A listening socket that never accepts: the kernel completes each
+    connection, and no reply ever comes. ``accepted()`` drains and counts
+    the connections made so far."""
+    listener = socket.create_server(("127.0.0.1", 0), backlog=16)
+    listener.setblocking(False)
+
+    def accepted():
+        count = 0
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except BlockingIOError:
+                return count
+            conn.close()
+            count += 1
+
+    with listener:
+        yield SimpleNamespace(
+            url=f"http://127.0.0.1:{listener.getsockname()[1]}", accepted=accepted
+        )
+
+
+def closed_port_url():
+    """The URL of a port nothing listens on: connections are refused."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
     monkeypatch.setenv("KGRELAY_API_KEY", "k-test")
-    monkeypatch.setattr(providers.time, "sleep", lambda s: None)
+    seen = []
+    monkeypatch.setattr(providers.time, "sleep", seen.append)
+    return seen
+
+
+def stub_llm(stub, max_retries=3, backoff=0.01):
+    return HttpLlm(
+        f"{stub.url}/v1", "m", timeout=5.0, max_retries=max_retries, backoff=backoff,
+    )
 
 
 def test_http_missing_key(monkeypatch):
@@ -217,148 +316,145 @@ def test_http_missing_key(monkeypatch):
         HttpLlm("http://x", "m")
 
 
-def test_http_needs_one_attempt(http_env):
+def test_http_needs_one_attempt(sleeps):
     # Zero attempts would leave no failure to raise after the retry loop.
     with pytest.raises(ValueError, match="max_retries must be >= 1"):
         HttpLlm("http://x", "m", max_retries=0)
 
 
-def test_http_success_with_usage(http_env, monkeypatch):
-    seen = {}
+@pytest.mark.parametrize("url", [
+    "localhost:9/v1", "file:///etc/passwd", "ftp://host/v1", "data:,x",
+    "http:///v1", "http://host:port/v1", "http://host:99999/v1",
+    "http://user:pw@host/v1", "http://host/v 1", "http://host/v\n1", "http://höst/v1",
+])
+def test_http_rejects_unusable_url(sleeps, url):
+    with pytest.raises(ValueError, match="URL must be http or https with a host"):
+        HttpLlm(url, "m")
 
-    def post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, payload=json, headers=headers, timeout=timeout)
-        return FakeResponse(200, {
-            "choices": [{"message": {"content": "hi there"}}],
-            "usage": {"prompt_tokens": 11, "completion_tokens": 7},
-        })
 
-    monkeypatch.setattr(providers.requests, "post", post)
-    llm = HttpLlm("http://api.test/v1/", "my-model", timeout=9.0)
+def test_http_rejects_a_key_no_header_can_carry(monkeypatch):
+    monkeypatch.setenv("KGRELAY_API_KEY", "k\nX-Injected: 1")
+    with pytest.raises(ValueError, match="KGRELAY_API_KEY holds characters"):
+        HttpLlm("http://x", "m")
+
+
+def test_http_success_with_usage(stub, sleeps):
+    stub.replies = [(200, {}, json.dumps({
+        "choices": [{"message": {"content": "hi there"}}],
+        "usage": {"prompt_tokens": 11, "completion_tokens": 7},
+    }))]
+    llm = HttpLlm(f"{stub.url}/v1/", "my-model", timeout=9.0)
     text, usage = llm.complete("ping", temperature=0.5)
     assert text == "hi there"
     assert usage == LlmUsage(11, 7)
-    assert seen["url"] == "http://api.test/v1/chat/completions"
-    assert seen["payload"]["model"] == "my-model"
-    assert seen["payload"]["temperature"] == 0.5
-    assert seen["headers"]["Authorization"] == "Bearer k-test"
-    assert seen["timeout"] == 9.0
+    [(path, headers, payload)] = stub.seen
+    assert path == "/v1/chat/completions"
+    assert payload["model"] == "my-model"
+    assert payload["temperature"] == 0.5
+    assert headers["Authorization"] == "Bearer k-test"
+    assert headers["Content-Type"] == "application/json"
 
 
-def test_http_success_without_usage(http_env, monkeypatch):
-    monkeypatch.setattr(
-        providers.requests, "post",
-        lambda *a, **k: FakeResponse(
-            200, {"choices": [{"message": {"content": "a b"}}]}
-        ),
-    )
-    llm = HttpLlm("http://x", "m")
-    _, usage = llm.complete("one two three")
+@pytest.mark.parametrize("status", [301, 302, 303])
+def test_http_redirect_does_not_carry_the_key(stub, sleeps, status):
+    # urllib follows these as a GET; the key stays with the first host.
+    with serving() as target:
+        target.replies = [(200, {}, OK_BODY)]
+        stub.replies = [(status, {"Location": f"{target.url}/v1/chat/completions"}, "")]
+        assert stub_llm(stub).complete("p")[0] == "ok"
+        [(_, first, _)] = stub.seen
+        [(path, second, payload)] = target.seen
+    assert first["Authorization"] == "Bearer k-test"
+    assert path == "/v1/chat/completions"
+    assert payload is None
+    assert "Authorization" not in second
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_http_method_keeping_redirect_is_not_followed(stub, sleeps, status):
+    with serving() as target:
+        stub.replies = [(status, {"Location": f"{target.url}/v1/chat/completions"}, "moved")]
+        with pytest.raises(HttpError) as err:
+            stub_llm(stub).complete("p")
+        assert target.seen == []
+    assert err.value.status == status
+    assert len(stub.seen) == 1
+
+
+def test_http_success_without_usage(stub, sleeps):
+    stub.replies = [(200, {}, json.dumps({"choices": [{"message": {"content": "a b"}}]}))]
+    _, usage = stub_llm(stub).complete("one two three")
     assert usage == LlmUsage(3, 2, provider_reported=False)
 
 
-def test_http_retries_429_then_succeeds(http_env, monkeypatch):
-    calls = []
-
-    def post(*a, **k):
-        calls.append(1)
-        if len(calls) < 3:
-            return FakeResponse(429)
-        return FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
-
-    monkeypatch.setattr(providers.requests, "post", post)
-    llm = HttpLlm("http://x", "m", max_retries=3)
-    assert llm.complete("p")[0] == "ok"
-    assert len(calls) == 3
+def test_http_retries_429_then_succeeds(stub, sleeps):
+    stub.replies = [(429, {}, ""), (429, {}, ""), (200, {}, OK_BODY)]
+    assert stub_llm(stub, max_retries=3).complete("p")[0] == "ok"
+    assert len(stub.seen) == 3
 
 
-def test_http_5xx_exhausts_retries(http_env, monkeypatch):
-    monkeypatch.setattr(
-        providers.requests, "post", lambda *a, **k: FakeResponse(503)
-    )
-    llm = HttpLlm("http://x", "m", max_retries=2)
+def test_http_5xx_exhausts_retries(stub, sleeps):
+    stub.replies = [(503, {}, "")]
     with pytest.raises(HttpError) as err:
-        llm.complete("p")
+        stub_llm(stub, max_retries=2).complete("p")
     assert err.value.status == 503
 
 
-def test_http_timeout_exhausts_retries(http_env, monkeypatch):
-    def post(*a, **k):
-        raise providers.requests.Timeout("slow")
-
-    monkeypatch.setattr(providers.requests, "post", post)
-    llm = HttpLlm("http://x", "m", max_retries=2)
+def test_http_timeout_exhausts_retries(silent, sleeps):
+    llm = HttpLlm(silent.url, "m", timeout=0.2, max_retries=2)
+    start = time.monotonic()
     with pytest.raises(ProviderTimeout):
         llm.complete("p")
+    # Each attempt waits the timeout for a reply, and no longer.
+    assert 0.4 <= time.monotonic() - start < 10
+    assert silent.accepted() == 2
 
 
-def test_http_connection_error_retries_then_raises(http_env, monkeypatch):
-    calls = []
-
-    def post(*a, **k):
-        calls.append(1)
-        raise providers.requests.ConnectionError("connection refused")
-
-    monkeypatch.setattr(providers.requests, "post", post)
-    llm = HttpLlm("http://x", "m", max_retries=3)
-    with pytest.raises(ProviderUnreachable, match="connection refused"):
+def test_http_connection_error_retries_then_raises(sleeps):
+    llm = HttpLlm(closed_port_url(), "m", max_retries=3)
+    with pytest.raises(ProviderUnreachable, match="Connection refused"):
         llm.complete("p")
-    assert len(calls) == 3
+    # One sleep before each attempt after the first.
+    assert len(sleeps) == 2
 
 
-def test_http_connection_error_then_success(http_env, monkeypatch):
-    calls = []
-
-    def post(*a, **k):
-        calls.append(1)
-        if len(calls) == 1:
-            raise providers.requests.ConnectionError("reset")
-        return FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
-
-    monkeypatch.setattr(providers.requests, "post", post)
-    assert HttpLlm("http://x", "m").complete("p")[0] == "ok"
-    assert len(calls) == 2
+def test_http_connection_error_then_success(stub, sleeps):
+    stub.replies = [None, (200, {}, OK_BODY)]
+    assert stub_llm(stub).complete("p")[0] == "ok"
+    assert len(stub.seen) == 2
 
 
-class NotJsonResponse(FakeResponse):
-    def json(self):
-        raise providers.requests.JSONDecodeError("Expecting value", self.text, 0)
+def test_http_body_cut_short_is_retried(stub, sleeps):
+    stub.replies = [(200, {"Content-Length": "1000"}, OK_BODY), (200, {}, OK_BODY)]
+    assert stub_llm(stub).complete("p")[0] == "ok"
+    assert len(stub.seen) == 2
 
 
 @pytest.mark.parametrize(
     "resp",
     [
-        NotJsonResponse(200, text="<html>gateway</html>"),
-        FakeResponse(200, {"error": "no choices"}),
-        FakeResponse(200, {"choices": []}),
-        FakeResponse(200, ["not", "an", "object"]),
-        FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
-        FakeResponse(200, {"choices": [{"message": {"content": "x"}}],
-                           "usage": {"prompt_tokens": "many", "completion_tokens": 1}}),
+        (200, {}, "<html>gateway</html>"),
+        (200, {}, json.dumps({"error": "no choices"})),
+        (200, {}, json.dumps({"choices": []})),
+        (200, {}, json.dumps(["not", "an", "object"])),
+        (200, {}, json.dumps({"choices": [{"message": {"content": None}}]})),
+        (200, {}, json.dumps({"choices": [{"message": {"content": "x"}}],
+                              "usage": {"prompt_tokens": "many", "completion_tokens": 1}})),
     ],
 )
-def test_http_malformed_reply_is_provider_error(http_env, monkeypatch, resp):
-    calls = []
-
-    def post(*a, **k):
-        calls.append(1)
-        return resp
-
-    monkeypatch.setattr(providers.requests, "post", post)
+def test_http_malformed_reply_is_provider_error(stub, sleeps, resp):
+    stub.replies = [resp]
     with pytest.raises(MalformedReply) as err:
-        HttpLlm("http://x", "m", max_retries=3).complete("p")
+        stub_llm(stub, max_retries=3).complete("p")
     assert isinstance(err.value, ProviderError)
-    assert len(calls) == 1
+    assert len(stub.seen) == 1
 
 
-def test_run_batch_survives_unreachable_provider(http_env, monkeypatch, presidents):
-    def post(*a, **k):
-        raise providers.requests.ConnectionError("connection refused")
-
-    monkeypatch.setattr(providers.requests, "post", post)
+def test_run_batch_survives_unreachable_provider(sleeps, presidents):
+    url = closed_port_url()
 
     def factory():
-        llm = HttpLlm("http://127.0.0.1:9", "m", max_retries=2)
+        llm = HttpLlm(url, "m", max_retries=2)
         return llm, llm, TokenOverlapEmbedder()
 
     records = [
@@ -376,117 +472,35 @@ def test_run_batch_survives_unreachable_provider(http_env, monkeypatch, presiden
     assert report.routes == {"repair_failed_fallback": 2}
 
 
-def test_http_client_error_is_immediate(http_env, monkeypatch):
-    calls = []
-
-    def post(*a, **k):
-        calls.append(1)
-        return FakeResponse(400, text="bad request body")
-
-    monkeypatch.setattr(providers.requests, "post", post)
-    llm = HttpLlm("http://x", "m", max_retries=3)
+def test_http_client_error_is_immediate(stub, sleeps):
+    stub.replies = [(400, {}, "bad request body")]
     with pytest.raises(HttpError) as err:
-        llm.complete("p")
+        stub_llm(stub, max_retries=3).complete("p")
     assert err.value.status == 400
-    assert len(calls) == 1
+    assert str(err.value).endswith(": bad request body")
+    assert len(stub.seen) == 1
 
 
-def test_http_backoff_schedule(monkeypatch):
-    monkeypatch.setenv("KGRELAY_API_KEY", "k")
-    sleeps = []
-    monkeypatch.setattr(providers.time, "sleep", sleeps.append)
-    monkeypatch.setattr(
-        providers.requests, "post", lambda *a, **k: FakeResponse(500)
-    )
-    llm = HttpLlm("http://x", "m", max_retries=3, backoff=0.5)
+def test_http_backoff_schedule(stub, sleeps):
+    stub.replies = [(500, {}, "")]
     with pytest.raises(HttpError):
-        llm.complete("p")
+        stub_llm(stub, max_retries=3, backoff=0.5).complete("p")
     assert sleeps == [0.5, 1.0]
 
 
-def test_http_retry_after_replaces_the_next_delay_only(monkeypatch):
+def test_http_retry_after_replaces_the_next_delay_only(stub, sleeps):
     # A 429's Retry-After sets the wait before the next attempt; a later
     # failure without one goes back to the schedule.
-    monkeypatch.setenv("KGRELAY_API_KEY", "k")
-    sleeps = []
-    monkeypatch.setattr(providers.time, "sleep", sleeps.append)
-    replies = iter([FakeResponse(429, headers={"Retry-After": "0"}), FakeResponse(500)])
-
-    def post(*a, **k):
-        return next(replies, FakeResponse(503))
-
-    monkeypatch.setattr(providers.requests, "post", post)
-    llm = HttpLlm("http://x", "m", max_retries=4, backoff=0.5)
+    stub.replies = [(429, {"Retry-After": "0"}, ""), (500, {}, ""), (503, {}, "")]
     with pytest.raises(HttpError):
-        llm.complete("p")
+        stub_llm(stub, max_retries=4, backoff=0.5).complete("p")
     assert sleeps == [0.0, 1.0, 2.0]
-
-
-# --- HTTP provider against a loopback server ---
-
-class StubHandler(BaseHTTPRequestHandler):
-    """Answers each POST with the server's next (status, headers, body)."""
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        with self.server.lock:
-            status, headers, body = self.server.replies.pop(0)
-            self.server.posts += 1
-        data = body.encode("utf-8")
-        self.send_response(status)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-OK_BODY = json.dumps({
-    "choices": [{"message": {"content": "ok"}}],
-    "usage": {"prompt_tokens": 3, "completion_tokens": 1},
-})
-
-
-@pytest.fixture
-def stub():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    server.replies = []
-    server.posts = 0
-    server.lock = threading.Lock()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
-@pytest.fixture
-def sleeps(monkeypatch):
-    monkeypatch.setenv("KGRELAY_API_KEY", "k-test")
-    seen = []
-    monkeypatch.setattr(providers.time, "sleep", seen.append)
-    return seen
-
-
-def stub_llm(stub, max_retries=3):
-    return HttpLlm(
-        f"http://127.0.0.1:{stub.server_port}/v1", "m",
-        timeout=5.0, max_retries=max_retries, backoff=0.01,
-    )
 
 
 def test_stub_5xx_then_200_succeeds(stub, sleeps):
     stub.replies = [(503, {}, "busy"), (502, {}, "bad gateway"), (200, {}, OK_BODY)]
     assert stub_llm(stub).complete("p") == ("ok", LlmUsage(3, 1))
-    assert stub.posts == 3
+    assert len(stub.seen) == 3
     assert sleeps == [0.01, 0.02]
 
 
@@ -501,7 +515,7 @@ def test_stub_5xx_then_200_succeeds(stub, sleeps):
 def test_stub_429_retry_after_is_honoured_and_capped(stub, sleeps, retry_after, expected):
     stub.replies = [(429, {"Retry-After": retry_after}, "slow down"), (200, {}, OK_BODY)]
     assert stub_llm(stub, max_retries=4).complete("p")[0] == "ok"
-    assert stub.posts == 2
+    assert len(stub.seen) == 2
     assert sleeps == [expected]
 
 
@@ -509,5 +523,57 @@ def test_stub_malformed_200_raises(stub, sleeps):
     stub.replies = [(200, {}, "<html>gateway</html>"), (200, {}, OK_BODY)]
     with pytest.raises(MalformedReply):
         stub_llm(stub).complete("p")
-    assert stub.posts == 1
+    assert len(stub.seen) == 1
     assert sleeps == []
+
+
+# Each wire failure, with the ProviderError it must surface as: a stub
+# reply, or "refused" (nothing listens) or "stall" (no reply ever comes).
+WIRE_FAILURES = {
+    "cut_short": ((200, {"Content-Length": "1000"}, OK_BODY), ProviderUnreachable),
+    "bad_encoding": ((200, {"Content-Encoding": "gzip"}, "not gzip"), MalformedReply),
+    "no_reply": (None, ProviderUnreachable),
+    "refused": ("refused", ProviderUnreachable),
+    "stall": ("stall", ProviderTimeout),
+    "not_json": ((200, {}, "<html>gateway</html>"), MalformedReply),
+    "client_error": ((400, {}, "bad request"), HttpError),
+    "server_error": ((503, {}, "busy"), HttpError),
+}
+
+# Parses and grounds, but the path does not walk, so repair runs.
+NON_WALKING = "TOPIC: USA\nPATH: country.leaders -> president.office_holder"
+
+
+@pytest.mark.parametrize("stage", ["generation", "repair"])
+@pytest.mark.parametrize("case", list(WIRE_FAILURES))
+def test_run_batch_keeps_its_promise_over_the_wire(
+    stub, silent, sleeps, presidents, case, stage,
+):
+    reply, expected = WIRE_FAILURES[case]
+    if reply == "refused":
+        url = closed_port_url()
+    elif reply == "stall":
+        url = silent.url
+    else:
+        stub.replies = [reply]
+        url = stub.url
+    llm = HttpLlm(f"{url}/v1", "m", timeout=0.2 if reply == "stall" else 5.0, max_retries=2)
+
+    def factory():
+        if stage == "generation":
+            specialized = llm
+        else:
+            specialized = ScriptedLlm([ScriptEntry("", NON_WALKING, repeat=None)])
+        return specialized, llm, TokenOverlapEmbedder()
+
+    records = [
+        DatasetRecord("a", "who leads the usa?", ("Obama",)),
+        DatasetRecord("b", "which presidents?", ("Clinton",)),
+    ]
+    report, rows = run_batch(presidents, records, factory)
+    assert [row["id"] for row in rows] == ["a", "b"]
+    assert issubclass(expected, ProviderError)
+    for row in rows:
+        assert row["route"] == "repair_failed_fallback"
+        assert row["error"].startswith(f"{stage}: {expected.__name__}: ")
+    assert report.questions == 2
