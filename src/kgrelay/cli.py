@@ -17,7 +17,7 @@ import click
 from . import config as cfg
 from .errors import ConfigError, KgRelayError
 from .evaluation import load_dataset, run_batch, write_results, write_summary
-from .kg import load_tsv, node_sort_key, node_text
+from .kg import answer_texts, load_tsv
 from .pipeline import answer_question, run_stage2_only
 from .reasoning import (
     EntityMatch,
@@ -123,10 +123,10 @@ def ask(ctx, question, stage2_only, topic, depth):
         click.echo("path:")
         for line in serialize_reasoning_path(result.crp_final).splitlines():
             click.echo(f"  {line}")
-    answers = sorted(result.answers.answers, key=node_sort_key)
+    answers = answer_texts(result.answers.answers)
     click.echo(f"answers ({len(answers)}):")
-    for node in answers:
-        click.echo(f"  {node_text(node)}")
+    for text in answers:
+        click.echo(f"  {text}")
     if result.error:
         click.echo(f"error: {result.error}", err=True)
         sys.exit(1)
@@ -258,10 +258,10 @@ def repair_demo(ctx, question, topic, depth):
         sys.exit(1)
     _print_trace(trace)
     click.echo(f"path: {linearize(path)}")
-    frontier = sorted(g.reach(start, path), key=node_sort_key)
+    frontier = answer_texts(g.reach(start, path))
     click.echo(f"reaches ({len(frontier)}):")
-    for node in frontier:
-        click.echo(f"  {node_text(node)}")
+    for text in frontier:
+        click.echo(f"  {text}")
 
 
 if __name__ == "__main__":

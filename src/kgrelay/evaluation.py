@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 from .errors import DatasetError, KgRelayError
 from .execute import evaluate_query
-from .kg import KnowledgeGraph, NodeRef, node_sort_key, node_text
+from .kg import KnowledgeGraph, answer_texts
 from .pipeline import QuestionResult, answer_question, run_stage2_only
 from .providers import DEFAULT_PRICES, CostLedger, price_calls
 from .reasoning import (
@@ -69,6 +69,9 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
             answers = obj.get("answers", [])
             if not isinstance(answers, list):
                 raise ValueError("answers is not a list")
+            if any(type(a) not in (str, int, float) for a in answers):
+                # str() would turn null into the answer "None".
+                raise ValueError("an answer is not a string or a number")
             answers = tuple(str(a) for a in answers)
             sparql, topic, depth = obj.get("sparql"), obj.get("topic"), obj.get("depth")
             if not answers and not sparql:
@@ -97,7 +100,8 @@ def normalize_answer(text: str) -> str:
 
 
 def _norm_set(values: Iterable[str]) -> frozenset[str]:
-    return frozenset(normalize_answer(v) for v in values)
+    # normalize_answer of each value, with no Python call per value.
+    return frozenset(map(str.casefold, map(" ".join, map(str.split, values))))
 
 
 def _hits_and_f1(p: frozenset[str], g: frozenset[str]) -> tuple[int, float]:
@@ -195,10 +199,6 @@ class MetricReport:
 ProviderFactory = Callable[[], tuple]
 
 
-def _answer_texts(nodes: Iterable[NodeRef]) -> list[str]:
-    return [node_text(n) for n in sorted(nodes, key=node_sort_key)]
-
-
 def _path_text(rp: ReasoningPath | None) -> str | None:
     return serialize_reasoning_path(rp) if rp else None
 
@@ -218,7 +218,7 @@ def _row(
         "id": rec.id,
         "question": rec.question,
         "route": result.route.value if result else None,
-        "answers": _answer_texts(result.answers.answers) if result else [],
+        "answers": answer_texts(result.answers.answers) if result else [],
         "relaxation_tier": result.answers.relaxation_tier if result else None,
         "crp_initial": _path_text(result.crp_initial) if result else None,
         "crp_final": _path_text(result.crp_final) if result else None,
@@ -233,16 +233,18 @@ def _row(
     error = result.error
     # The gold query is parsed once, for the gold answers when the
     # record has none and for path scoring.
-    gold, query = rec.answers, None
+    gold, query = _norm_set(rec.answers), None
     try:
         if rec.sparql:
             query = parse_sparql(rec.sparql)
         if not gold:
-            gold = _answer_texts(evaluate_query(g, query))
+            # Only the set is scored, so the nodes need no sorting.
+            nodes = evaluate_query(g, query)
+            gold = _norm_set([n if type(n) is str else n.text for n in nodes])
     except KgRelayError as exc:
         if not gold:
             error = f"gold: {type(exc).__name__}: {exc}"
-    hits, f1 = _hits_and_f1(_norm_set(row["answers"]), _norm_set(gold)) if gold else (0, 0.0)
+    hits, f1 = _hits_and_f1(_norm_set(row["answers"]), gold) if gold else (0, 0.0)
     row["hits_at_1"] = hits
     row["f1"] = round(f1, 10)
     if query is not None and gold:

@@ -27,7 +27,7 @@ from decimal import Decimal, InvalidOperation
 from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import BadLiteral, MalformedLine, UnknownEntity
 
@@ -116,6 +116,20 @@ def node_sort_key(node: NodeRef) -> tuple:
     if isinstance(node, str):
         return (0, node, "", "")
     return (1, node.kind, node.text, node.lang or "")
+
+
+def answer_texts(nodes: Collection[NodeRef]) -> list[str]:
+    """``node_text`` of each node, in ``node_sort_key`` order.
+
+    An entity is its own text, so entities sort as plain strings and only
+    the few literals need the key. The list is built at its final size.
+    """
+    literals = [n for n in nodes if type(n) is not str]
+    if not literals:
+        return sorted(nodes)
+    entities = [n for n in nodes if type(n) is str]
+    entities.sort()
+    return entities + [n.text for n in sorted(literals, key=node_sort_key)]
 
 
 def parse_literal_token(token: str) -> Literal:

@@ -9,17 +9,14 @@ USD from a per-million-token price table.
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass
-from typing import Iterable, Protocol
-from urllib.error import HTTPError, URLError
+from typing import TYPE_CHECKING, Iterable, Protocol
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -31,6 +28,9 @@ from .errors import (
     ProviderTimeout,
     ProviderUnreachable,
 )
+
+if TYPE_CHECKING:
+    import urllib.request
 
 log = logging.getLogger(__name__)
 
@@ -218,6 +218,9 @@ class HttpLlm:
 
     def _post(self, request: urllib.request.Request):
         """One call on its own connection: (status, headers, body bytes)."""
+        import urllib.request
+        from urllib.error import HTTPError
+
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 return resp.status, resp.headers, resp.read()
@@ -226,6 +229,12 @@ class HttpLlm:
                 return exc.code, exc.headers, exc.read()
 
     def complete(self, prompt: str, temperature: float = 0.0) -> tuple[str, LlmUsage]:
+        # The HTTP stack pulls in ssl and email, so it loads at the first
+        # call; programs that only build providers never pay for it.
+        import http.client
+        import urllib.request
+        from urllib.error import URLError
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -220,15 +220,17 @@ def test_eval_unusable_http_provider_exits_2(tmp_path, data_dir, monkeypatch, ur
 
 def test_importing_the_cli_does_not_load_requests():
     # The standard library carries the HTTP transport; click is the one
-    # runtime dependency.
+    # runtime dependency. The transport itself, with ssl, loads only when
+    # an HttpLlm makes its first call.
     src = Path(kgrelay.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, kgrelay.cli; print('requests' in sys.modules)"
+    unwanted = ["requests", "http.client", "ssl", "urllib.request"]
+    probe = f"import sys, kgrelay.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 # --- convert ---

@@ -25,6 +25,7 @@ from kgrelay.errors import (
 from kgrelay.evaluation import (
     DatasetRecord,
     MetricReport,
+    _norm_set,
     exact_match,
     f1_score,
     hits_at_1,
@@ -35,7 +36,16 @@ from kgrelay.evaluation import (
     write_results,
     write_summary,
 )
-from kgrelay.kg import load_tsv
+from kgrelay.kg import (
+    DATETIME,
+    NUMERIC,
+    STRING,
+    Literal,
+    answer_texts,
+    load_tsv,
+    node_sort_key,
+    node_text,
+)
 from kgrelay.providers import LlmUsage, ScriptedLlm, TokenOverlapEmbedder, approx_tokens
 from kgrelay.reasoning import parse_reasoning_path
 from metric_cases import ANSWER_CASES, PATH_CASES
@@ -70,6 +80,45 @@ def test_normalize_answer():
     assert normalize_answer("  Barack   Obama ") == "barack obama"
     assert normalize_answer("STRASSE") == "strasse"
     assert normalize_answer("") == ""
+
+
+# Text that str.split and casefold treat specially: Unicode spaces, the
+# ASCII separators \x1c-\x1f (str.split splits on them), and letters whose
+# casefold is longer than the letter or differs from its lower().
+_TRICKY = ["\u00a0", "\u2003", "\u3000", "\x85", "\x1c", "\x1d", "\x1e", "\x1f",
+           "ß", "İ", "Σ", "ς", "ﬁ", " ", "\t", "a", "A"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(st.sampled_from(_TRICKY) | st.characters(), max_size=8), max_size=6))
+@example(["İ ß", "Σ\x1cΣ", "a\u00a0 b", "\u3000", "i\u0307 SS", "σ\x1fσ"])
+def test_norm_set_is_normalize_answer_per_value(values):
+    assert _norm_set(values) == frozenset(map(normalize_answer, values))
+
+
+# Texts chosen to collide across entities and literal kinds.
+_NODE_TEXTS = st.sampled_from(["1999", "2000-01", "Foo", "foo", "ß", "Σ a", ""]) | st.text(max_size=3)
+_NODES = st.frozensets(
+    _NODE_TEXTS
+    | st.builds(Literal, st.just(STRING), _NODE_TEXTS, st.sampled_from([None, "en", "de"]))
+    | st.builds(Literal, st.just(NUMERIC), st.sampled_from(["1999", "2000", "-1.5", "1e3"]))
+    | st.builds(Literal, st.just(DATETIME), st.sampled_from(["1999", "2000-01", "2000-01-02"])),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NODES)
+@example(frozenset({
+    "1999", Literal(NUMERIC, "1999"), Literal(DATETIME, "1999"),
+    "Foo", Literal(STRING, "Foo"), Literal(STRING, "Foo", "en"), Literal(STRING, "foo", "de"),
+}))
+@example(frozenset(f"e{i}" for i in range(9)))
+def test_answer_texts_is_node_text_in_sort_key_order(nodes):
+    expected = [node_text(n) for n in sorted(nodes, key=node_sort_key)]
+    got = answer_texts(nodes)
+    assert got == expected
+    assert sys.getsizeof(got) <= sys.getsizeof(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,6 +170,11 @@ def test_load_dataset_fields(tmp_path):
         json.dumps({"question": "q", "sparql": 5}),
         json.dumps({"question": "q", "answers": "Obama"}),
         json.dumps({"question": "q", "answers": {"Obama": 1}}),
+        json.dumps({"question": "q", "answers": [None]}),
+        json.dumps({"question": "q", "answers": ["Obama", True]}),
+        json.dumps({"question": "q", "answers": [False]}),
+        json.dumps({"question": "q", "answers": [["Obama"]]}),
+        json.dumps({"question": "q", "answers": [{"name": "Obama"}]}),
     ],
 )
 def test_load_dataset_flags_bad_lines(tmp_path, line):
@@ -135,6 +189,13 @@ def test_load_dataset_flags_bad_lines(tmp_path, line):
     assert records[0].error is None
     assert records[1].id == "line-2"
     assert records[1].error.startswith("line 2:")
+
+
+def test_load_dataset_keeps_numeric_answers_as_text(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_text(json.dumps({"question": "q", "answers": ["a", 1999, 2.5]}) + "\n",
+                 encoding="utf-8")
+    assert load_dataset(p)[0].answers == ("a", "1999", "2.5")
 
 
 def test_load_dataset_empty_raises(tmp_path):
@@ -249,6 +310,47 @@ def test_run_batch_scores_and_routes(presidents, tmp_path):
     assert by_id["f"]["answers"] == ["Clinton", "GWBush", "Obama"]
     assert by_id["line-6"]["flagged"] is True
     assert by_id["line-6"]["llm_calls"] == 0
+
+
+COLLIDING_TSV = """\
+T\tc.r\tFoo
+T\tc.r\t"foo"
+T\tc.r\tBar
+T\tc.s\tFoo
+T\tc.d\t"1999"^^xsd:dateTime
+T\tc.d\t"1999"^^xsd:integer
+T\tc.d\t"2000"^^xsd:integer
+"""
+
+
+def test_run_batch_query_gold_collapses_equal_texts(tmp_path):
+    # Gold from a query is a set of normalized texts: entity Foo and the
+    # string "foo" are one gold answer, as are datetime and numeric 1999.
+    tsv = tmp_path / "g.tsv"
+    tsv.write_text(COLLIDING_TSV, encoding="utf-8")
+    g = load_tsv(tsv)
+
+    def factory():
+        specialized = ScriptedLlm([
+            {"match": "which foo", "reply": "TOPIC: T\nPATH: c.s\n"},
+            {"match": "which year", "reply": "TOPIC: T\nPATH: c.d\n"},
+        ])
+        return specialized, ScriptedLlm([]), TokenOverlapEmbedder()
+
+    records = [
+        DatasetRecord("foo", "which foo", sparql="SELECT DISTINCT ?x WHERE { :T :c.r ?x . }"),
+        DatasetRecord("year", "which year", sparql="SELECT DISTINCT ?x WHERE { :T :c.d ?x . }"),
+    ]
+    report, (foo, year) = run_batch(g, records, factory)
+    # Predicted {foo}, gold {foo, bar}: p = 1, r = 1/2, F1 = 2/3.
+    assert foo["answers"] == ["Foo"]
+    assert (foo["hits_at_1"], foo["f1"]) == (1, pytest.approx(2 / 3))
+    # Predicted and gold are both {1999, 2000}; the row keeps both 1999s,
+    # datetime before numeric.
+    assert year["answers"] == ["1999", "1999", "2000"]
+    assert (year["hits_at_1"], year["f1"]) == (1, 1.0)
+    assert not {"flagged", "error"} & (set(foo) | set(year))
+    assert report.f1 == pytest.approx((2 / 3 + 1) / 2)
 
 
 def test_run_batch_answers_with_unparsable_query(presidents):
