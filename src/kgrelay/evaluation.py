@@ -83,7 +83,8 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
             if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int)):
                 raise ValueError("depth is not an integer")
             records.append(DatasetRecord(rid, question, answers, sparql, topic, depth))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            # json.loads raises RecursionError on a line nested too deeply.
             log.warning("dataset line %d unusable: %s", line_no, exc)
             records.append(
                 DatasetRecord(f"line-{line_no}", "", error=f"line {line_no}: {exc}")

@@ -8,17 +8,18 @@ step keeps an entity when a test on those objects holds; an extremal step
 (ARGMAX/ARGMIN) keeps the entities whose best admitted value is the
 extreme one. Binary steps run before extremal ones, so the result does
 not depend on the order constraints were written in. One walker runs
-every plan, reading each relation's index once per hop. Relaxation
-compiles each constraint once and walks every tier through one memo, so
-the expansions and filters that tiers have in common run once.
+every plan, expanding each hop through ``KnowledgeGraph.image``.
+Relaxation compiles each constraint once and walks every tier through one
+memo, so the expansions and filters that tiers have in common run once; a
+caller that has already walked the bare chain (the pipeline's routing
+check) can seed the memo with that walk.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 from .errors import UngroundedTopic
 from .kg import DATETIME, NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, NodeRef
@@ -161,7 +162,9 @@ def _constraint_step(c: Constraint) -> Step:
     return _literal_step(c.relation, [(v.op, v.threshold)])
 
 
-def _apply_step(g: KnowledgeGraph, frontier: set[NodeRef], step: Step) -> set[EntityId]:
+def _apply_step(
+    g: KnowledgeGraph, frontier: AbstractSet[NodeRef], step: Step
+) -> AbstractSet[EntityId]:
     test, pick = step.test, step.pick
     if test is None:
         return frontier & g.subjects(step.relation, step.target)
@@ -199,15 +202,14 @@ def _walk(g: KnowledgeGraph, topic: EntityId, hops: list, memo: dict) -> frozens
     steps applied so far) to its frontier; walks that share it compute a
     shared prefix once.
     """
-    frontier: set[NodeRef] = {topic}
+    frontier: AbstractSet[NodeRef] = frozenset((topic,))
     key: tuple = ()
     for rel, steps in hops:
         if not frontier:
             return frozenset()
         key += (rel,)
         if key not in memo:
-            objs = g.objects(rel)
-            memo[key] = set().union(*map(objs.get, frontier, repeat(_NO_NODES)))
+            memo[key] = g.image(frontier, rel)
         frontier = memo[key]
         for step in steps:
             key += (step,)
@@ -249,12 +251,14 @@ def _step_order(c: Constraint) -> tuple:
     return (c.is_extremal, _STEP_RANK[type(c.value)], c.sort_key())
 
 
-def _run_tiers(g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int]) -> AnswerSet:
-    """Walk the path at each tier in turn; the first non-empty tier wins."""
+def _run_tiers(
+    g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int], memo: dict
+) -> AnswerSet:
+    """Walk the path at each tier in turn, through one walk memo; the first
+    non-empty tier wins."""
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
     compiled = [(c, _constraint_step(c)) for c in sorted(rp.constraints, key=_step_order)]
-    memo: dict = {}
     for tier in tiers:
         hops = [
             (rel, tuple(s for c, s in compiled if c.hop == hop and _kept_at(c, tier)))
@@ -267,7 +271,7 @@ def _run_tiers(g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int]) -> An
 
 
 def answers_at_tier(g: KnowledgeGraph, rp: ReasoningPath, tier: int) -> frozenset[NodeRef]:
-    return _run_tiers(g, rp, (tier,)).answers
+    return _run_tiers(g, rp, (tier,), {}).answers
 
 
 def execute_full(g: KnowledgeGraph, rp: ReasoningPath) -> frozenset[NodeRef]:
@@ -279,13 +283,19 @@ def execute_full(g: KnowledgeGraph, rp: ReasoningPath) -> frozenset[NodeRef]:
     return answers_at_tier(g, rp, TIER_FULL)
 
 
-def execute_with_relaxation(g: KnowledgeGraph, rp: ReasoningPath) -> AnswerSet:
+def execute_with_relaxation(
+    g: KnowledgeGraph, rp: ReasoningPath, skeleton: frozenset[NodeRef] | None = None
+) -> AnswerSet:
     """Try tiers 0..3 in order and return the first non-empty answer set.
 
     The tier that produced the answers is recorded. When even the bare
-    skeleton is empty the result is the empty set at tier 3.
+    skeleton is empty the result is the empty set at tier 3. ``skeleton``,
+    when given, must be ``g.reach(rp.topic_entity, rp.path)``: tier 3, and
+    every tier whose constraints all sit on the last hop, start from it
+    instead of walking the chain again.
     """
-    return _run_tiers(g, rp, range(TIER_FULL, TIER_SKELETON + 1))
+    memo = {} if skeleton is None else {tuple(rp.path): skeleton}
+    return _run_tiers(g, rp, range(TIER_FULL, TIER_SKELETON + 1), memo)
 
 
 # --- subset queries ---

@@ -233,7 +233,7 @@ class KnowledgeGraph:
 
         Subjects without the relation are absent. The mapping is the
         graph's own and must not be changed; it is returned bare because
-        the executor reads it once per hop for whole frontiers.
+        an executor step reads it once for a whole frontier.
         """
         return self._index.get(relation, _NO_OBJECTS)
 
@@ -259,8 +259,8 @@ class KnowledgeGraph:
     def neighbors(self, entity: EntityId, relation: RelationId) -> frozenset[NodeRef]:
         """Objects of (entity, relation, *); empty set when none exist.
 
-        Two lookups per call. The executor does not use it: it reads
-        ``objects(relation)`` once per hop instead.
+        Two lookups per call. Walks do not use it: they expand whole
+        frontiers through ``image``.
         """
         return self._index.get(relation, _NO_OBJECTS).get(entity, _NO_NODES)
 
@@ -272,19 +272,30 @@ class KnowledgeGraph:
         """
         return sorted(set().union(*map(self._relations_of.get, frontier, repeat(()))))
 
-    def reach(self, start: EntityId, relations: Iterable[RelationId]) -> set[NodeRef]:
+    def image(self, frontier: Collection[NodeRef], relation: RelationId) -> frozenset[NodeRef]:
+        """Objects of (n, relation, *) over every node n of the frontier.
+
+        The one hop of every chain walk. A one-node frontier gets the
+        graph's own frozen object set, with no copy; a larger one gets a
+        new union. A literal is never a subject, so it finds no objects.
+        """
+        objs = self._index.get(relation, _NO_OBJECTS)
+        if len(frontier) == 1:
+            (node,) = frontier
+            return objs.get(node, _NO_NODES)
+        return frozenset().union(*map(objs.get, frontier, repeat(_NO_NODES)))
+
+    def reach(self, start: EntityId, relations: Iterable[RelationId]) -> frozenset[NodeRef]:
         """Entities/literals reached from start along a relation chain.
 
         The empty chain reaches exactly {start}. Literals reached before
         the final hop cannot be expanded and are dropped; literals in the
-        final frontier are kept.
+        final frontier are kept. Each hop is one ``image``, so the result
+        may be the graph's own object set.
         """
-        frontier: set[NodeRef] = {start}
+        frontier: frozenset[NodeRef] = frozenset((start,))
         for rel in relations:
-            # A literal is never a subject, so it finds no objects.
-            objs = self._index.get(rel, _NO_OBJECTS)
-            frontier = set().union(*map(objs.get, frontier, repeat(_NO_NODES)))
-            if not frontier:
+            if not (frontier := self.image(frontier, rel)):
                 break
         return frontier
 

@@ -5,6 +5,11 @@ Routing is decided by the constraint-free skeleton: if the main path
 reaches anything from the topic entity, the generated path is kept as is;
 otherwise the repair search replaces the main path and the original
 constraints are re-attached where their hop still exists.
+
+The routing check is one ``KnowledgeGraph.reach`` call. It returns a
+frozenset, which may be the graph's own object set. On the stage-1 route,
+relaxation starts from that walk, so the chain is expanded once for both
+routing and the bare skeleton tier.
 """
 
 from __future__ import annotations
@@ -127,7 +132,9 @@ def answer_question(
         )
 
     if relax:
-        answers = execute_with_relaxation(g, rp_final)
+        # The routing walk is the bare chain of the stage-1 path only.
+        seed = skeleton if route is Route.STAGE1_ONLY else None
+        answers = execute_with_relaxation(g, rp_final, seed)
     else:
         answers = AnswerSet(execute_full(g, rp_final), TIER_FULL)
     return QuestionResult(question, route, answers, rp_initial, rp_final, ledger, trace)
@@ -160,5 +167,5 @@ def run_stage2_only(
     except (KgRelayError, ValueError) as exc:
         return _fallback(question, ledger, trace, "repair", exc)
     rp = ReasoningPath(topic_surface, tuple(path), (), topic)
-    answers = AnswerSet(frozenset(g.reach(topic, path)), TIER_FULL)
+    answers = AnswerSet(g.reach(topic, path), TIER_FULL)
     return QuestionResult(question, Route.STAGE2_ONLY, answers, None, rp, ledger, trace)

@@ -288,7 +288,8 @@ class HttpLlm:
                     return text, LlmUsage(
                         int(usage["prompt_tokens"]), int(usage["completion_tokens"])
                     )
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
+                # json.loads raises RecursionError on a body nested too deeply.
                 raise MalformedReply(f"unreadable reply: {type(exc).__name__}: {exc}") from exc
             return text, LlmUsage(
                 approx_tokens(prompt), approx_tokens(text), provider_reported=False

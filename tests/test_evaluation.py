@@ -175,6 +175,8 @@ def test_load_dataset_fields(tmp_path):
         json.dumps({"question": "q", "answers": [False]}),
         json.dumps({"question": "q", "answers": [["Obama"]]}),
         json.dumps({"question": "q", "answers": [{"name": "Obama"}]}),
+        # Nested past the recursion limit, json.loads raises RecursionError.
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
     ],
 )
 def test_load_dataset_flags_bad_lines(tmp_path, line):

@@ -362,11 +362,11 @@ def test_relaxation_expands_topic_once():
     class CountingGraph(KnowledgeGraph):
         topic_expansions = 0
 
-        def objects(self, relation):
+        def image(self, frontier, relation):
             # Only the first hop, from the topic, expands relation r.
             if relation == "r":
                 self.topic_expansions += 1
-            return super().objects(relation)
+            return super().image(frontier, relation)
 
     g = CountingGraph([("S", "r", "A"), ("A", "q", "B"), ("B", "e", "X")])
     rp = grounded(
@@ -520,3 +520,20 @@ def test_random_execution_matches_oracle(tmp_path_factory, seed):
         relaxed = execute_with_relaxation(g, rp)
         assert relaxed.relaxation_tier == tier
         assert keyset(relaxed.answers) == per_tier[tier]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000_000))
+def test_relaxation_from_the_skeleton_walk_is_unchanged(tmp_path_factory, seed):
+    # Constraints land on any hop, so some tiers reuse the seeded walk and
+    # others walk their own prefix.
+    rng = random.Random(seed)
+    tsv = random_graph_tsv(rng)
+    path = tmp_path_factory.mktemp("s") / "g.tsv"
+    path.write_text(tsv, encoding="utf-8")
+    g = load_tsv(path)
+    og = parse_tsv(tsv)
+    for _ in range(3):
+        rp = random_reasoning_path(rng, og, max_constraints=4, for_query=False)
+        skeleton = g.reach(rp.topic_entity, rp.path)
+        assert execute_with_relaxation(g, rp, skeleton) == execute_with_relaxation(g, rp)

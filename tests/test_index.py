@@ -82,6 +82,9 @@ def test_index_matches_a_scan_of_the_triples(tmp_path_factory, seed):
         assert g.outgoing_relations(frontier) == sorted(
             {r for s, r, _ in triples if s in frontier}
         )
+        r = rng.choice(sorted(og.relations) + ["nope"])
+        assert keyset(g.image(frontier, r)) == set().union(
+            *(og.objects(e, r) for e in frontier))
         start = rng.choice(names)
         chain = tuple(rng.choices(sorted(og.relations) + ["nope"], k=rng.randint(0, 3)))
         assert keyset(g.reach(start, chain)) == oracle_reach(og, start, chain)
@@ -128,6 +131,26 @@ def test_equal_object_sets_are_one_object():
     assert g.neighbors("a", "s") is g.neighbors("b", "t")
     assert g.neighbors("a", "s") == {"x"}
     assert len(g) == 11
+
+
+def test_image_of_one_node_is_the_graph_own_set():
+    g = KnowledgeGraph([
+        ("a", "r", "x"), ("a", "r", "y"), ("b", "r", "z"),
+        ("x", "s", Literal(NUMERIC, "7")),
+    ])
+    own = g.objects("r")["a"]
+    assert g.image({"a"}, "r") is own
+    assert g.image(frozenset({"a"}), "r") is own
+    assert g.reach("a", ("r",)) is own
+    # no objects: the absent subject, the absent relation and a literal
+    assert g.image({"ghost"}, "r") == g.image({"a"}, "nope") == frozenset()
+    assert g.image({Literal(NUMERIC, "7")}, "s") == frozenset()
+    # a larger frontier gets a new union
+    union = g.image({"a", "b", Literal(NUMERIC, "7")}, "r")
+    assert type(union) is frozenset
+    assert union == {"x", "y", "z"}
+    assert g.image(set(), "r") == frozenset()
+    assert type(g.reach("a", ())) is frozenset
 
 
 def test_index_memory_per_triple():

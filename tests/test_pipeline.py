@@ -6,7 +6,7 @@ import pytest
 
 import kgrelay.pipeline as pipeline
 from kgrelay.execute import AnswerSet, TIER_DROP_STRING, TIER_FULL, TIER_SKELETON
-from kgrelay.kg import load_tsv
+from kgrelay.kg import KnowledgeGraph, load_tsv
 from kgrelay.pipeline import (
     QuestionResult,
     Route,
@@ -104,6 +104,47 @@ def test_stage1_only_keeps_reachable_but_empty_answers(presidents):
         frozenset({"Obama", "GWBush", "Clinton"}), TIER_DROP_STRING
     )
     assert result.ledger.calls() == 1
+
+
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call of one ``KnowledgeGraph`` method."""
+    calls = []
+    method = getattr(KnowledgeGraph, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(KnowledgeGraph, name, counted)
+    return calls
+
+
+# Every constraint sits on the last hop, and none holds, so all four tiers run.
+LAST_HOP_REPLY = (
+    "TOPIC: USA\nPATH: country.presidents -> president.office_holder\n"
+    'CONSTRAINT: hop=2; rel=education.institution; string="nowhere"\n'
+    'CONSTRAINT: hop=2; rel=position.from; op=GE; value="2100"\n'
+    "CONSTRAINT: hop=2; rel=education.institution; entity=Yale\n"
+)
+
+
+def test_stage1_relaxation_starts_from_the_routing_walk(presidents, monkeypatch):
+    images = count_calls(monkeypatch, "image")
+    result = answer_question(presidents, "q", spec_llm(LAST_HOP_REPLY), general_llm(), EMB)
+    assert result.route == Route.STAGE1_ONLY
+    assert result.answers == AnswerSet(
+        frozenset({"Obama", "GWBush", "Clinton"}), TIER_SKELETON
+    )
+    # The routing check expands the second hop; every tier reuses it.
+    assert [rel for _, rel in images].count("president.office_holder") == 1
+
+
+def test_stage1_routing_check_is_one_reach(presidents, monkeypatch):
+    # kgbench times the routing check as the one kg.reach span of a question.
+    reaches = count_calls(monkeypatch, "reach")
+    result = answer_question(presidents, "q", spec_llm(WORKED_REPLY), general_llm(), EMB)
+    assert result.route == Route.STAGE1_ONLY
+    assert reaches == [("USA", ("country.presidents", "president.office_holder"))]
 
 
 def test_relax_disabled_returns_full_tier_only(presidents):

@@ -236,6 +236,10 @@ OK_BODY = json.dumps({
     "usage": {"prompt_tokens": 3, "completion_tokens": 1},
 })
 
+# A 200 body nested past the recursion limit: json.loads raises
+# RecursionError, not ValueError.
+NESTED_BODY = "[" * 100_000 + "]" * 100_000
+
 
 @contextlib.contextmanager
 def serving():
@@ -440,6 +444,7 @@ def test_http_body_cut_short_is_retried(stub, sleeps):
         (200, {}, json.dumps({"choices": [{"message": {"content": None}}]})),
         (200, {}, json.dumps({"choices": [{"message": {"content": "x"}}],
                               "usage": {"prompt_tokens": "many", "completion_tokens": 1}})),
+        (200, {}, NESTED_BODY),
     ],
 )
 def test_http_malformed_reply_is_provider_error(stub, sleeps, resp):
@@ -536,6 +541,7 @@ WIRE_FAILURES = {
     "refused": ("refused", ProviderUnreachable),
     "stall": ("stall", ProviderTimeout),
     "not_json": ((200, {}, "<html>gateway</html>"), MalformedReply),
+    "nested_json": ((200, {}, NESTED_BODY), MalformedReply),
     "client_error": ((400, {}, "bad request"), HttpError),
     "server_error": ((503, {}, "busy"), HttpError),
 }
