@@ -205,14 +205,19 @@ def _path_text(rp: ReasoningPath | None) -> str | None:
 
 
 def _row(
-    g: KnowledgeGraph, rec: DatasetRecord, result: QuestionResult | None, include_trace: bool
+    g: KnowledgeGraph,
+    rec: DatasetRecord,
+    result: QuestionResult | None,
+    walks: dict,
+    include_trace: bool,
 ) -> tuple[dict, float]:
     """One result row and its unrounded F1.
 
     A record without a result (an unusable dataset line) is flagged with
     its load error. Any other record is scored against its gold answers,
     or the gold query's answers when it has none, and flagged when there
-    is no gold to score against.
+    is no gold to score against. The gold query walks through the
+    question's walk memo ``walks``.
     """
     ledger = result.ledger if result else CostLedger()
     row = {
@@ -240,7 +245,7 @@ def _row(
             query = parse_sparql(rec.sparql)
         if not gold:
             # Only the set is scored, so the nodes need no sorting.
-            nodes = evaluate_query(g, query)
+            nodes = evaluate_query(g, query, walks)
             gold = _norm_set([n if type(n) is str else n.text for n in nodes])
     except KgRelayError as exc:
         if not gold:
@@ -280,39 +285,42 @@ def run_batch(
     """Run the pipeline over a dataset and score every record.
 
     Fresh providers per record (scripted state must not leak between
-    questions). Per-record failures are flagged and score zero; the batch
-    itself never aborts. With workers > 1 records run concurrently but
-    aggregation stays in dataset order, so output is identical. Every
-    report figure is a sum or mean over the rows, except cost. Calls are
-    priced here and nowhere else, under ``prices`` (default
-    ``DEFAULT_PRICES``), summed in dataset order, then call order.
+    questions). Each record is answered and scored in one step, through
+    one walk memo, so the gold query reuses the question's own walks and
+    the memo and answer sets are freed when the record is done. Per-record
+    failures are flagged and score zero; the batch itself never aborts.
+    With workers > 1 records run concurrently but aggregation stays in
+    dataset order, so output is identical. Every report figure is a sum
+    or mean over the rows, except cost. Calls are priced here and nowhere
+    else, under ``prices`` (default ``DEFAULT_PRICES``), summed in dataset
+    order, then call order.
     """
     repair_cfg = repair_cfg or RepairConfig()
 
-    def work(rec: DatasetRecord) -> QuestionResult | None:
-        if rec.error:
-            return None
-        specialized, general, embedder = provider_factory()
-        if stage2_only:
-            return run_stage2_only(
-                g, rec.question, rec.topic, rec.depth, general, embedder, repair_cfg
-            )
-        return answer_question(
-            g, rec.question, specialized, general, embedder, repair_cfg, relax
-        )
+    def work(rec: DatasetRecord) -> tuple[dict, float, list]:
+        """The record's row, its unrounded F1 and its call records."""
+        walks: dict = {}
+        result = None
+        if not rec.error:
+            specialized, general, embedder = provider_factory()
+            if stage2_only:
+                result = run_stage2_only(
+                    g, rec.question, rec.topic, rec.depth, general, embedder, repair_cfg
+                )
+            else:
+                result = answer_question(
+                    g, rec.question, specialized, general, embedder, repair_cfg, relax,
+                    walks,
+                )
+        row, f1 = _row(g, rec, result, walks, include_trace)
+        return row, f1, result.ledger.records if result else []
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, records))
+            done = list(pool.map(work, records))
     else:
-        results = [work(rec) for rec in records]
-
-    rows: list[dict] = []
-    f1s: list[float] = []
-    for rec, result in zip(records, results):
-        row, f1 = _row(g, rec, result, include_trace)
-        rows.append(row)
-        f1s.append(f1)
+        done = [work(rec) for rec in records]
+    rows = [row for row, _, _ in done]
 
     def total(key: str) -> int:
         return sum(r.get(key, 0) for r in rows)
@@ -321,14 +329,14 @@ def run_batch(
     scored = sum("skeleton_accuracy" in r for r in rows)
     prompt, completion = total("prompt_tokens"), total("completion_tokens")
     cost = price_calls(
-        (call for result in results if result for call in result.ledger.records),
+        (call for _, _, calls in done for call in calls),
         DEFAULT_PRICES if prices is None else prices,
     )
     return MetricReport(
         questions=n,
         flagged=total("flagged"),
         hits_at_1=total("hits_at_1") / n,
-        f1=sum(f1s) / n,
+        f1=sum(f1 for _, f1, _ in done) / n,
         skeleton_accuracy=total("skeleton_accuracy") / scored if scored else None,
         exact_match=total("exact_match") / scored if scored else None,
         path_scored=scored,

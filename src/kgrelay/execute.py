@@ -9,10 +9,15 @@ step keeps an entity when a test on those objects holds; an extremal step
 extreme one. Binary steps run before extremal ones, so the result does
 not depend on the order constraints were written in. One walker runs
 every plan, expanding each hop through ``KnowledgeGraph.image``.
-Relaxation compiles each constraint once and walks every tier through one
-memo, so the expansions and filters that tiers have in common run once; a
-caller that has already walked the bare chain (the pipeline's routing
-check) can seed the memo with that walk.
+
+Walks share a memo: a dict from a walk prefix (the topic, then the
+relations and steps applied so far) to its frontier. Relaxation compiles
+each constraint once and walks every tier through one memo, so the
+expansions and filters that tiers have in common run once. A caller may
+pass the same memo to relaxation and to query evaluation, and record in
+it a bare chain it has already walked (the pipeline's routing check), so
+every walk from that topic along that chain starts from it. A memo is
+only valid for one graph, and each question gets its own.
 """
 
 from __future__ import annotations
@@ -193,17 +198,27 @@ def apply_constraint(
 
 # --- the walker ---
 
+def record_chain(
+    walks: dict, topic: EntityId, path: Sequence[str], reached: frozenset[NodeRef]
+) -> None:
+    """Record ``reached``, which must be ``g.reach(topic, path)``, in the
+    walk memo ``walks``: every later walk from ``topic`` along ``path``
+    starts from it."""
+    walks[(topic, *path)] = reached
+
+
 def _walk(g: KnowledgeGraph, topic: EntityId, hops: list, memo: dict) -> frozenset[NodeRef]:
     """Run a hop plan, a list of (relation, steps), from the topic entity.
 
     A literal has no objects, so it ends a walk where it is reached and
     every step drops it: at the final hop literals are answers only when
-    the hop has no steps. ``memo`` maps a walk prefix (the relations and
-    steps applied so far) to its frontier; walks that share it compute a
-    shared prefix once.
+    the hop has no steps. ``memo`` maps a walk prefix (the topic, then the
+    relations and steps applied so far) to its frontier; walks that share
+    it compute a shared prefix once. Steps compare by identity, so only
+    walks that share compiled steps share the prefixes past them.
     """
     frontier: AbstractSet[NodeRef] = frozenset((topic,))
-    key: tuple = ()
+    key: tuple = (topic,)
     for rel, steps in hops:
         if not frontier:
             return frozenset()
@@ -284,29 +299,34 @@ def execute_full(g: KnowledgeGraph, rp: ReasoningPath) -> frozenset[NodeRef]:
 
 
 def execute_with_relaxation(
-    g: KnowledgeGraph, rp: ReasoningPath, skeleton: frozenset[NodeRef] | None = None
+    g: KnowledgeGraph, rp: ReasoningPath, walks: dict | None = None
 ) -> AnswerSet:
     """Try tiers 0..3 in order and return the first non-empty answer set.
 
     The tier that produced the answers is recorded. When even the bare
-    skeleton is empty the result is the empty set at tier 3. ``skeleton``,
-    when given, must be ``g.reach(rp.topic_entity, rp.path)``: tier 3, and
-    every tier whose constraints all sit on the last hop, start from it
-    instead of walking the chain again.
+    skeleton is empty the result is the empty set at tier 3. The tiers
+    read and fill the walk memo ``walks`` (a fresh one when None), so a
+    chain recorded there with ``record_chain`` is not walked again.
     """
-    memo = {} if skeleton is None else {tuple(rp.path): skeleton}
-    return _run_tiers(g, rp, range(TIER_FULL, TIER_SKELETON + 1), memo)
+    return _run_tiers(
+        g, rp, range(TIER_FULL, TIER_SKELETON + 1), {} if walks is None else walks
+    )
 
 
 # --- subset queries ---
 
-def evaluate_query(g: KnowledgeGraph, q: SparqlQuery) -> frozenset[NodeRef]:
+def evaluate_query(
+    g: KnowledgeGraph, q: SparqlQuery, walks: dict | None = None
+) -> frozenset[NodeRef]:
     """Interpret a chain-shaped query on the graph.
 
     Each branch from ``chain_branches`` compiles to a step, including the
     shapes a reasoning path cannot express: bare existence, literal
     objects, filter conjunctions over one binding and a filtered ORDER BY.
     Queries that are not chain-shaped raise the chain-analysis errors.
+    The walk reads and fills the memo ``walks`` (a fresh one when None),
+    so a query from a recorded topic along a recorded chain starts from
+    that walk.
     """
     topic, chain, branches = chain_branches(q)
     steps: list[list[Step]] = [[] for _ in chain]
@@ -330,4 +350,4 @@ def evaluate_query(g: KnowledgeGraph, q: SparqlQuery) -> frozenset[NodeRef]:
         (pat.relation, tuple(sorted(at_hop, key=lambda s: s.pick is not None)))
         for pat, at_hop in zip(chain, steps)
     ]
-    return _walk(g, topic, hops, {})
+    return _walk(g, topic, hops, {} if walks is None else walks)

@@ -264,12 +264,17 @@ class KnowledgeGraph:
         """
         return self._index.get(relation, _NO_OBJECTS).get(entity, _NO_NODES)
 
-    def outgoing_relations(self, frontier: Iterable[EntityId]) -> list[RelationId]:
+    def outgoing_relations(self, frontier: Collection[EntityId]) -> list[RelationId]:
         """Sorted union of relations leaving any frontier entity.
 
         Sorted output keeps downstream tie-breaking independent of set
-        iteration order, which varies across processes.
+        iteration order, which varies across processes. A one-entity
+        frontier sorts the subject's own relation tuple, whose names are
+        distinct, with no set built.
         """
+        if len(frontier) == 1:
+            (entity,) = frontier
+            return sorted(self._relations_of.get(entity, ()))
         return sorted(set().union(*map(self._relations_of.get, frontier, repeat(()))))
 
     def image(self, frontier: Collection[NodeRef], relation: RelationId) -> frozenset[NodeRef]:

@@ -6,10 +6,12 @@ reaches anything from the topic entity, the generated path is kept as is;
 otherwise the repair search replaces the main path and the original
 constraints are re-attached where their hop still exists.
 
-The routing check is one ``KnowledgeGraph.reach`` call. It returns a
-frozenset, which may be the graph's own object set. On the stage-1 route,
-relaxation starts from that walk, so the chain is expanded once for both
-routing and the bare skeleton tier.
+Each question has one walk memo (see ``execute``). The routing check is
+one ``KnowledgeGraph.reach`` call, and its result, a frozenset that may be
+the graph's own object set, is recorded in the memo. Relaxation reads and
+fills the same memo, and so does gold scoring when the caller passes it
+on, so a chain that routing, relaxation and the gold query share is
+expanded once per question.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import KgRelayError
-from .execute import AnswerSet, TIER_FULL, execute_full, execute_with_relaxation
+from .execute import (
+    TIER_FULL,
+    AnswerSet,
+    execute_full,
+    execute_with_relaxation,
+    record_chain,
+)
 from .kg import KnowledgeGraph
 from .prompts import generation_prompt
 from .providers import (
@@ -85,11 +93,14 @@ def answer_question(
     embedder: EmbeddingProvider,
     repair_cfg: RepairConfig | None = None,
     relax: bool = True,
+    walks: dict | None = None,
 ) -> QuestionResult:
     """Answer one question; never raises on provider or path failures.
 
     Failures degrade to the fallback route with empty answers and the
-    error recorded on the result.
+    error recorded on the result. ``walks`` is the question's walk memo
+    (a fresh one when None); the routing check and relaxation fill it,
+    and the caller may score the answers through it.
     """
     repair_cfg = repair_cfg or RepairConfig()
     ledger = CostLedger()
@@ -105,7 +116,9 @@ def answer_question(
     except KgRelayError as exc:
         return _fallback(question, ledger, trace, "grounding", exc, rp_initial)
 
+    walks = {} if walks is None else walks
     skeleton = g.reach(rp.topic_entity, rp.path)
+    record_chain(walks, rp.topic_entity, rp.path, skeleton)
     if skeleton:
         route = Route.STAGE1_ONLY
         rp_final = rp
@@ -132,9 +145,7 @@ def answer_question(
         )
 
     if relax:
-        # The routing walk is the bare chain of the stage-1 path only.
-        seed = skeleton if route is Route.STAGE1_ONLY else None
-        answers = execute_with_relaxation(g, rp_final, seed)
+        answers = execute_with_relaxation(g, rp_final, walks)
     else:
         answers = AnswerSet(execute_full(g, rp_final), TIER_FULL)
     return QuestionResult(question, route, answers, rp_initial, rp_final, ledger, trace)

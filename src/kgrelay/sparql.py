@@ -29,7 +29,6 @@ exactly the queries it accepts and prints any other query as parsed.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import count
 
@@ -289,13 +288,15 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
 
     Returns (topic entity, chain patterns in hop order). Raises
     NoTopicEntity when no named entity reaches the select variable and
-    AmbiguousMainPath when more than one simple path does. The search
-    stops at the second path, so it stays polynomial in the pattern count.
+    AmbiguousMainPath when more than one simple path does. One backward
+    and one forward pass decide it, so the cost is linear in the pattern
+    count.
     """
     def key(term):
         return ("var", term.name) if isinstance(term, Var) else ("ent", term)
 
     edges: dict[tuple, list[tuple[tuple, TriplePattern]]] = {}
+    into: dict[tuple, list[tuple[tuple, TriplePattern]]] = {}
     sources = set()
     for pat in q.patterns:
         if isinstance(pat.object, Literal):
@@ -304,51 +305,54 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
             continue
         s, o = key(pat.subject), key(pat.object)
         edges.setdefault(s, []).append((o, pat))
+        into.setdefault(o, []).append((s, pat))
         if s[0] == "ent":
             sources.add(s)
         if o[0] == "ent":
             sources.add(o)
 
+    # Backward, breadth first from the select variable: each node that
+    # reaches it, with the next node and pattern on a shortest path there.
     target = ("var", q.select_var.name)
-    found = None
-    for src in sorted(sources):
-        path = _shortest_path(edges, src, target, set(), None)
-        if path is None:
-            continue
-        # Any other simple path from src leaves this one at some node, by
-        # another pattern, and never revisits the nodes before that one.
-        nodes = [src] + [key(pat.object) for pat in path]
-        if found or any(
-            _shortest_path(edges, nodes[i], target, set(nodes[:i]), pat) is not None
-            for i, pat in enumerate(path)
-        ):
-            raise AmbiguousMainPath("more than one candidate main path")
-        found = (src[1], path)
-    if found is None:
+    toward: dict[tuple, tuple | None] = {target: None}
+    queue = [target]
+    for node in queue:
+        for prev, pat in into.get(node, ()):
+            if prev not in toward:
+                toward[prev] = (node, pat)
+                queue.append(prev)
+    starts = [src for src in sources if src in toward]
+    if not starts:
         raise NoTopicEntity("no named entity reaches the select variable")
-    return found
+    if len(starts) > 1:
+        raise AmbiguousMainPath("more than one candidate main path")
+    node = starts[0]
+    path: list[TriplePattern] = []
+    position = {node: 0}
+    while (step := toward[node]) is not None:
+        node, pat = step
+        path.append(pat)
+        position[node] = len(path)
 
-
-def _shortest_path(
-    edges: dict, start: tuple, target: tuple, avoid: set, skip: TriplePattern | None
-) -> list[TriplePattern] | None:
-    # Breadth-first, so the path found is simple; it enters no node in
-    # avoid and does not take the pattern skip.
-    back = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == target:
-            path = []
-            while back[node] is not None:
-                node, pat = back[node]
-                path.append(pat)
-            return path[::-1]
-        for nxt, pat in edges.get(node, ()):
-            if nxt not in back and nxt not in avoid and pat is not skip:
-                back[nxt] = (node, pat)
-                queue.append(nxt)
-    return None
+    # Forward: a second simple path leaves this one at some chain node n_i
+    # and first rejoins it at a later node n_j, by a pattern other than
+    # hop i or through nodes off the chain. Rounds run in chain order and
+    # visit each off-chain node once, from the first n_i that reaches it,
+    # so a pattern into a later n_j from n_i or from a node its round
+    # visits is such a path.
+    off_chain: set[tuple] = set()
+    for i, hop in enumerate(path):
+        stack = [key(hop.subject)]
+        while stack:
+            for nxt, pat in edges.get(stack.pop(), ()):
+                j = position.get(nxt)
+                if j is None:
+                    if nxt not in off_chain:
+                        off_chain.add(nxt)
+                        stack.append(nxt)
+                elif j > i and pat is not hop:
+                    raise AmbiguousMainPath("more than one candidate main path")
+    return starts[0][1], path
 
 
 @dataclass(frozen=True)

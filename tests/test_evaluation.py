@@ -355,6 +355,24 @@ def test_run_batch_query_gold_collapses_equal_texts(tmp_path):
     assert report.f1 == pytest.approx((2 / 3 + 1) / 2)
 
 
+def test_run_batch_gold_query_from_another_topic_walks_its_own_chain(tmp_path):
+    # Both gold queries follow the generated path's relations; only the
+    # one from the path's own topic may reuse its walks.
+    tsv = tmp_path / "g.tsv"
+    tsv.write_text("A\tr\tX1\nX1\ts\tY1\nB\tr\tX2\nX2\ts\tY2\n", encoding="utf-8")
+    g = load_tsv(tsv)
+
+    def factory():
+        return ScriptedLlm([{"match": "", "reply": "TOPIC: A\nPATH: r -> s\n"}]), \
+            ScriptedLlm([]), TokenOverlapEmbedder()
+
+    query = "SELECT DISTINCT ?x WHERE {{ :{} :r ?h . ?h :s ?x . }}"
+    records = [DatasetRecord(t, "q", sparql=query.format(t)) for t in ("A", "B")]
+    _, rows = run_batch(g, records, factory)
+    assert [(r["answers"], r["hits_at_1"]) for r in rows] == [(["Y1"], 1), (["Y1"], 0)]
+    assert not any("flagged" in r for r in rows)
+
+
 def test_run_batch_answers_with_unparsable_query(presidents):
     # Literal answers score the record; a gold query that does not parse
     # only leaves the path metrics out, with no error on the row.

@@ -23,6 +23,7 @@ from kgrelay.execute import (
     evaluate_query,
     execute_full,
     execute_with_relaxation,
+    record_chain,
 )
 from kgrelay.kg import NUMERIC, KnowledgeGraph, Literal, load_tsv, node_text
 from kgrelay.reasoning import (
@@ -535,5 +536,14 @@ def test_relaxation_from_the_skeleton_walk_is_unchanged(tmp_path_factory, seed):
     og = parse_tsv(tsv)
     for _ in range(3):
         rp = random_reasoning_path(rng, og, max_constraints=4, for_query=False)
-        skeleton = g.reach(rp.topic_entity, rp.path)
-        assert execute_with_relaxation(g, rp, skeleton) == execute_with_relaxation(g, rp)
+        walks: dict = {}
+        record_chain(walks, rp.topic_entity, rp.path, g.reach(rp.topic_entity, rp.path))
+        assert execute_with_relaxation(g, rp, walks) == execute_with_relaxation(g, rp)
+        # Gold queries read the filled memo: one along the same chain with
+        # the path's own constraints (one extremal at most), one anywhere.
+        extremal = [c for c in rp.constraints if c.is_extremal][:1]
+        same_chain = replace(rp, constraints=tuple(
+            [c for c in rp.constraints if not c.is_extremal] + extremal))
+        for gold in (same_chain, random_reasoning_path(rng, og)):
+            q = path_to_sparql(gold)
+            assert evaluate_query(g, q, walks) == evaluate_query(g, q)

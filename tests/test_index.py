@@ -68,6 +68,8 @@ def test_index_matches_a_scan_of_the_triples(tmp_path_factory, seed):
     assert any(o[0] == "e" and o[1] in subjects for _, _, o in triples)
 
     names = sorted(og.entities) + ["Ghost"]
+    for e in names:
+        assert g.outgoing_relations([e]) == sorted({r for s, r, _ in triples if s == e})
     for r in sorted(og.relations) + ["nope"]:
         for e in names:
             assert keyset(g.neighbors(e, r)) == og.objects(e, r)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import kgrelay.pipeline as pipeline
+from kgrelay.evaluation import DatasetRecord, run_batch
 from kgrelay.execute import AnswerSet, TIER_DROP_STRING, TIER_FULL, TIER_SKELETON
 from kgrelay.kg import KnowledgeGraph, load_tsv
 from kgrelay.pipeline import (
@@ -136,6 +137,23 @@ def test_stage1_relaxation_starts_from_the_routing_walk(presidents, monkeypatch)
         frozenset({"Obama", "GWBush", "Clinton"}), TIER_SKELETON
     )
     # The routing check expands the second hop; every tier reuses it.
+    assert [rel for _, rel in images].count("president.office_holder") == 1
+
+
+def test_gold_scoring_starts_from_the_routing_walk(presidents, monkeypatch):
+    images = count_calls(monkeypatch, "image")
+    gold = (
+        "SELECT DISTINCT ?x WHERE { :USA :country.presidents ?t . "
+        "?t :president.office_holder ?x . ?x :education.institution :Harvard . }"
+    )
+    records = [DatasetRecord("a", "q", sparql=gold)]
+    _, [row] = run_batch(
+        presidents, records, lambda: (spec_llm(LAST_HOP_REPLY), general_llm(), EMB)
+    )
+    assert row["route"] == Route.STAGE1_ONLY.value
+    assert row["answers"] == ["Clinton", "GWBush", "Obama"]
+    assert row["f1"] == 0.8
+    # Routing, relaxation and the gold query expand the second hop once.
     assert [rel for _, rel in images].count("president.office_holder") == 1
 
 
