@@ -250,15 +250,16 @@ def repair_demo(ctx, question, topic, depth):
         _die(str(exc), 2)
 
     trace: list = []
+    walks: dict = {}
     try:
-        path = repair(g, question, start, depth, repair_cfg, general, embedder, trace)
+        path = repair(g, question, start, depth, repair_cfg, general, embedder, trace, walks)
     except KgRelayError as exc:
         _print_trace(trace)
         click.echo(f"repair failed: {exc}", err=True)
         sys.exit(1)
     _print_trace(trace)
     click.echo(f"path: {linearize(path)}")
-    frontier = answer_texts(g.reach(start, path))
+    frontier = answer_texts(g.reach(start, path, walks))
     click.echo(f"reaches ({len(frontier)}):")
     for text in frontier:
         click.echo(f"  {text}")

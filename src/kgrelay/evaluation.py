@@ -305,7 +305,8 @@ def run_batch(
             specialized, general, embedder = provider_factory()
             if stage2_only:
                 result = run_stage2_only(
-                    g, rec.question, rec.topic, rec.depth, general, embedder, repair_cfg
+                    g, rec.question, rec.topic, rec.depth, general, embedder, repair_cfg,
+                    walks,
                 )
             else:
                 result = answer_question(

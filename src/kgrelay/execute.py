@@ -1,4 +1,4 @@
-"""Execution of reasoning paths and subset queries over a knowledge graph.
+"""Compilation of reasoning paths and subset queries into hop plans.
 
 Both forms compile to one hop plan: for each hop of the main chain, the
 relation to expand and the steps that filter the hop's frontier. An
@@ -7,17 +7,14 @@ their objects under the step relation, as one set intersection; a binary
 step keeps an entity when a test on those objects holds; an extremal step
 (ARGMAX/ARGMIN) keeps the entities whose best admitted value is the
 extreme one. Binary steps run before extremal ones, so the result does
-not depend on the order constraints were written in. One walker runs
-every plan, expanding each hop through ``KnowledgeGraph.image``.
+not depend on the order constraints were written in. Every plan runs on
+``KnowledgeGraph.walk``, the graph's one chain walker.
 
-Walks share a memo: a dict from a walk prefix (the topic, then the
-relations and steps applied so far) to its frontier. Relaxation compiles
-each constraint once and walks every tier through one memo, so the
-expansions and filters that tiers have in common run once. A caller may
-pass the same memo to relaxation and to query evaluation, and record in
-it a bare chain it has already walked (the pipeline's routing check), so
-every walk from that topic along that chain starts from it. A memo is
-only valid for one graph, and each question gets its own.
+Relaxation compiles each constraint once and walks every tier through one
+walk memo, so the expansions and steps that tiers have in common run
+once. Relaxation and query evaluation take the question's memo, which the
+routing check and repair have filled, so every walk from the topic along
+a chain already walked starts from it.
 """
 
 from __future__ import annotations
@@ -91,7 +88,10 @@ _NO_NODES: frozenset = frozenset()
 
 @dataclass(frozen=True, eq=False)
 class Step:
-    """A filter on a hop's frontier; compares by identity.
+    """A filter on a hop's frontier, called as ``step(g, frontier)``.
+
+    Steps compare by identity, so only walks that share a compiled step
+    share the walk-memo prefixes past it.
 
     An entity step (``test`` is None) keeps the entities that have
     ``target`` among their objects under ``relation``, as one intersection
@@ -100,7 +100,8 @@ class Step:
     ``g.objects(relation)``. An extremal step keeps the entities whose best
     date or number admitted by ``test`` is the extreme one under ``pick``
     (max or min); ties survive. A literal in the frontier has no objects,
-    so every step drops it.
+    so every step drops it, and an ungrounded target (None) has no
+    subjects, so its step keeps nothing.
     """
 
     relation: str
@@ -108,10 +109,24 @@ class Step:
     pick: Callable | None = None
     target: EntityId | None = None
 
-
-def _entity_step(relation: str, target: EntityId | None) -> Step:
-    # An ungrounded target (None) has no subjects, so it keeps nothing.
-    return Step(relation, None, target=target)
+    def __call__(self, g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> AbstractSet[EntityId]:
+        test, pick = self.test, self.pick
+        if test is None:
+            return frontier & g.subjects(self.relation, self.target)
+        objs = g.objects(self.relation)
+        if pick is None:
+            return {e for e in frontier if test(objs.get(e, _NO_NODES))}
+        best_of = {}
+        for e in frontier:
+            values = [
+                _value_key(o)
+                for o in objs.get(e, _NO_NODES)
+                if isinstance(o, Literal) and o.kind in (NUMERIC, DATETIME) and test(o)
+            ]
+            if values:
+                best_of[e] = pick(values)
+        extreme = pick(best_of.values(), default=None)
+        return {e for e, val in best_of.items() if val == extreme}
 
 
 def _literal_step(relation: str, conds: list, pick: Callable | None = None) -> Step:
@@ -159,7 +174,7 @@ def _constraint_step(c: Constraint) -> Step:
     """
     v = c.value
     if isinstance(v, EntityMatch):
-        return _entity_step(c.relation, v.entity)
+        return Step(c.relation, None, target=v.entity)
     if isinstance(v, StringMatch):
         return _literal_step(c.relation, [(ComparisonOp.EQ, Literal(STRING, v.text))])
     if v.op.is_extremal:
@@ -167,71 +182,11 @@ def _constraint_step(c: Constraint) -> Step:
     return _literal_step(c.relation, [(v.op, v.threshold)])
 
 
-def _apply_step(
-    g: KnowledgeGraph, frontier: AbstractSet[NodeRef], step: Step
-) -> AbstractSet[EntityId]:
-    test, pick = step.test, step.pick
-    if test is None:
-        return frontier & g.subjects(step.relation, step.target)
-    objs = g.objects(step.relation)
-    if pick is None:
-        return {e for e in frontier if test(objs.get(e, _NO_NODES))}
-    best_of = {}
-    for e in frontier:
-        values = [
-            _value_key(o)
-            for o in objs.get(e, _NO_NODES)
-            if isinstance(o, Literal) and o.kind in (NUMERIC, DATETIME) and test(o)
-        ]
-        if values:
-            best_of[e] = pick(values)
-    extreme = pick(best_of.values(), default=None)
-    return {e for e, val in best_of.items() if val == extreme}
-
-
 def apply_constraint(
     g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
 ) -> set[EntityId]:
     """Filter a candidate entity set by one constraint."""
-    return _apply_step(g, candidates, _constraint_step(c))
-
-
-# --- the walker ---
-
-def record_chain(
-    walks: dict, topic: EntityId, path: Sequence[str], reached: frozenset[NodeRef]
-) -> None:
-    """Record ``reached``, which must be ``g.reach(topic, path)``, in the
-    walk memo ``walks``: every later walk from ``topic`` along ``path``
-    starts from it."""
-    walks[(topic, *path)] = reached
-
-
-def _walk(g: KnowledgeGraph, topic: EntityId, hops: list, memo: dict) -> frozenset[NodeRef]:
-    """Run a hop plan, a list of (relation, steps), from the topic entity.
-
-    A literal has no objects, so it ends a walk where it is reached and
-    every step drops it: at the final hop literals are answers only when
-    the hop has no steps. ``memo`` maps a walk prefix (the topic, then the
-    relations and steps applied so far) to its frontier; walks that share
-    it compute a shared prefix once. Steps compare by identity, so only
-    walks that share compiled steps share the prefixes past them.
-    """
-    frontier: AbstractSet[NodeRef] = frozenset((topic,))
-    key: tuple = (topic,)
-    for rel, steps in hops:
-        if not frontier:
-            return frozenset()
-        key += (rel,)
-        if key not in memo:
-            memo[key] = g.image(frontier, rel)
-        frontier = memo[key]
-        for step in steps:
-            key += (step,)
-            if key not in memo:
-                memo[key] = _apply_step(g, frontier, step)
-            frontier = memo[key]
-    return frozenset(frontier)
+    return _constraint_step(c)(g, candidates)
 
 
 # --- reasoning paths ---
@@ -267,35 +222,39 @@ def _step_order(c: Constraint) -> tuple:
 
 
 def _run_tiers(
-    g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int], memo: dict
+    g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int], walks: dict | None
 ) -> AnswerSet:
-    """Walk the path at each tier in turn, through one walk memo; the first
-    non-empty tier wins."""
+    """Walk the path at each tier in turn, through the walk memo ``walks``
+    (a fresh one when None); the first non-empty tier wins."""
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
+    walks = {} if walks is None else walks
     compiled = [(c, _constraint_step(c)) for c in sorted(rp.constraints, key=_step_order)]
     for tier in tiers:
         hops = [
             (rel, tuple(s for c, s in compiled if c.hop == hop and _kept_at(c, tier)))
             for hop, rel in enumerate(rp.path, start=1)
         ]
-        answers = _walk(g, rp.topic_entity, hops, memo)
+        answers = g.walk(rp.topic_entity, hops, walks)
         if answers:
             return AnswerSet(answers, tier)
     return AnswerSet(frozenset(), tiers[-1])
 
 
 def answers_at_tier(g: KnowledgeGraph, rp: ReasoningPath, tier: int) -> frozenset[NodeRef]:
-    return _run_tiers(g, rp, (tier,), {}).answers
+    return _run_tiers(g, rp, (tier,), None).answers
 
 
-def execute_full(g: KnowledgeGraph, rp: ReasoningPath) -> frozenset[NodeRef]:
-    """Execute a grounded reasoning path with all its constraints.
+def execute_full(
+    g: KnowledgeGraph, rp: ReasoningPath, walks: dict | None = None
+) -> frozenset[NodeRef]:
+    """Execute a grounded reasoning path with all its constraints, through
+    the walk memo ``walks`` (a fresh one when None).
 
     Literals reached at a hop that carries constraints are dropped there;
     at the final hop without constraints they are answers.
     """
-    return answers_at_tier(g, rp, TIER_FULL)
+    return _run_tiers(g, rp, (TIER_FULL,), walks).answers
 
 
 def execute_with_relaxation(
@@ -306,11 +265,9 @@ def execute_with_relaxation(
     The tier that produced the answers is recorded. When even the bare
     skeleton is empty the result is the empty set at tier 3. The tiers
     read and fill the walk memo ``walks`` (a fresh one when None), so a
-    chain recorded there with ``record_chain`` is not walked again.
+    chain prefix already walked through it is not walked again.
     """
-    return _run_tiers(
-        g, rp, range(TIER_FULL, TIER_SKELETON + 1), {} if walks is None else walks
-    )
+    return _run_tiers(g, rp, range(TIER_FULL, TIER_SKELETON + 1), walks)
 
 
 # --- subset queries ---
@@ -325,8 +282,8 @@ def evaluate_query(
     objects, filter conjunctions over one binding and a filtered ORDER BY.
     Queries that are not chain-shaped raise the chain-analysis errors.
     The walk reads and fills the memo ``walks`` (a fresh one when None),
-    so a query from a recorded topic along a recorded chain starts from
-    that walk.
+    so a query along a chain prefix already walked through it starts
+    from that walk.
     """
     topic, chain, branches = chain_branches(q)
     steps: list[list[Step]] = [[] for _ in chain]
@@ -334,7 +291,7 @@ def evaluate_query(
         rel, obj = b.pattern.relation, b.pattern.object
         conds = [(f.op, f.value) for f in b.filters]
         if isinstance(obj, str):
-            step = _entity_step(rel, obj)
+            step = Step(rel, None, target=obj)
         elif isinstance(obj, Literal):
             step = _literal_step(rel, [(ComparisonOp.EQ, obj)])
         elif b.descending is not None:
@@ -350,4 +307,4 @@ def evaluate_query(
         (pat.relation, tuple(sorted(at_hop, key=lambda s: s.pick is not None)))
         for pat, at_hop in zip(chain, steps)
     ]
-    return _walk(g, topic, hops, {} if walks is None else walks)
+    return g.walk(topic, hops, walks)

@@ -9,6 +9,9 @@ subject set) is built the first time it is asked for. What the graph
 answers never changes once it is built, so it can be shared freely across
 worker threads.
 
+Every chain walk, filtered or bare, runs through ``KnowledgeGraph.walk``,
+the one owner of the walk-prefix memo and its format.
+
 TSV input format, one triple per line::
 
     subject<TAB>relation<TAB>object
@@ -27,7 +30,7 @@ from decimal import Decimal, InvalidOperation
 from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import BadLiteral, MalformedLine, UnknownEntity
 
@@ -264,11 +267,13 @@ class KnowledgeGraph:
         """
         return self._index.get(relation, _NO_OBJECTS).get(entity, _NO_NODES)
 
-    def outgoing_relations(self, frontier: Collection[EntityId]) -> list[RelationId]:
+    def outgoing_relations(self, frontier: Collection[NodeRef]) -> list[RelationId]:
         """Sorted union of relations leaving any frontier entity.
 
+        A literal is never a subject, so literals in the frontier
+        contribute nothing and a walked frontier is passed as it is.
         Sorted output keeps downstream tie-breaking independent of set
-        iteration order, which varies across processes. A one-entity
+        iteration order, which varies across processes. A one-node
         frontier sorts the subject's own relation tuple, whose names are
         distinct, with no set built.
         """
@@ -290,19 +295,49 @@ class KnowledgeGraph:
             return objs.get(node, _NO_NODES)
         return frozenset().union(*map(objs.get, frontier, repeat(_NO_NODES)))
 
-    def reach(self, start: EntityId, relations: Iterable[RelationId]) -> frozenset[NodeRef]:
+    def walk(
+        self, start: EntityId, hops: Iterable[tuple[RelationId, Iterable[Callable]]],
+        memo: dict | None = None,
+    ) -> frozenset[NodeRef]:
+        """Run a hop plan from ``start``: each hop is a relation, expanded
+        through ``image``, and the filters, hashable callables ``(graph,
+        frontier) -> frontier``, applied in order to what it reaches.
+
+        ``memo`` (a fresh one when None) keeps every walked prefix as a
+        trie: it maps the start to a level, and a level maps the next
+        relation or filter to the frontier it gives and the level after
+        it. Walks through one memo compute a shared prefix once, and an
+        n-hop walk adds at most one entry per hop and filter. A literal has
+        no objects, so it ends a walk where it is reached. A memo is only
+        valid for one graph, and each question gets its own.
+        """
+        memo = {} if memo is None else memo
+        if (level := memo.get(start)) is None:
+            level = memo[start] = {}
+        frontier: Collection[NodeRef] = frozenset((start,))
+        for rel, filters in hops:
+            if not frontier:
+                return _NO_NODES
+            if (entry := level.get(rel)) is None:
+                entry = level[rel] = (self.image(frontier, rel), {})
+            frontier, level = entry
+            for keep in filters:
+                if (entry := level.get(keep)) is None:
+                    entry = level[keep] = (keep(self, frontier), {})
+                frontier, level = entry
+        return frozenset(frontier)
+
+    def reach(
+        self, start: EntityId, relations: Iterable[RelationId], memo: dict | None = None
+    ) -> frozenset[NodeRef]:
         """Entities/literals reached from start along a relation chain.
 
         The empty chain reaches exactly {start}. Literals reached before
         the final hop cannot be expanded and are dropped; literals in the
-        final frontier are kept. Each hop is one ``image``, so the result
-        may be the graph's own object set.
+        final frontier are kept. It is ``walk`` with no filters, so the
+        result may be the graph's own object set.
         """
-        frontier: frozenset[NodeRef] = frozenset((start,))
-        for rel in relations:
-            if not (frontier := self.image(frontier, rel)):
-                break
-        return frontier
+        return self.walk(start, zip(relations, repeat(())), memo)
 
     def ground_entity(self, surface: str) -> EntityId:
         """Resolve a surface form through the alias table.

@@ -6,12 +6,12 @@ reaches anything from the topic entity, the generated path is kept as is;
 otherwise the repair search replaces the main path and the original
 constraints are re-attached where their hop still exists.
 
-Each question has one walk memo (see ``execute``). The routing check is
-one ``KnowledgeGraph.reach`` call, and its result, a frozenset that may be
-the graph's own object set, is recorded in the memo. Relaxation reads and
-fills the same memo, and so does gold scoring when the caller passes it
-on, so a chain that routing, relaxation and the gold query share is
-expanded once per question.
+Each question has one walk memo (see ``KnowledgeGraph.walk``), and every
+walk of the question goes through it: the routing check, which is one
+``KnowledgeGraph.reach`` call, each repair level, which expands only the
+last hop of each beam path, relaxation or full execution, the stage-2
+answers, and gold scoring when the caller passes the memo on. So a chain
+prefix is expanded once per question.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import KgRelayError
-from .execute import (
-    TIER_FULL,
-    AnswerSet,
-    execute_full,
-    execute_with_relaxation,
-    record_chain,
-)
+from .execute import TIER_FULL, AnswerSet, execute_full, execute_with_relaxation
 from .kg import KnowledgeGraph
 from .prompts import generation_prompt
 from .providers import (
@@ -99,8 +93,8 @@ def answer_question(
 
     Failures degrade to the fallback route with empty answers and the
     error recorded on the result. ``walks`` is the question's walk memo
-    (a fresh one when None); the routing check and relaxation fill it,
-    and the caller may score the answers through it.
+    (a fresh one when None); the routing check, repair and execution fill
+    it, and the caller may score the answers through it.
     """
     repair_cfg = repair_cfg or RepairConfig()
     ledger = CostLedger()
@@ -117,16 +111,15 @@ def answer_question(
         return _fallback(question, ledger, trace, "grounding", exc, rp_initial)
 
     walks = {} if walks is None else walks
-    skeleton = g.reach(rp.topic_entity, rp.path)
-    record_chain(walks, rp.topic_entity, rp.path, skeleton)
-    if skeleton:
+    if g.reach(rp.topic_entity, rp.path, walks):
         route = Route.STAGE1_ONLY
         rp_final = rp
     else:
         route = Route.STAGE1_PLUS_2
         try:
             new_path = repair(
-                g, question, rp.topic_entity, rp.depth, repair_cfg, gen_llm, embedder, trace
+                g, question, rp.topic_entity, rp.depth, repair_cfg, gen_llm, embedder,
+                trace, walks,
             )
         except KgRelayError as exc:
             return _fallback(question, ledger, trace, "repair", exc, rp_initial, rp)
@@ -147,7 +140,7 @@ def answer_question(
     if relax:
         answers = execute_with_relaxation(g, rp_final, walks)
     else:
-        answers = AnswerSet(execute_full(g, rp_final), TIER_FULL)
+        answers = AnswerSet(execute_full(g, rp_final, walks), TIER_FULL)
     return QuestionResult(question, route, answers, rp_initial, rp_final, ledger, trace)
 
 
@@ -159,24 +152,27 @@ def run_stage2_only(
     general: LlmProvider,
     embedder: EmbeddingProvider,
     repair_cfg: RepairConfig | None = None,
+    walks: dict | None = None,
 ) -> QuestionResult:
     """Repair-only ablation: no specialized model, no constraints.
 
     The topic and search depth come from the caller (dataset fields);
     either missing gives the fallback result. The answers are whatever
-    the repaired skeleton reaches.
+    the repaired skeleton reaches from the walks repair left in the walk
+    memo ``walks`` (a fresh one when None).
     """
     repair_cfg = repair_cfg or RepairConfig()
     ledger = CostLedger()
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
     trace: list = []
+    walks = {} if walks is None else walks
     if topic_surface is None or depth is None:
         return _fallback(question, ledger, trace, "repair", "record lacks topic or depth")
     try:
         topic = g.ground_entity(topic_surface)
-        path = repair(g, question, topic, depth, repair_cfg, gen_llm, embedder, trace)
+        path = repair(g, question, topic, depth, repair_cfg, gen_llm, embedder, trace, walks)
     except (KgRelayError, ValueError) as exc:
         return _fallback(question, ledger, trace, "repair", exc)
     rp = ReasoningPath(topic_surface, tuple(path), (), topic)
-    answers = AnswerSet(g.reach(topic, path), TIER_FULL)
+    answers = AnswerSet(g.reach(topic, path, walks), TIER_FULL)
     return QuestionResult(question, Route.STAGE2_ONLY, answers, None, rp, ledger, trace)

@@ -6,6 +6,9 @@ the graph. One blueprint call sketches the reasoning steps; at each depth
 the candidate relations are scored against the blueprint, pruned, scored
 again against the question, and a selection call picks the paths to keep.
 Total LLM calls for depth d are therefore at most d + 1.
+
+Each level walks its beam paths through the question's walk memo, where
+the level before left all but their last hop, so it expands one hop each.
 """
 
 from __future__ import annotations
@@ -75,18 +78,19 @@ def expand_beam(
     emb: EmbeddingProvider,
     x: int,
     trace: list | None = None,
+    walks: dict | None = None,
 ) -> list[PartialPath]:
     """Extend each beam path by one relation that exists at its frontier.
 
-    Per blueprint step the x best-scoring relations survive; the union
-    over steps is kept, deduplicated across beam paths. Paths whose
-    frontier has no outgoing relation are dead ends and are dropped.
-    Every returned candidate reaches a non-empty frontier by construction.
+    Frontiers are walked through the walk memo ``walks``. Per blueprint
+    step the x best-scoring relations survive; the union over steps is
+    kept, deduplicated across beam paths. Paths whose frontier has no
+    outgoing relation are dead ends and are dropped. Every returned
+    candidate reaches a non-empty frontier by construction.
     """
     candidates: dict[tuple[str, ...], None] = {}
     for pp in beam:
-        frontier = [n for n in g.reach(s1, pp.relations) if isinstance(n, str)]
-        rels = g.outgoing_relations(frontier)
+        rels = g.outgoing_relations(g.reach(s1, pp.relations, walks))
         if not rels:
             log.info("dead end at %r", linearize(pp.relations))
             if trace is not None:
@@ -162,25 +166,28 @@ def repair(
     llm: LlmProvider,
     emb: EmbeddingProvider,
     trace: list | None = None,
+    walks: dict | None = None,
 ) -> tuple[str, ...]:
     """Search the graph for an executable relation chain of the given depth.
 
     The depth is capped by cfg.max_depth_cap. At every depth below the
     target the selector keeps up to beam_width paths; at the final depth
-    it keeps exactly one, which is returned. Raises RepairFailed when all
-    beam paths dead-end.
+    it keeps exactly one, which is returned. Every level walks through
+    the walk memo ``walks`` (a fresh one when None). Raises RepairFailed
+    when all beam paths dead-end.
     """
     if depth < 1:
         raise ValueError("repair depth must be at least 1")
     d_eff = min(depth, cfg.max_depth_cap)
 
+    walks = {} if walks is None else walks
     blueprint = generate_blueprint(llm, question)
     if trace is not None:
         trace.append({"event": "blueprint", "steps": list(blueprint.steps)})
 
     beam = [PartialPath(())]
     for level in range(1, d_eff + 1):
-        cands = expand_beam(g, s1, beam, blueprint, emb, cfg.relation_filter, trace)
+        cands = expand_beam(g, s1, beam, blueprint, emb, cfg.relation_filter, trace, walks)
         if not cands:
             raise RepairFailed(level, "all beam paths dead-ended")
         cands = filter_paths(question, cands, emb, cfg.path_filter)

@@ -390,7 +390,8 @@ def chain_branches(q: SparqlQuery) -> tuple[str, list[TriplePattern], list[Branc
 
     chain_ids = {id(pat) for pat in chain}
     branches: list[Branch] = []
-    bound: list[Var] = []
+    bound: set[Var] = set()
+    shared: Var | None = None  # the first branch variable bound twice
     for pat in q.patterns:
         if id(pat) in chain_ids:
             continue
@@ -403,18 +404,18 @@ def chain_branches(q: SparqlQuery) -> tuple[str, list[TriplePattern], list[Branc
             continue
         if obj in hop_of:
             raise UnclassifiableBranch("branch variable rejoins the chain")
-        bound.append(obj)
+        if shared is None and obj in bound:
+            shared = obj
+        bound.add(obj)
         descending = q.order.descending if order_var == obj else None
         branches.append(Branch(hop, pat, tuple(filters_of.get(obj, ())), descending))
 
-    bound_set = set(bound)
     for var in filters_of:
-        if var not in bound_set:
+        if var not in bound:
             raise UnclassifiableBranch(f"filter on unknown variable ?{var.name}")
-    if order_var is not None and order_var not in bound_set:
+    if order_var is not None and order_var not in bound:
         raise UnclassifiableBranch(f"order on unknown variable ?{order_var.name}")
-    if len(bound_set) < len(bound):
-        shared = next(v for i, v in enumerate(bound) if v in bound[:i])
+    if shared is not None:
         raise UnclassifiableBranch(
             f"branch variable ?{shared.name} is bound by more than one pattern"
         )

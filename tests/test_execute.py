@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,6 @@ from kgrelay.execute import (
     evaluate_query,
     execute_full,
     execute_with_relaxation,
-    record_chain,
 )
 from kgrelay.kg import NUMERIC, KnowledgeGraph, Literal, load_tsv, node_text
 from kgrelay.reasoning import (
@@ -40,6 +40,7 @@ from kgrelay.sparql import parse_sparql, path_to_sparql
 from oracle import (
     keyset,
     oracle_execute,
+    oracle_reach,
     parse_tsv,
     random_graph_tsv,
     random_reasoning_path,
@@ -495,6 +496,23 @@ def test_evaluate_query_unclassifiable(presidents, text, message):
         evaluate_query(presidents, parse_sparql(text))
 
 
+def test_long_walk_is_linear():
+    # A walk memo keyed by whole prefix tuples made an n-hop walk build n
+    # keys of n/2 names each: this took 0.6-0.75 s, and the routing walk
+    # alone 64 MB of keys.
+    g = KnowledgeGraph([("a", "r", "a"), ("a", "v", Literal(NUMERIC, "5"))])
+    hops = 4000
+    too_high = NumericCompare(ComparisonOp.GE, Literal(NUMERIC, "9"))
+    rp = ReasoningPath("a", ("r",) * hops, (Constraint(hops, "v", too_high),), "a")
+    walks: dict = {}
+    start = time.perf_counter()
+    assert g.reach("a", rp.path, walks) == {"a"}
+    assert execute_with_relaxation(g, rp, walks) == AnswerSet(
+        frozenset({"a"}), TIER_DROP_STRING_NUMERIC
+    )
+    assert time.perf_counter() - start < 0.25
+
+
 # --- random agreement with the independent interpreter ---
 
 @settings(max_examples=40, deadline=None)
@@ -526,8 +544,11 @@ def test_random_execution_matches_oracle(tmp_path_factory, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000_000))
 def test_relaxation_from_the_skeleton_walk_is_unchanged(tmp_path_factory, seed):
-    # Constraints land on any hop, so some tiers reuse the seeded walk and
-    # others walk their own prefix.
+    # One memo is filled as a question fills it: routing checks along
+    # several chains, some from the path's topic through a prefix of its
+    # path, and every prefix of each, one hop longer each time, as repair
+    # walks them. Constraints land on any hop, so some tiers reuse those
+    # walks and others walk their own prefix.
     rng = random.Random(seed)
     tsv = random_graph_tsv(rng)
     path = tmp_path_factory.mktemp("s") / "g.tsv"
@@ -537,7 +558,15 @@ def test_relaxation_from_the_skeleton_walk_is_unchanged(tmp_path_factory, seed):
     for _ in range(3):
         rp = random_reasoning_path(rng, og, max_constraints=4, for_query=False)
         walks: dict = {}
-        record_chain(walks, rp.topic_entity, rp.path, g.reach(rp.topic_entity, rp.path))
+        for _ in range(4):
+            other = random_reasoning_path(rng, og)
+            topic = rng.choice((rp.topic_entity, other.topic_entity))
+            chain = rp.path[: rng.randint(0, len(rp.path))] + other.path
+            for k in range(len(chain) + 1):
+                reached = g.reach(topic, chain[:k], walks)
+                assert keyset(reached) == oracle_reach(og, topic, chain[:k])
+        assert g.reach(rp.topic_entity, rp.path, walks) == g.reach(rp.topic_entity, rp.path)
+        assert execute_full(g, rp, walks) == execute_full(g, rp)
         assert execute_with_relaxation(g, rp, walks) == execute_with_relaxation(g, rp)
         # Gold queries read the filled memo: one along the same chain with
         # the path's own constraints (one extremal at most), one anywhere.

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrelay.execute import evaluate_query, execute_full
-from kgrelay.kg import NUMERIC, STRING, KnowledgeGraph, Literal, load_tsv
+from kgrelay.kg import NUMERIC, STRING, KnowledgeGraph, Literal, load_tsv, parse_literal_token
 from kgrelay.reasoning import Constraint, EntityMatch, ReasoningPath
 from kgrelay.sparql import path_to_sparql
 from oracle import keyset, oracle_execute, oracle_reach, parse_tsv
@@ -68,6 +68,7 @@ def test_index_matches_a_scan_of_the_triples(tmp_path_factory, seed):
     assert any(o[0] == "e" and o[1] in subjects for _, _, o in triples)
 
     names = sorted(og.entities) + ["Ghost"]
+    literals = [parse_literal_token(t) for t in _LITERALS]
     for e in names:
         assert g.outgoing_relations([e]) == sorted({r for s, r, _ in triples if s == e})
     for r in sorted(og.relations) + ["nope"]:
@@ -89,7 +90,16 @@ def test_index_matches_a_scan_of_the_triples(tmp_path_factory, seed):
             *(og.objects(e, r) for e in frontier))
         start = rng.choice(names)
         chain = tuple(rng.choices(sorted(og.relations) + ["nope"], k=rng.randint(0, 3)))
-        assert keyset(g.reach(start, chain)) == oracle_reach(og, start, chain)
+        reached = g.reach(start, chain)
+        assert keyset(reached) == oracle_reach(og, start, chain)
+        # A walked frontier goes to outgoing_relations as it is; its
+        # literals contribute nothing, alone or among entities.
+        assert g.outgoing_relations(reached) == sorted(
+            {r for s, r, _ in triples if ("e", s) in keyset(reached)}
+        )
+        mixed = frontier + rng.sample(literals, rng.randint(1, len(literals)))
+        assert g.outgoing_relations(mixed) == g.outgoing_relations(frontier)
+        assert g.outgoing_relations(mixed[-1:]) == []
 
     # entity constraints, at any hop, grounded or not
     for _ in range(5):

@@ -162,10 +162,14 @@ def test_stage1_routing_check_is_one_reach(presidents, monkeypatch):
     reaches = count_calls(monkeypatch, "reach")
     result = answer_question(presidents, "q", spec_llm(WORKED_REPLY), general_llm(), EMB)
     assert result.route == Route.STAGE1_ONLY
-    assert reaches == [("USA", ("country.presidents", "president.office_holder"))]
+    # The call also passes the question's walk memo; only the chain counts.
+    assert [(start, rels) for start, rels, *_ in reaches] == [
+        ("USA", ("country.presidents", "president.office_holder"))
+    ]
 
 
-def test_relax_disabled_returns_full_tier_only(presidents):
+def test_relax_disabled_returns_full_tier_only(presidents, monkeypatch):
+    images = count_calls(monkeypatch, "image")
     reply = (
         "TOPIC: USA\nPATH: country.presidents -> president.office_holder\n"
         'CONSTRAINT: hop=2; rel=education.institution; string="nowhere"\n'
@@ -174,9 +178,29 @@ def test_relax_disabled_returns_full_tier_only(presidents):
         presidents, "q", spec_llm(reply), general_llm(), EMB, relax=False
     )
     assert result.answers == AnswerSet(frozenset(), TIER_FULL)
+    # The full tier starts from the routing walk too.
+    assert [rel for _, rel in images] == ["country.presidents", "president.office_holder"]
 
 
 # --- stage 2 repair ---
+
+def test_repaired_path_executes_from_the_repair_walks(presidents, monkeypatch):
+    images = count_calls(monkeypatch, "image")
+    reply = (
+        "TOPIC: USA\nPATH: country.presidents -> made.up_relation\n"
+        "CONSTRAINT: hop=2; rel=education.institution; entity=Harvard\n"
+    )
+    result = answer_question(
+        presidents, "who was president", spec_llm(reply), general_llm(), EMB
+    )
+    assert result.route == Route.STAGE1_PLUS_2
+    assert result.answers == AnswerSet(frozenset({"Obama", "GWBush"}), TIER_FULL)
+    # The routing check walks the first hop; repair's second level and
+    # relaxation of the repaired path start from that walk.
+    assert [rel for _, rel in images] == [
+        "country.presidents", "made.up_relation", "president.office_holder"
+    ]
+
 
 def test_repair_route_restores_constraints(presidents):
     reply = (
@@ -297,6 +321,23 @@ def test_stage2_only_depth2(presidents):
     assert result.crp_final.constraints == ()
     assert result.crp_initial is None
     assert result.ledger.calls(ROLE_GENERAL) == 3
+
+
+def test_stage2_only_answers_from_the_repair_walks(presidents, monkeypatch):
+    images = count_calls(monkeypatch, "image")
+    gold = (
+        "SELECT DISTINCT ?x WHERE { :USA :country.presidents ?t . "
+        "?t :president.office_holder ?x . }"
+    )
+    records = [DatasetRecord("a", "who was president", sparql=gold, topic="USA", depth=2)]
+    _, [row] = run_batch(
+        presidents, records, lambda: (None, general_llm(), EMB), stage2_only=True
+    )
+    assert row["route"] == Route.STAGE2_ONLY.value
+    assert row["answers"] == ["Clinton", "GWBush", "Obama"] and row["f1"] == 1.0
+    # Repair walks the first hop at level 2; the answers and the gold query
+    # start from it and expand the second hop once.
+    assert [rel for _, rel in images] == ["country.presidents", "president.office_holder"]
 
 
 def test_stage2_only_depth1(presidents):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from kgrelay.errors import EmptyBlueprint, RepairFailed
-from kgrelay.kg import load_tsv
+from kgrelay.kg import KnowledgeGraph, load_tsv
 from kgrelay.providers import TokenOverlapEmbedder
 from kgrelay.repair import (
     Blueprint,
@@ -88,6 +88,29 @@ def test_expand_beam_walks_graph(presidents):
     assert [p.relations for p in out2] == [
         ("country.presidents", "president.office_holder")
     ]
+
+
+def test_repair_levels_expand_one_hop_per_beam_path(monkeypatch):
+    calls = []
+    image = KnowledgeGraph.image
+
+    def counted(self, frontier, relation):
+        calls.append(relation)
+        return image(self, frontier, relation)
+
+    monkeypatch.setattr(KnowledgeGraph, "image", counted)
+    g = KnowledgeGraph([
+        ("S", "a", "A"), ("S", "b", "B"), ("A", "c", "C"), ("B", "d", "D"),
+        ("C", "e", "E"), ("D", "f", "F"),
+    ])
+    llm = ReplyLlm("#1 go", "Path 1 Path 2", "Path 1 Path 2", "Path 1")
+    trace: list = []
+    assert repair(g, "q", "S", 3, RepairConfig(), llm, EMB, trace) == ("a", "c", "e")
+    beams = [ev["beam"] for ev in trace if ev["event"] == "depth"]
+    assert beams == [[""], ["a", "b"], ["a -> c", "b -> d"]]
+    # Level 1 starts at the topic. Each later level expands each beam path
+    # by its last relation only, from the walk the level before left.
+    assert calls == ["a", "b", "c", "d"]
 
 
 def test_expand_beam_dead_end_traced(presidents):
