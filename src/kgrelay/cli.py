@@ -92,7 +92,8 @@ def _print_trace(events):
 @click.option("--stage2-only", is_flag=True,
               help="Skip generation; search the graph directly.")
 @click.option("--topic", default=None, help="Topic entity for --stage2-only.")
-@click.option("--depth", type=int, default=None, help="Search depth for --stage2-only.")
+@click.option("--depth", type=click.IntRange(min=1), default=None,
+              help="Search depth for --stage2-only.")
 @click.pass_context
 def ask(ctx, question, stage2_only, topic, depth):
     """Answer one question."""
@@ -235,7 +236,8 @@ def convert(ctx, input_file, direction):
 @main.command("repair-demo")
 @click.argument("question")
 @click.option("--topic", required=True, help="Start entity surface form.")
-@click.option("--depth", type=int, required=True, help="Target path depth.")
+@click.option("--depth", type=click.IntRange(min=1), required=True,
+              help="Target path depth.")
 @click.pass_context
 def repair_demo(ctx, question, topic, depth):
     """Run the repair search alone and show each step."""

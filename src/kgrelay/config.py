@@ -169,8 +169,7 @@ def _role_provider(settings: Settings, role: str, needed: bool):
     return None
 
 
-def provider_factory(settings: Settings, need_specialized: bool = True,
-                     need_general: bool = True):
+def provider_factory(settings: Settings, need_specialized: bool = True):
     """Build a per-question provider factory from the settings.
 
     Script files are read and checked once, here; every call gets fresh
@@ -181,7 +180,7 @@ def provider_factory(settings: Settings, need_specialized: bool = True,
     """
     roles = (
         _role_provider(settings, ROLE_SPECIALIZED, need_specialized),
-        _role_provider(settings, ROLE_GENERAL, need_general),
+        _role_provider(settings, ROLE_GENERAL, True),
     )
 
     def factory():

@@ -1,13 +1,12 @@
 """Compilation of reasoning paths and subset queries into hop plans.
 
 Both forms compile to one hop plan: for each hop of the main chain, the
-relation to expand and the steps that filter the hop's frontier. An
-entity step keeps the frontier entities that have the target entity among
-their objects under the step relation, as one set intersection; a binary
-step keeps an entity when a test on those objects holds; an extremal step
-(ARGMAX/ARGMIN) keeps the entities whose best admitted value is the
-extreme one. Binary steps run before extremal ones, so the result does
-not depend on the order constraints were written in. Every plan runs on
+relation to expand and the steps that filter the hop's frontier. One
+function, ``_step``, compiles every step, from a path constraint or from
+a query branch, into a plain closure. Binary steps run before extremal
+ones, so the result does not depend on the order constraints were written
+in. One table gives both the tier at which relaxation drops each
+constraint kind and the order of a hop's steps. Every plan runs on
 ``KnowledgeGraph.walk``, the graph's one chain walker.
 
 Relaxation compiles each constraint once and walks every tier through one
@@ -28,12 +27,13 @@ from .kg import DATETIME, NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, No
 from .reasoning import (
     ComparisonOp,
     Constraint,
+    ConstraintValue,
     EntityMatch,
     NumericCompare,
     ReasoningPath,
     StringMatch,
 )
-from .sparql import SparqlQuery, chain_branches
+from .sparql import SparqlQuery, branch_values, chain_branches
 
 log = logging.getLogger(__name__)
 
@@ -81,122 +81,119 @@ def _value_key(lit: Literal) -> tuple:
     return (lit.kind, lit.text)
 
 
-# --- compiled steps ---
+# --- the filter compiler ---
 
 _NO_NODES: frozenset = frozenset()
 
+# The tier at which relaxation drops each constraint kind. Steps at a hop
+# run in the reverse order, entity first: they commute, so the steps a
+# tier keeps at a hop are then a prefix of the tier before, and the walk
+# memo computes them once.
+_DROPPED_AT = {
+    StringMatch: TIER_DROP_STRING,
+    NumericCompare: TIER_DROP_STRING_NUMERIC,
+    EntityMatch: TIER_SKELETON,
+}
 
-@dataclass(frozen=True, eq=False)
-class Step:
-    """A filter on a hop's frontier, called as ``step(g, frontier)``.
 
-    Steps compare by identity, so only walks that share a compiled step
-    share the walk-memo prefixes past it.
+def _step(relation: str, values: Sequence[ConstraintValue]) -> Callable:
+    """Compile what one binding of ``relation`` must meet into a filter,
+    called as ``step(g, frontier)``.
 
-    An entity step (``test`` is None) keeps the entities that have
-    ``target`` among their objects under ``relation``, as one intersection
-    with ``g.subjects(relation, target)``. A binary step (``pick`` is None)
-    keeps an entity when ``test`` holds on its object set in
-    ``g.objects(relation)``. An extremal step keeps the entities whose best
-    date or number admitted by ``test`` is the extreme one under ``pick``
-    (max or min); ties survive. A literal in the frontier has no objects,
-    so every step drops it, and an ungrounded target (None) has no
-    subjects, so its step keeps nothing.
+    No values keeps the entities with any object under ``relation``. An
+    entity match, which comes alone, keeps the entities that have its
+    entity among their objects, as one intersection with ``g.subjects``;
+    an ungrounded one keeps nothing. Any other values are tests that one
+    literal object must all pass. A string match is trimmed,
+    case-sensitive equality. A comparison of a number with a date
+    threshold, or the reverse, does not match; the filter logs the first
+    such pair it meets, so a large frontier costs one warning, not one per
+    literal. Without an extremal, an entity stays when one of its literal
+    objects passes; with one (ARGMAX/ARGMIN), the entities whose best
+    passing date or number is the extreme one stay, ties included. A
+    literal in the frontier has no objects, so every filter drops it.
+
+    Filters are closures, so they hash by identity, and only walks that
+    share a compiled filter share the walk-memo prefixes past it.
     """
+    if not values:
+        def exists(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
+            objs = g.objects(relation)
+            return {e for e in frontier if objs.get(e)}
 
-    relation: str
-    test: Callable | None
-    pick: Callable | None = None
-    target: EntityId | None = None
+        return exists
+    if isinstance(values[0], EntityMatch):
+        target = values[0].entity
+        return lambda g, frontier: frontier & g.subjects(relation, target)
 
-    def __call__(self, g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> AbstractSet[EntityId]:
-        test, pick = self.test, self.pick
-        if test is None:
-            return frontier & g.subjects(self.relation, self.target)
-        objs = g.objects(self.relation)
-        if pick is None:
-            return {e for e in frontier if test(objs.get(e, _NO_NODES))}
-        best_of = {}
-        for e in frontier:
-            values = [
-                _value_key(o)
-                for o in objs.get(e, _NO_NODES)
-                if isinstance(o, Literal) and o.kind in (NUMERIC, DATETIME) and test(o)
-            ]
-            if values:
-                best_of[e] = pick(values)
-        extreme = pick(best_of.values(), default=None)
-        return {e for e, val in best_of.items() if val == extreme}
-
-
-def _literal_step(relation: str, conds: list, pick: Callable | None = None) -> Step:
-    """Step over the literal objects that meet every (op, value) condition
-    in ``conds``, all on one binding; extremal when ``pick`` is given.
-
-    A string value is trimmed, case-sensitive equality whatever the op. A
-    numeric value against a date threshold, or the reverse, is not
-    comparable and does not match; the step logs the first such pair it
-    meets, so a large frontier costs one warning, not one per literal.
-    """
     warned = False
 
-    def literal_test(op: ComparisonOp, value: Literal) -> Callable[[Literal], bool]:
-        if value.kind == STRING:
-            want = value.text.strip()
+    def literal_test(v: StringMatch | NumericCompare) -> Callable[[Literal], bool]:
+        if isinstance(v, StringMatch):
+            want = v.text.strip()
             return lambda o: o.kind == STRING and o.text.strip() == want
+        op, threshold = v.op, v.threshold
 
         def test(o: Literal) -> bool:
             nonlocal warned
-            if o.kind == value.kind:
-                return _compare(o, op, value)
+            if o.kind == threshold.kind:
+                return _compare(o, op, threshold)
             if o.kind != STRING and not warned:
                 warned = True
                 log.warning(
                     "non-comparable literal: %s value %r vs %s threshold %r",
-                    o.kind, o.text, value.kind, value.text,
+                    o.kind, o.text, threshold.kind, threshold.text,
                 )
             return False
 
         return test
 
-    tests = [literal_test(op, value) for op, value in conds]
+    tests, pick = [], None
+    for v in values:
+        if isinstance(v, NumericCompare) and v.op.is_extremal:
+            pick = max if v.op == ComparisonOp.ARGMAX else min
+        else:
+            tests.append(literal_test(v))
     admits = tests[0] if len(tests) == 1 else (lambda o: all(t(o) for t in tests))
-    if pick is not None:
-        return Step(relation, admits, pick)
-    return Step(relation, lambda objs: any(isinstance(o, Literal) and admits(o) for o in objs))
 
+    if pick is None:
+        def any_passes(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
+            objs = g.objects(relation)
+            return {
+                e for e in frontier
+                if any(isinstance(o, Literal) and admits(o) for o in objs.get(e, _NO_NODES))
+            }
 
-def _constraint_step(c: Constraint) -> Step:
-    """Compile one constraint of a grounded reasoning path.
+        return any_passes
 
-    Every constraint is existential over the objects of the constraint
-    relation. An entity constraint left ungrounded matches nothing.
-    """
-    v = c.value
-    if isinstance(v, EntityMatch):
-        return Step(c.relation, None, target=v.entity)
-    if isinstance(v, StringMatch):
-        return _literal_step(c.relation, [(ComparisonOp.EQ, Literal(STRING, v.text))])
-    if v.op.is_extremal:
-        return _literal_step(c.relation, [], max if v.op == ComparisonOp.ARGMAX else min)
-    return _literal_step(c.relation, [(v.op, v.threshold)])
+    def extreme(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
+        objs = g.objects(relation)
+        best_of = {}
+        for e in frontier:
+            keys = [
+                _value_key(o)
+                for o in objs.get(e, _NO_NODES)
+                if isinstance(o, Literal) and o.kind in (NUMERIC, DATETIME) and admits(o)
+            ]
+            if keys:
+                best_of[e] = pick(keys)
+        best = pick(best_of.values(), default=None)
+        return {e for e, key in best_of.items() if key == best}
+
+    return extreme
 
 
 def apply_constraint(
     g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
 ) -> set[EntityId]:
     """Filter a candidate entity set by one constraint."""
-    return _constraint_step(c)(g, candidates)
+    return _step(c.relation, [c.value])(g, candidates)
 
 
 # --- reasoning paths ---
 
 def _kept_at(c: Constraint, tier: int) -> bool:
-    if isinstance(c.value, StringMatch):
-        return tier < TIER_DROP_STRING
-    if isinstance(c.value, NumericCompare):
-        return tier < TIER_DROP_STRING_NUMERIC
-    return tier < TIER_SKELETON
+    return tier < _DROPPED_AT[type(c.value)]
 
 
 def constraints_for_tier(
@@ -210,15 +207,9 @@ def constraints_for_tier(
     return tuple(c for c in constraints if _kept_at(c, tier))
 
 
-# Binary steps commute, so they run in the order the tiers drop them:
-# entity, numeric, string. The binary steps a tier keeps at a hop are then
-# a prefix of the tier before, and the walk memo computes them once.
-# Extremal steps do not commute; they run last, in canonical order.
-_STEP_RANK = {EntityMatch: 0, NumericCompare: 1, StringMatch: 2}
-
-
 def _step_order(c: Constraint) -> tuple:
-    return (c.is_extremal, _STEP_RANK[type(c.value)], c.sort_key())
+    # Extremal steps do not commute; they run last, in canonical order.
+    return (c.is_extremal, -_DROPPED_AT[type(c.value)], c.sort_key())
 
 
 def _run_tiers(
@@ -229,7 +220,9 @@ def _run_tiers(
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
     walks = {} if walks is None else walks
-    compiled = [(c, _constraint_step(c)) for c in sorted(rp.constraints, key=_step_order)]
+    compiled = [
+        (c, _step(c.relation, [c.value])) for c in sorted(rp.constraints, key=_step_order)
+    ]
     for tier in tiers:
         hops = [
             (rel, tuple(s for c, s in compiled if c.hop == hop and _kept_at(c, tier)))
@@ -277,34 +270,19 @@ def evaluate_query(
 ) -> frozenset[NodeRef]:
     """Interpret a chain-shaped query on the graph.
 
-    Each branch from ``chain_branches`` compiles to a step, including the
-    shapes a reasoning path cannot express: bare existence, literal
-    objects, filter conjunctions over one binding and a filtered ORDER BY.
+    Each branch from ``chain_branches`` compiles to a step from its
+    ``branch_values``, including the shapes a reasoning path cannot
+    express: bare existence, literal objects, filter conjunctions over one
+    binding and a filtered ORDER BY.
     Queries that are not chain-shaped raise the chain-analysis errors.
     The walk reads and fills the memo ``walks`` (a fresh one when None),
     so a query along a chain prefix already walked through it starts
     from that walk.
     """
     topic, chain, branches = chain_branches(q)
-    steps: list[list[Step]] = [[] for _ in chain]
-    for b in branches:
-        rel, obj = b.pattern.relation, b.pattern.object
-        conds = [(f.op, f.value) for f in b.filters]
-        if isinstance(obj, str):
-            step = Step(rel, None, target=obj)
-        elif isinstance(obj, Literal):
-            step = _literal_step(rel, [(ComparisonOp.EQ, obj)])
-        elif b.descending is not None:
-            step = _literal_step(rel, conds, max if b.descending else min)
-        elif conds:
-            step = _literal_step(rel, conds)
-        else:
-            # Bare existence: the entity has at least one object here.
-            step = Step(rel, bool)
-        steps[b.hop - 1].append(step)
-
-    hops = [
-        (pat.relation, tuple(sorted(at_hop, key=lambda s: s.pick is not None)))
-        for pat, at_hop in zip(chain, steps)
-    ]
+    steps: list[list[Callable]] = [[] for _ in chain]
+    # The extremal branch, the one the ORDER BY sorts, runs last at its hop.
+    for b in sorted(branches, key=lambda b: b.descending is not None):
+        steps[b.hop - 1].append(_step(b.pattern.relation, branch_values(b)))
+    hops = [(pat.relation, tuple(at_hop)) for pat, at_hop in zip(chain, steps)]
     return g.walk(topic, hops, walks)

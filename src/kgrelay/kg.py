@@ -301,7 +301,8 @@ class KnowledgeGraph:
     ) -> frozenset[NodeRef]:
         """Run a hop plan from ``start``: each hop is a relation, expanded
         through ``image``, and the filters, hashable callables ``(graph,
-        frontier) -> frontier``, applied in order to what it reaches.
+        frontier) -> frontier`` such as the closures ``execute`` compiles,
+        applied in order to what it reaches. A closure hashes by identity.
 
         ``memo`` (a fresh one when None) keeps every walked prefix as a
         trie: it maps the start to a level, and a level maps the next

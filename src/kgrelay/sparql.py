@@ -430,7 +430,7 @@ def _literal_value(op: ComparisonOp, lit: Literal) -> StringMatch | NumericCompa
     return StringMatch(lit.text) if lit.kind == STRING else NumericCompare(op, lit)
 
 
-def _branch_values(b: Branch) -> list[ConstraintValue]:
+def branch_values(b: Branch) -> list[ConstraintValue]:
     """What a branch constrains on its hop; [] for a bare branch variable,
     one with neither a filter nor an order."""
     obj = b.pattern.object
@@ -458,7 +458,7 @@ def sparql_to_path(q: SparqlQuery) -> ReasoningPath:
     topic, chain, branches = chain_branches(q)
     constraints: list[Constraint] = []
     for b in branches:
-        values = _branch_values(b)
+        values = branch_values(b)
         if not values:
             raise UnclassifiableBranch(
                 f"branch variable ?{b.pattern.object.name} has no filter or order clause"
@@ -531,7 +531,7 @@ def _branch_body(b: Branch) -> str:
     # The branch's constraint texts, so canonical clause order agrees
     # with canonical constraint order.
     return " | ".join(sorted(
-        Constraint(b.hop, b.pattern.relation, v).body_text() for v in _branch_values(b)
+        Constraint(b.hop, b.pattern.relation, v).body_text() for v in branch_values(b)
     ))
 
 

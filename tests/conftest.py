@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
+import time
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import pytest
 
@@ -17,6 +20,27 @@ CONSTRAINT: hop=2; rel=position.from; op=GE; value="2000"
 """
 
 WORKED_ARGMAX_TEXT = WORKED_TEXT + 'CONSTRAINT: hop=2; rel=position.from; op=ARGMAX\n'
+
+T = TypeVar("T")
+
+
+def timed(call: Callable[[], T]) -> tuple[T, float]:
+    """Run ``call`` and return its result and wall time in seconds.
+
+    As ``timeit`` does, the cyclic collector runs first and stays off while
+    the call runs, so a collection owed by the rest of the suite cannot
+    land inside the timed region.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = call()
+        return result, time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture(scope="session")

@@ -351,3 +351,13 @@ def test_repair_demo_unknown_topic(cfg_path):
     )
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("repair-demo", "q", "--topic", "usa"),
+    ("ask", "q", "--stage2-only", "--topic", "usa"),
+])
+def test_depth_below_one_is_a_usage_error(cfg_path, command):
+    result = run("--config", cfg_path, *command, "--depth", "0")
+    assert result.exit_code == 2
+    assert "Invalid value for '--depth'" in result.stderr

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import random
-import time
 from dataclasses import replace
 
 import pytest
@@ -37,6 +36,7 @@ from kgrelay.reasoning import (
     parse_reasoning_path,
 )
 from kgrelay.sparql import parse_sparql, path_to_sparql
+from conftest import timed
 from oracle import (
     keyset,
     oracle_execute,
@@ -399,17 +399,21 @@ def test_evaluate_query_matches_worked(presidents, worked_path, worked_argmax_pa
 
 
 def test_evaluate_query_existence_branch(presidents):
-    q = parse_sparql(
-        "SELECT DISTINCT ?x WHERE { :USA :country.presidents ?t ."
-        " ?t :president.office_holder ?x . ?x :education.institution ?e . }"
-    )
-    assert evaluate_query(presidents, q) == frozenset({"Obama", "GWBush", "Clinton"})
+    # position.from has only literal objects; they count as existing too
+    for relation in ("education.institution", "position.from"):
+        q = parse_sparql(
+            "SELECT DISTINCT ?x WHERE { :USA :country.presidents ?t ."
+            f" ?t :president.office_holder ?x . ?x :{relation} ?e . }}"
+        )
+        assert evaluate_query(presidents, q) == frozenset({"Obama", "GWBush", "Clinton"})
 
 
 def test_evaluate_query_literal_object_branch(tmp_path):
+    # a string object matches on its text; neither side's lang tag counts
     g = graph(tmp_path, 'S\tr\tA\nS\tr\tB\nA\tn\t"Bob"@en\nB\tn\t"Ann"\n')
-    q = parse_sparql('SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :n "Bob" . }')
-    assert evaluate_query(g, q) == frozenset({"A"})
+    for literal in ('"Bob"', '"Bob"@de'):
+        q = parse_sparql(f'SELECT DISTINCT ?x WHERE {{ :S :r ?x . ?x :n {literal} . }}')
+        assert evaluate_query(g, q) == frozenset({"A"})
 
 
 def test_evaluate_query_filter_conjunction_single_binding(tmp_path):
@@ -433,13 +437,20 @@ def test_evaluate_query_filtered_extremal_single_binding(tmp_path):
     g = graph(
         tmp_path,
         'S\tr\tA\nS\tr\tB\n'
-        'A\tv\t"1"^^xsd:integer\nA\tv\t"5"^^xsd:integer\nB\tv\t"3"^^xsd:integer\n',
+        'A\tv\t"1"^^xsd:integer\nA\tv\t"5"^^xsd:integer\nB\tv\t"3"^^xsd:integer\n'
+        'B\tv\t"x"\n',
     )
     q = parse_sparql(
         'SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c .'
         ' FILTER(?c >= "2"^^xsd:integer) } ORDER BY ASC(?c) LIMIT 1'
     )
     assert evaluate_query(g, q) == frozenset({"B"})
+    # B's "x" passes a string filter, but a string never wins an extremal
+    q = parse_sparql(
+        'SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c .'
+        ' FILTER(?c = "x") } ORDER BY ASC(?c) LIMIT 1'
+    )
+    assert evaluate_query(g, q) == frozenset()
     rp = grounded(
         g,
         'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=GE; value="2"\n'
@@ -505,12 +516,12 @@ def test_long_walk_is_linear():
     too_high = NumericCompare(ComparisonOp.GE, Literal(NUMERIC, "9"))
     rp = ReasoningPath("a", ("r",) * hops, (Constraint(hops, "v", too_high),), "a")
     walks: dict = {}
-    start = time.perf_counter()
-    assert g.reach("a", rp.path, walks) == {"a"}
-    assert execute_with_relaxation(g, rp, walks) == AnswerSet(
-        frozenset({"a"}), TIER_DROP_STRING_NUMERIC
+    (reached, relaxed), elapsed = timed(
+        lambda: (g.reach("a", rp.path, walks), execute_with_relaxation(g, rp, walks))
     )
-    assert time.perf_counter() - start < 0.25
+    assert reached == {"a"}
+    assert relaxed == AnswerSet(frozenset({"a"}), TIER_DROP_STRING_NUMERIC)
+    assert elapsed < 0.25
 
 
 # --- random agreement with the independent interpreter ---

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import random
-import time
 
 import pytest
 
@@ -22,6 +21,7 @@ from kgrelay.repair import (
     repair,
     select_paths,
 )
+from conftest import timed
 from oracle import (
     CountingLlm,
     FirstPathLlm,
@@ -46,6 +46,14 @@ class ReplyLlm:
         return self.replies.pop(0), None
 
 
+def test_package_root_does_not_shadow_the_module():
+    # A package root that re-exports the function ``repair`` binds it here
+    # in place of the module.
+    import kgrelay.repair as module
+
+    assert module.RepairConfig is RepairConfig
+
+
 # --- blueprint ---
 
 def test_blueprint_parses_numbered_lines():
@@ -57,9 +65,8 @@ def test_blueprint_parses_numbered_lines():
 def test_blueprint_long_line_is_fast():
     gap = " " * 200_000
     llm = ReplyLlm(f"#1 find{gap}the terms  \n#2{gap}\n#3 holder")
-    start = time.perf_counter()
-    bp = generate_blueprint(llm, "who?")
-    assert time.perf_counter() - start < 1.0
+    bp, elapsed = timed(lambda: generate_blueprint(llm, "who?"))
+    assert elapsed < 1.0
     # a number followed only by spaces gives no step
     assert bp == Blueprint((f"find{gap}the terms", "holder"))
 
