@@ -161,7 +161,7 @@ def exact_match(pred: ReasoningPath | None, gold: ReasoningPath) -> int:
 
 # --- batch harness ---
 
-@dataclass
+@dataclass(slots=True)
 class MetricReport:
     questions: int
     flagged: int
@@ -237,6 +237,7 @@ def _row(
         return row, 0.0
 
     error = result.error
+    pred = _norm_set(row["answers"])
     # The gold query is parsed once, for the gold answers when the
     # record has none and for path scoring.
     gold, query = _norm_set(rec.answers), None
@@ -244,13 +245,17 @@ def _row(
         if rec.sparql:
             query = parse_sparql(rec.sparql)
         if not gold:
-            # Only the set is scored, so the nodes need no sorting.
             nodes = evaluate_query(g, query, walks)
-            gold = _norm_set([n if type(n) is str else n.text for n in nodes])
+            if nodes == result.answers.answers:
+                # Equal node sets have equal normalized texts.
+                gold = pred
+            else:
+                # Only the set is scored, so the nodes need no sorting.
+                gold = _norm_set([n if type(n) is str else n.text for n in nodes])
     except KgRelayError as exc:
         if not gold:
             error = f"gold: {type(exc).__name__}: {exc}"
-    hits, f1 = _hits_and_f1(_norm_set(row["answers"]), gold) if gold else (0, 0.0)
+    hits, f1 = _hits_and_f1(pred, gold) if gold else (0, 0.0)
     row["hits_at_1"] = hits
     row["f1"] = round(f1, 10)
     if query is not None and gold:

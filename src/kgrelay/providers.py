@@ -16,7 +16,9 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol
+from itertools import compress
+from operator import not_
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -64,7 +66,17 @@ class LlmProvider(Protocol):
 
 
 class EmbeddingProvider(Protocol):
+    """Scores text against text.
+
+    ``rank(query, names, k)`` returns the k names most similar to
+    ``query``, best first, ties broken by the smaller name: exactly
+    ``sorted(names, key=lambda n: (-self.similarity(query, n), n))[:k]``.
+    """
+
     def similarity(self, a: str, b: str) -> float:
+        ...
+
+    def rank(self, query: str, names: Sequence[str], k: int) -> list[str]:
         ...
 
 
@@ -140,11 +152,12 @@ class ScriptedLlm:
 _TOKEN_SPLIT_RE = re.compile(r"[\s._\-]+")
 
 
-# Repair scores the same relation names and blueprint steps hundreds of
-# times per question, so each distinct string is split once. The cache
-# lives at module level because callers build a fresh embedder per
-# question; its bound keeps one-off strings (questions, linearized
-# paths) from growing it for the life of the process.
+# Repair ranks the same relation names against the same blueprint steps
+# once per step and beam path at every level, so each distinct string is
+# split once. The cache lives at module level because callers build a
+# fresh embedder per question; its bound keeps one-off strings
+# (questions, linearized paths) from growing it for the life of the
+# process.
 @functools.lru_cache(maxsize=1024)
 def _tokens(text: str) -> frozenset[str]:
     return frozenset(t for t in _TOKEN_SPLIT_RE.split(text.casefold()) if t)
@@ -168,6 +181,23 @@ def token_overlap_similarity(a: str, b: str) -> float:
 class TokenOverlapEmbedder:
     def similarity(self, a: str, b: str) -> float:
         return token_overlap_similarity(a, b)
+
+    def rank(self, query: str, names: Sequence[str], k: int) -> list[str]:
+        """The k names most similar to ``query``, best first, ties by name.
+
+        A name that shares no token with the query scores exactly 0, and
+        most names share none. So the query is split once, a C-level
+        disjointness test finds the few names that share a token, only
+        those are scored, and the rest follow in name order.
+        """
+        apart = list(map(_tokens(query).isdisjoint, map(_tokens, names)))
+        if all(apart):
+            return sorted(names)[:k]
+        near = sorted(
+            compress(names, map(not_, apart)),
+            key=lambda n: (-token_overlap_similarity(query, n), n),
+        )
+        return (near + sorted(compress(names, apart)))[:k]
 
 
 # --- HTTP provider ---

@@ -3,8 +3,9 @@
 When a generated path does not execute on the graph, a beam search walks
 outward from the topic entity, keeping only relation chains that exist in
 the graph. One blueprint call sketches the reasoning steps; at each depth
-the candidate relations are scored against the blueprint, pruned, scored
-again against the question, and a selection call picks the paths to keep.
+the candidate relations are ranked against each blueprint step and
+pruned, the paths are scored against the question, and a selection call
+picks the paths to keep.
 Total LLM calls for depth d are therefore at most d + 1.
 
 Each level walks its beam paths through the question's walk memo, where
@@ -83,10 +84,11 @@ def expand_beam(
     """Extend each beam path by one relation that exists at its frontier.
 
     Frontiers are walked through the walk memo ``walks``. Per blueprint
-    step the x best-scoring relations survive; the union over steps is
-    kept, deduplicated across beam paths. Paths whose frontier has no
-    outgoing relation are dead ends and are dropped. Every returned
-    candidate reaches a non-empty frontier by construction.
+    step one ``emb.rank`` call keeps the x relations most similar to the
+    step; the union over steps is kept, deduplicated across beam paths.
+    Paths whose frontier has no outgoing relation are dead ends and are
+    dropped. Every returned candidate reaches a non-empty frontier by
+    construction.
     """
     candidates: dict[tuple[str, ...], None] = {}
     for pp in beam:
@@ -98,8 +100,7 @@ def expand_beam(
             continue
         keep: set[str] = set()
         for step in blueprint.steps:
-            ranked = sorted(rels, key=lambda r: (-emb.similarity(step, r), r))
-            keep.update(ranked[:x])
+            keep.update(emb.rank(step, rels, x))
         for rel in sorted(keep):
             candidates.setdefault(pp.relations + (rel,), None)
     return [PartialPath(rels) for rels in candidates]
@@ -116,12 +117,12 @@ def filter_paths(
     Ties break on the linearized path text so the ranking is stable
     regardless of input order.
     """
-    scored = [
-        PartialPath(p.relations, emb.similarity(question, linearize(p.relations)))
-        for p in cands
-    ]
-    scored.sort(key=lambda p: (-p.score, linearize(p.relations)))
-    return scored[:y]
+    scored = []
+    for p in cands:
+        text = linearize(p.relations)
+        scored.append((text, PartialPath(p.relations, emb.similarity(question, text))))
+    scored.sort(key=lambda tp: (-tp[1].score, tp[0]))
+    return [p for _, p in scored[:y]]
 
 
 _PATH_REF_RE = re.compile(r"[Pp]ath\s+(\d+)")

@@ -355,6 +355,28 @@ def test_run_batch_query_gold_collapses_equal_texts(tmp_path):
     assert report.f1 == pytest.approx((2 / 3 + 1) / 2)
 
 
+def test_run_batch_query_gold_of_another_node_set_scores_its_own_texts(tmp_path):
+    # The answers are reused as the gold set only when the gold query
+    # reaches the same nodes. Here both sets have two nodes and share one.
+    tsv = tmp_path / "g.tsv"
+    tsv.write_text("T\tc.r\tA\nT\tc.r\tB\nT\tc.s\tA\nT\tc.s\tC\n", encoding="utf-8")
+    g = load_tsv(tsv)
+
+    def factory():
+        return ScriptedLlm([{"match": "", "reply": "TOPIC: T\nPATH: c.s\n"}]), \
+            ScriptedLlm([]), TokenOverlapEmbedder()
+
+    records = [
+        DatasetRecord("other", "q", sparql="SELECT DISTINCT ?x WHERE { :T :c.r ?x . }"),
+        DatasetRecord("same", "q", sparql="SELECT DISTINCT ?x WHERE { :T :c.s ?x . }"),
+    ]
+    _, (other, same) = run_batch(g, records, factory)
+    assert other["answers"] == same["answers"] == ["A", "C"]
+    # Predicted {A, C}, gold {A, B}: p = r = 1/2.
+    assert (other["hits_at_1"], other["f1"]) == (1, 0.5)
+    assert (same["hits_at_1"], same["f1"]) == (1, 1.0)
+
+
 def test_run_batch_gold_query_from_another_topic_walks_its_own_chain(tmp_path):
     # Both gold queries follow the generated path's relations; only the
     # one from the path's own topic may reuse its walks.

@@ -41,6 +41,7 @@ from kgrelay.providers import (
     price_calls,
     token_overlap_similarity,
 )
+from conftest import timed
 
 
 # --- scripted provider ---
@@ -143,6 +144,44 @@ def test_token_cache_is_bounded():
         token_overlap_similarity(f"bound probe {i}", "probe")
         assert providers._tokens.cache_info().currsize <= maxsize
     assert providers._tokens.cache_info().currsize == maxsize
+
+
+def sorted_key_rank(query, names, k):
+    """The ranking ``rank`` must equal: one score per pair, then a sort."""
+    emb = TokenOverlapEmbedder()
+    return sorted(names, key=lambda n: (-emb.similarity(query, n), n))[:k]
+
+
+# Few letters and separators, so names often share a token, tie, or have
+# no token at all.
+RANK_TEXT = st.text(alphabet=st.sampled_from(list("abAB ._-")), max_size=7) | SCORER_TEXT
+
+
+@settings(max_examples=500, deadline=None)
+@given(query=RANK_TEXT, names=st.lists(RANK_TEXT, max_size=12), k=st.integers(0, 14))
+@example(query=".", names=["b.a", "a", "-", " "], k=2)  # query has no token
+@example(query="a", names=["-", " ", ".", "c.d"], k=3)  # no name shares a token
+@example(query="a b", names=["b", "a.c", "a b", "b a"], k=2)  # every name shares
+@example(query="a b", names=["z.a", "y.b", "a", "b.x"], k=2)  # tied scores
+@example(query="a", names=["d", "a", "c.a", "b"], k=10)  # k >= len(names)
+@example(query="film", names=["z.film", "film.a", "y", "x"], k=3)  # unsorted input
+def test_rank_is_the_sorted_key_slice(query, names, k):
+    assert TokenOverlapEmbedder().rank(query, names, k) == sorted_key_rank(query, names, k)
+    assert TokenOverlapEmbedder().rank(query, tuple(names), k) == sorted_key_rank(query, names, k)
+
+
+@pytest.mark.parametrize(
+    "query,best",
+    [
+        ("film director", ["film.n00000", "film.n00001"]),  # every name shares
+        ("actor name", ["film.n00000", "film.n00001"]),  # no name shares
+    ],
+)
+def test_rank_many_names_is_fast(query, best):
+    names = [f"film.n{i:05d}" for i in reversed(range(50_000))]
+    ranked, elapsed = timed(lambda: TokenOverlapEmbedder().rank(query, names, 2))
+    assert ranked == best == sorted_key_rank(query, names, 2)
+    assert elapsed < 2.0
 
 
 def test_embedder_wraps_function():

@@ -6,6 +6,8 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrelay.errors import EmptyBlueprint, RepairFailed
 from kgrelay.kg import KnowledgeGraph, load_tsv
@@ -28,6 +30,7 @@ from oracle import (
     GoldSelectorLlm,
     oracle_reach,
     parse_tsv,
+    random_graph_tsv,
     unique_gold_instance,
 )
 
@@ -144,6 +147,66 @@ def test_expand_beam_relation_filter(tmp_path):
     bp2 = Blueprint(("find the beta", "find the gamma"))
     out2 = expand_beam(g, "S", [PartialPath(())], bp2, EMB, x=1)
     assert sorted(p.relations for p in out2) == [("beta.two",), ("gamma.three",)]
+
+
+class CountingEmbedder(TokenOverlapEmbedder):
+    """The token-overlap embedder, counting each method's calls."""
+
+    def __init__(self):
+        self.calls = {"similarity": 0, "rank": 0}
+
+    def similarity(self, a, b):
+        self.calls["similarity"] += 1
+        return super().similarity(a, b)
+
+    def rank(self, query, names, k):
+        self.calls["rank"] += 1
+        return super().rank(query, names, k)
+
+
+def sorted_key_expand(g, s1, beam, blueprint, emb, x):
+    """expand_beam as written before ``rank``: one sort key per pair."""
+    candidates = {}
+    for pp in beam:
+        rels = g.outgoing_relations(g.reach(s1, pp.relations))
+        keep = set()
+        for step in blueprint.steps:
+            keep.update(sorted(rels, key=lambda r: (-emb.similarity(step, r), r))[:x])
+        for rel in sorted(keep):
+            candidates.setdefault(pp.relations + (rel,), None)
+    return [PartialPath(rels) for rels in candidates]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000_000))
+def test_expand_beam_ranks_without_pair_scores(tmp_path_factory, seed):
+    rng = random.Random(seed)
+    tsv = random_graph_tsv(rng, max_relations=8)
+    path = tmp_path_factory.mktemp("x") / "g.tsv"
+    path.write_text(tsv, encoding="utf-8")
+    g = load_tsv(path)
+    og = parse_tsv(tsv)
+    # Step words name relation tokens (r3, t5), often two relations at
+    # once, so scores tie; some steps share nothing or have no token.
+    words = [f"{c}{j}" for c in "rt" for j in range(8)] + ["the", "film", ".", "-"]
+    steps = tuple(
+        " ".join(rng.sample(words, rng.randint(1, 3))) for _ in range(rng.randint(1, 3))
+    )
+    blueprint = Blueprint(steps)
+    start = rng.choice(sorted({s for s, _, _ in og.triples}))
+    beam = [PartialPath(())]
+    for _ in range(3):
+        x = rng.randint(1, 4)
+        emb = CountingEmbedder()
+        out = expand_beam(g, start, beam, blueprint, emb, x, walks={})
+        assert out == sorted_key_expand(g, start, beam, blueprint, EMB, x)
+        assert emb.calls["similarity"] == 0
+        assert emb.calls["rank"] == len(blueprint.steps) * sum(
+            bool(g.outgoing_relations(g.reach(start, pp.relations))) for pp in beam
+        )
+        beam = rng.sample(out, min(len(out), 3))
+        if not beam:
+            break
 
 
 def test_expand_beam_dedups_across_paths(tmp_path):
