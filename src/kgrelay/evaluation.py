@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 from .errors import DatasetError, KgRelayError
 from .execute import evaluate_query
 from .kg import KnowledgeGraph, answer_texts
-from .pipeline import QuestionResult, answer_question, run_stage2_only
+from .pipeline import QuestionResult, Route, answer_question, run_stage2_only
 from .providers import DEFAULT_PRICES, CostLedger, price_calls
 from .reasoning import (
     Constraint,
@@ -217,17 +217,26 @@ def _row(
     its load error. Any other record is scored against its gold answers,
     or the gold query's answers when it has none, and flagged when there
     is no gold to score against. The gold query walks through the
-    question's walk memo ``walks``.
+    question's walk memo ``walks``, with the question's filters. When it
+    reaches the answer node set itself, no answer text is normalized: a
+    non-empty set is its own gold and scores hits 1 and F1 1.0, however
+    normalization would collapse its texts.
     """
     ledger = result.ledger if result else CostLedger()
+    initial = final = None
+    if result:
+        initial = _path_text(result.crp_initial)
+        # On the stage-1 route the final path is the grounded initial one,
+        # and grounding does not change the text.
+        final = initial if result.route is Route.STAGE1_ONLY else _path_text(result.crp_final)
     row = {
         "id": rec.id,
         "question": rec.question,
         "route": result.route.value if result else None,
         "answers": answer_texts(result.answers.answers) if result else [],
         "relaxation_tier": result.answers.relaxation_tier if result else None,
-        "crp_initial": _path_text(result.crp_initial) if result else None,
-        "crp_final": _path_text(result.crp_final) if result else None,
+        "crp_initial": initial,
+        "crp_final": final,
         "llm_calls": ledger.calls(),
         "prompt_tokens": ledger.prompt_tokens(),
         "completion_tokens": ledger.completion_tokens(),
@@ -237,25 +246,26 @@ def _row(
         return row, 0.0
 
     error = result.error
-    pred = _norm_set(row["answers"])
     # The gold query is parsed once, for the gold answers when the
     # record has none and for path scoring.
-    gold, query = _norm_set(rec.answers), None
+    gold, query, same = _norm_set(rec.answers), None, False
     try:
         if rec.sparql:
             query = parse_sparql(rec.sparql)
         if not gold:
             nodes = evaluate_query(g, query, walks)
-            if nodes == result.answers.answers:
-                # Equal node sets have equal normalized texts.
-                gold = pred
-            else:
-                # Only the set is scored, so the nodes need no sorting.
-                gold = _norm_set([n if type(n) is str else n.text for n in nodes])
+            same = nodes == result.answers.answers
+            # Only the set is scored, so the nodes need no sorting.
+            gold = nodes if same else _norm_set([n if type(n) is str else n.text for n in nodes])
     except KgRelayError as exc:
         if not gold:
             error = f"gold: {type(exc).__name__}: {exc}"
-    hits, f1 = _hits_and_f1(pred, gold) if gold else (0, 0.0)
+    if not gold:
+        hits, f1 = 0, 0.0
+    elif same:
+        hits, f1 = 1, 1.0
+    else:
+        hits, f1 = _hits_and_f1(_norm_set(row["answers"]), gold)
     row["hits_at_1"] = hits
     row["f1"] = round(f1, 10)
     if query is not None and gold:

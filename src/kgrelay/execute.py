@@ -9,17 +9,21 @@ in. One table gives both the tier at which relaxation drops each
 constraint kind and the order of a hop's steps. Every plan runs on
 ``KnowledgeGraph.walk``, the graph's one chain walker.
 
-Relaxation compiles each constraint once and walks every tier through one
-walk memo, so the expansions and steps that tiers have in common run
-once. Relaxation and query evaluation take the question's memo, which the
+Relaxation and query evaluation take the question's walk memo, which the
 routing check and repair have filled, so every walk from the topic along
-a chain already walked starts from it.
+a chain already walked starts from it. The memo also keeps the question's
+compiled filters, keyed by relation and canonical values, so equal
+constraints of every relaxation tier and of the gold query compile to one
+filter, and the steps of a hop run in one canonical order. A gold query
+that repeats a walk of relaxation, its branches written in any order,
+then reads that walk from the memo and runs no filter.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import AbstractSet, Callable, Sequence
 
 from .errors import UngroundedTopic
@@ -107,14 +111,15 @@ def _step(relation: str, values: Sequence[ConstraintValue]) -> Callable:
     literal object must all pass. A string match is trimmed,
     case-sensitive equality. A comparison of a number with a date
     threshold, or the reverse, does not match; the filter logs the first
-    such pair it meets, so a large frontier costs one warning, not one per
-    literal. Without an extremal, an entity stays when one of its literal
+    such pair it meets, so a question costs one warning per filter, not one
+    per literal. Without an extremal, an entity stays when one of its literal
     objects passes; with one (ARGMAX/ARGMIN), the entities whose best
     passing date or number is the extreme one stay, ties included. A
     literal in the frontier has no objects, so every filter drops it.
 
     Filters are closures, so they hash by identity, and only walks that
-    share a compiled filter share the walk-memo prefixes past it.
+    share a compiled filter share the walk-memo prefixes past it;
+    ``_filter`` gives equal constraints of one question one closure.
     """
     if not values:
         def exists(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
@@ -150,7 +155,7 @@ def _step(relation: str, values: Sequence[ConstraintValue]) -> Callable:
 
     tests, pick = [], None
     for v in values:
-        if isinstance(v, NumericCompare) and v.op.is_extremal:
+        if _extremal(v):
             pick = max if v.op == ComparisonOp.ARGMAX else min
         else:
             tests.append(literal_test(v))
@@ -183,6 +188,54 @@ def _step(relation: str, values: Sequence[ConstraintValue]) -> Callable:
     return extreme
 
 
+# The key, in a walk memo, of its question's compiled filters. The memo is
+# ``KnowledgeGraph.walk``'s, which looks it up only by a walk's start, an
+# entity id; this key is none, so it never meets a walk, and the filters
+# die with the memo at the end of the question.
+_FILTERS = object()
+
+
+def _extremal(v: ConstraintValue) -> bool:
+    return isinstance(v, NumericCompare) and v.op.is_extremal
+
+
+def _canonical(v: ConstraintValue) -> tuple[str, ...]:
+    # What a compiled filter reads of a value: the entity id, not the
+    # surface; the trimmed text of a string match; the operator and the
+    # threshold's kind and text of a comparison.
+    if isinstance(v, EntityMatch):
+        return ("entity",) if v.entity is None else ("entity", v.entity)
+    if isinstance(v, StringMatch):
+        return ("string", v.text.strip())
+    if v.threshold is None:
+        return (v.op.value,)
+    return (v.op.value, v.threshold.kind, v.threshold.text)
+
+
+def _filter(
+    walks: dict, relation: str, values: Sequence[ConstraintValue]
+) -> tuple[tuple, Callable]:
+    """The question's one filter for ``relation`` and ``values``, compiled
+    by ``_step`` on first use and kept in the walk memo ``walks``, with
+    the place it runs among the steps of its hop.
+
+    Values with equal keys compile to equal filters, so they share one
+    closure, and the walks past it share their memo entries. Extremal
+    steps do not commute; they run last. The other steps run by the tier
+    at which relaxation drops them, latest first (bare existence is never
+    dropped), then by key. A query branch and the path constraint it
+    renders then take the same place.
+    """
+    if (compiled := walks.get(_FILTERS)) is None:
+        compiled = walks[_FILTERS] = {}
+    key = (relation, *map(_canonical, values))
+    if (entry := compiled.get(key)) is None:
+        dropped = min((_DROPPED_AT[type(v)] for v in values), default=TIER_SKELETON + 1)
+        order = (any(map(_extremal, values)), -dropped, key)
+        entry = compiled[key] = (order, _step(relation, values))
+    return entry
+
+
 def apply_constraint(
     g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
 ) -> set[EntityId]:
@@ -207,11 +260,6 @@ def constraints_for_tier(
     return tuple(c for c in constraints if _kept_at(c, tier))
 
 
-def _step_order(c: Constraint) -> tuple:
-    # Extremal steps do not commute; they run last, in canonical order.
-    return (c.is_extremal, -_DROPPED_AT[type(c.value)], c.sort_key())
-
-
 def _run_tiers(
     g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int], walks: dict | None
 ) -> AnswerSet:
@@ -220,12 +268,13 @@ def _run_tiers(
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
     walks = {} if walks is None else walks
-    compiled = [
-        (c, _step(c.relation, [c.value])) for c in sorted(rp.constraints, key=_step_order)
-    ]
+    compiled = sorted(
+        ((c, *_filter(walks, c.relation, (c.value,))) for c in rp.constraints),
+        key=itemgetter(1),
+    )
     for tier in tiers:
         hops = [
-            (rel, tuple(s for c, s in compiled if c.hop == hop and _kept_at(c, tier)))
+            (rel, tuple(s for c, _, s in compiled if c.hop == hop and _kept_at(c, tier)))
             for hop, rel in enumerate(rp.path, start=1)
         ]
         answers = g.walk(rp.topic_entity, hops, walks)
@@ -275,14 +324,20 @@ def evaluate_query(
     express: bare existence, literal objects, filter conjunctions over one
     binding and a filtered ORDER BY.
     Queries that are not chain-shaped raise the chain-analysis errors.
-    The walk reads and fills the memo ``walks`` (a fresh one when None),
-    so a query along a chain prefix already walked through it starts
-    from that walk.
+    The steps of a hop run in ``_filter``'s order, the extremal branch,
+    the one the ORDER BY sorts, last. The walk reads and fills the memo
+    ``walks`` (a fresh one when None), and its steps are the memo's
+    filters. So a query that a path renders, at the tier relaxation
+    answered at, walks that path's walk again from the memo, with no
+    filter run.
     """
     topic, chain, branches = chain_branches(q)
-    steps: list[list[Callable]] = [[] for _ in chain]
-    # The extremal branch, the one the ORDER BY sorts, runs last at its hop.
-    for b in sorted(branches, key=lambda b: b.descending is not None):
-        steps[b.hop - 1].append(_step(b.pattern.relation, branch_values(b)))
-    hops = [(pat.relation, tuple(at_hop)) for pat, at_hop in zip(chain, steps)]
+    walks = {} if walks is None else walks
+    steps: list[list[tuple]] = [[] for _ in chain]
+    for b in branches:
+        steps[b.hop - 1].append(_filter(walks, b.pattern.relation, branch_values(b)))
+    hops = [
+        (pat.relation, tuple(step for _, step in sorted(at_hop, key=itemgetter(0))))
+        for pat, at_hop in zip(chain, steps)
+    ]
     return g.walk(topic, hops, walks)

@@ -302,7 +302,9 @@ class KnowledgeGraph:
         """Run a hop plan from ``start``: each hop is a relation, expanded
         through ``image``, and the filters, hashable callables ``(graph,
         frontier) -> frontier`` such as the closures ``execute`` compiles,
-        applied in order to what it reaches. A closure hashes by identity.
+        applied in order to what it reaches. A filter is a memo key, so
+        walks share the entries past a filter only when they pass the same
+        filter object.
 
         ``memo`` (a fresh one when None) keeps every walked prefix as a
         trie: it maps the start to a level, and a level maps the next

@@ -193,14 +193,13 @@ def repair(
             raise RepairFailed(level, "all beam paths dead-ended")
         cands = filter_paths(question, cands, emb, cfg.path_filter)
         n = 1 if level == d_eff else cfg.beam_width
-        before = [linearize(p.relations) for p in beam]
         chosen, reply = select_paths(llm, question, s1, cands, n)
         if trace is not None:
             trace.append(
                 {
                     "event": "depth",
                     "depth": level,
-                    "beam": before,
+                    "beam": [linearize(p.relations) for p in beam],
                     "candidates": [linearize(p.relations) for p in cands],
                     "llm_reply": reply,
                     "chosen": [linearize(p.relations) for p in chosen],

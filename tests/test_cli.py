@@ -154,6 +154,26 @@ def test_eval_reruns_are_byte_identical(cfg_path, data_dir, tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_eval_outputs_do_not_depend_on_the_hash_seed(data_dir, tmp_path):
+    # Set iteration order changes with PYTHONHASHSEED; what eval writes
+    # must not, whatever the memo keys its walks and filters by.
+    src = Path(kgrelay.__file__).resolve().parents[1]
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "from kgrelay.cli import main; main()",
+             "--config", "data/demo.cfg", "eval", "data/routing_eval.jsonl", "--out", str(out)],
+            cwd=data_dir.parent, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    for name in ("results.jsonl", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

@@ -22,6 +22,7 @@ from kgrelay.errors import (
     ProviderTimeout,
     ProviderUnreachable,
 )
+from kgrelay import evaluation
 from kgrelay.evaluation import (
     DatasetRecord,
     MetricReport,
@@ -46,8 +47,16 @@ from kgrelay.kg import (
     node_sort_key,
     node_text,
 )
-from kgrelay.providers import LlmUsage, ScriptedLlm, TokenOverlapEmbedder, approx_tokens
-from kgrelay.reasoning import parse_reasoning_path
+from kgrelay.execute import TIER_FULL, AnswerSet
+from kgrelay.pipeline import QuestionResult, Route
+from kgrelay.providers import (
+    CostLedger,
+    LlmUsage,
+    ScriptedLlm,
+    TokenOverlapEmbedder,
+    approx_tokens,
+)
+from kgrelay.reasoning import ground_reasoning_path, parse_reasoning_path
 from metric_cases import ANSWER_CASES, PATH_CASES
 from oracle import random_ungrounded_path
 
@@ -709,3 +718,61 @@ def test_format_table_readable():
     assert "stage1_only=2" in table
     # two-space gutter after the widest key keeps columns aligned
     assert "\ncost_per_10k_usd  " in table
+
+
+# --- scoring through the question's own answers ---
+
+def _scored_row(g, rec, answers, monkeypatch):
+    """``_row`` for a stage-1 result with ``answers``, and the texts it
+    normalized beyond the record's own gold answers."""
+    normalized = []
+
+    def spy(values):
+        values = list(values)
+        normalized.extend(values)
+        return _norm_set(values)
+
+    monkeypatch.setattr(evaluation, "_norm_set", spy)
+    rp = ground_reasoning_path(g, parse_reasoning_path("TOPIC: T\nPATH: c.r\n"))
+    result = QuestionResult(
+        rec.question, Route.STAGE1_ONLY, AnswerSet(answers, TIER_FULL), rp, rp, CostLedger(),
+    )
+    row, f1 = evaluation._row(g, rec, result, {}, False)
+    return row, f1, normalized
+
+
+def test_row_equal_node_sets_score_without_normalizing(tmp_path, monkeypatch):
+    # Four nodes, one normalized text: the answers are their own gold.
+    tsv = tmp_path / "g.tsv"
+    tsv.write_text(
+        'T\tc.r\tFoo\nT\tc.r\tfoo\nT\tc.r\t"FOO "\nT\tc.r\t"  foo"@en\n', encoding="utf-8"
+    )
+    g = load_tsv(tsv)
+    rec = DatasetRecord("r", "q", sparql="SELECT DISTINCT ?x WHERE { :T :c.r ?x . }")
+    row, f1, normalized = _scored_row(g, rec, g.reach("T", ("c.r",)), monkeypatch)
+    assert len(row["answers"]) == 4
+    assert (row["hits_at_1"], row["f1"], f1) == (1, 1.0, 1.0)
+    assert not {"flagged", "error"} & set(row)
+    assert normalized == []
+
+
+def test_row_empty_answers_and_empty_gold_are_flagged(tmp_path, monkeypatch):
+    tsv = tmp_path / "g.tsv"
+    tsv.write_text("T\tc.r\tA\n", encoding="utf-8")
+    g = load_tsv(tsv)
+    rec = DatasetRecord("r", "q", sparql="SELECT DISTINCT ?x WHERE { :T :c.s ?x . }")
+    row, f1, normalized = _scored_row(g, rec, frozenset(), monkeypatch)
+    assert row["answers"] == []
+    assert (row["hits_at_1"], row["f1"], f1) == (0, 0.0, 0.0)
+    assert row["flagged"] is True
+    assert normalized == []
+
+
+def test_stage1_rows_serialize_the_path_once(presidents, tmp_path):
+    _, rows = run_batch(presidents, batch_records(tmp_path), make_factory())
+    stage1 = [r for r in rows if r["route"] == "stage1_only"]
+    assert stage1
+    for r in stage1:
+        assert r["crp_final"] is r["crp_initial"]
+    [repaired] = [r for r in rows if r["route"] == "stage1_plus_2"]
+    assert repaired["crp_final"] != repaired["crp_initial"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -587,3 +588,128 @@ def test_relaxation_from_the_skeleton_walk_is_unchanged(tmp_path_factory, seed):
         for gold in (same_chain, random_reasoning_path(rng, og)):
             q = path_to_sparql(gold)
             assert evaluate_query(g, q, walks) == evaluate_query(g, q)
+
+
+# --- one filter per equal constraint in a question ---
+
+def _with_surfaces(rp):
+    # Entity surfaces that sort against their ids the other way round, so
+    # a step order taken from the surface would not match the query's.
+    return replace(rp, constraints=tuple(
+        replace(c, value=replace(c.value, surface=c.value.entity[::-1].swapcase()))
+        if isinstance(c.value, EntityMatch) else c
+        for c in rp.constraints
+    ))
+
+
+def _shuffled(q, rng):
+    # The same query with its patterns and filters written in another order.
+    patterns, filters = list(q.patterns), list(q.filters)
+    rng.shuffle(patterns)
+    rng.shuffle(filters)
+    return replace(q, patterns=tuple(patterns), filters=tuple(filters))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000_000))
+def test_gold_query_through_the_relaxation_memo_is_unchanged(tmp_path_factory, seed):
+    rng = random.Random(seed)
+    tsv = random_graph_tsv(rng)
+    path = tmp_path_factory.mktemp("m") / "g.tsv"
+    path.write_text(tsv, encoding="utf-8")
+    g = load_tsv(path)
+    og = parse_tsv(tsv)
+    for _ in range(3):
+        rp = _with_surfaces(random_reasoning_path(rng, og, max_constraints=4))
+        walks: dict = {}
+        relaxed = execute_with_relaxation(g, rp, walks)
+        golds = [
+            replace(rp, constraints=constraints_for_tier(rp.constraints, t))
+            for t in range(TIER_FULL, TIER_SKELETON + 1)
+        ]
+        golds.append(random_reasoning_path(rng, og))
+        for gold in golds:
+            q = path_to_sparql(gold)
+            for query in (q, _shuffled(q, rng)):
+                assert evaluate_query(g, query, walks) == evaluate_query(g, query)
+        at_tier = path_to_sparql(golds[relaxed.relaxation_tier])
+        assert evaluate_query(g, at_tier, walks) == relaxed.answers
+
+
+@contextmanager
+def counted_filters():
+    """Counts the calls of every filter ``execute`` compiles meanwhile."""
+    import kgrelay.execute as execute
+
+    calls = []
+    compile_step = execute._step
+
+    def counting(relation, values):
+        step = compile_step(relation, values)
+
+        def counted(g, frontier):
+            calls.append(relation)
+            return step(g, frontier)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(execute, "_step", counting)
+        yield calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000_000))
+def test_query_at_the_answering_tier_runs_no_filter_again(tmp_path_factory, seed):
+    rng = random.Random(seed)
+    tsv = random_graph_tsv(rng)
+    path = tmp_path_factory.mktemp("q") / "g.tsv"
+    path.write_text(tsv, encoding="utf-8")
+    g = load_tsv(path)
+    og = parse_tsv(tsv)
+    for _ in range(3):
+        rp = _with_surfaces(random_reasoning_path(rng, og, max_constraints=4))
+        walks: dict = {}
+        with counted_filters() as calls:
+            relaxed = execute_with_relaxation(g, rp, walks)
+            kept = constraints_for_tier(rp.constraints, relaxed.relaxation_tier)
+            q = _shuffled(path_to_sparql(replace(rp, constraints=kept)), rng)
+            calls.clear()
+            assert evaluate_query(g, q, walks) == relaxed.answers
+            assert calls == []
+
+
+def test_thresholds_of_other_kinds_do_not_share_a_filter(tmp_path):
+    g = graph(
+        tmp_path,
+        'S\tr\tA\nS\tr\tB\nA\tv\t"2001"^^xsd:dateTime\nB\tv\t"2001"^^xsd:integer\n',
+    )
+    rp = grounded(g, 'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=GE; value="2001"')
+    assert rp.constraints[0].value.threshold.kind == "datetime"
+    walks: dict = {}
+    assert execute_with_relaxation(g, rp, walks) == AnswerSet(frozenset({"A"}), TIER_FULL)
+    q = parse_sparql(
+        'SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c . FILTER(?c >= "2001"^^xsd:integer) }'
+    )
+    assert evaluate_query(g, q, walks) == frozenset({"B"})
+    assert execute_full(g, rp, walks) == frozenset({"A"})
+
+
+@pytest.mark.parametrize("query_first", [False, True])
+def test_a_filter_conjunction_does_not_share_the_split_constraints(tmp_path, query_first):
+    # One binding must lie in [5, 10]; the path asks one literal >= 5 and
+    # one literal <= 10, which 12 and 3 are.
+    g = graph(tmp_path, 'S\tr\tA\nA\tv\t"3"^^xsd:integer\nA\tv\t"12"^^xsd:integer\n')
+    rp = grounded(
+        g,
+        'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=GE; value="5"\n'
+        'CONSTRAINT: hop=1; rel=v; op=LE; value="10"',
+    )
+    q = parse_sparql(
+        'SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c .'
+        ' FILTER(?c >= "5"^^xsd:integer) FILTER(?c <= "10"^^xsd:integer) }'
+    )
+    walks: dict = {}
+    runs = [lambda: evaluate_query(g, q, walks), lambda: execute_full(g, rp, walks)]
+    got = [run() for run in (runs[::-1] if query_first else runs)]
+    assert got == ([frozenset({"A"}), frozenset()] if query_first else [frozenset(), frozenset({"A"})])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrelay.errors import HopOutOfRange, ParseError, UnknownEntity
-from kgrelay.kg import DATETIME, NUMERIC, Literal
+from kgrelay.kg import DATETIME, NUMERIC, KnowledgeGraph, Literal
 from kgrelay.reasoning import (
     ComparisonOp,
     Constraint,
@@ -253,3 +253,31 @@ def test_ground_constraint_lenient(presidents):
     assert grounded.topic_entity == "USA"
     assert grounded.constraints[0].value.entity is None
     assert grounded.constraints[0].value.surface == "Atlantis"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000))
+def test_grounding_does_not_change_the_text(seed):
+    # The text form carries surfaces only; grounding fills ids beside them,
+    # so a stage-1 row serializes its path once for both path fields.
+    from dataclasses import replace
+
+    rng = random.Random(seed)
+    rp = random_ungrounded_path(rng)
+    ids = {rp.topic_surface} | {
+        c.value.surface for c in rp.constraints if isinstance(c.value, EntityMatch)
+    }
+    g = KnowledgeGraph([(e, "r", e) for e in ids], {f"the {e}": {e} for e in ids})
+
+    def surface(e, resolvable=True):
+        forms = [e, e.upper(), e.lower(), f"the {e}"]
+        return rng.choice(forms if resolvable else forms + [f"no {e}"])
+
+    rp = ReasoningPath(surface(rp.topic_surface), rp.path, tuple(
+        replace(c, value=EntityMatch(surface(c.value.surface, resolvable=False)))
+        if isinstance(c.value, EntityMatch) else c
+        for c in rp.constraints
+    ))
+    grounded = ground_reasoning_path(g, rp)
+    assert grounded.topic_entity in ids
+    assert serialize_reasoning_path(grounded) == serialize_reasoning_path(rp)
