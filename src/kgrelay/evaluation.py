@@ -26,7 +26,6 @@ from .reasoning import (
     EntityMatch,
     ReasoningPath,
     StringMatch,
-    canonicalize,
     serialize_reasoning_path,
 )
 from .repair import RepairConfig
@@ -150,13 +149,14 @@ def skeleton_accuracy(pred: ReasoningPath | None, gold: ReasoningPath) -> int:
 
 
 def exact_match(pred: ReasoningPath | None, gold: ReasoningPath) -> int:
-    """1 iff canonical serializations are identical (payloads included)."""
+    """1 iff the serializations are identical (payloads included).
+
+    Serialization sorts the constraints and prints no threshold kind, so
+    it is already canonical.
+    """
     if pred is None:
         return 0
-    return int(
-        serialize_reasoning_path(canonicalize(pred))
-        == serialize_reasoning_path(canonicalize(gold))
-    )
+    return int(serialize_reasoning_path(pred) == serialize_reasoning_path(gold))
 
 
 # --- batch harness ---

@@ -3,27 +3,29 @@
 Both forms compile to one hop plan: for each hop of the main chain, the
 relation to expand and the steps that filter the hop's frontier. One
 function, ``_step``, compiles every step, from a path constraint or from
-a query branch, into a plain closure. Binary steps run before extremal
-ones, so the result does not depend on the order constraints were written
-in. One table gives both the tier at which relaxation drops each
-constraint kind and the order of a hop's steps. Every plan runs on
-``KnowledgeGraph.walk``, the graph's one chain walker.
+a query branch, into a plain closure. It reads only the step's relation
+and tests, what the step checks of each constraint value, and those are
+the step's key. Binary steps run before extremal ones, so the result does
+not depend on the order constraints were written in. One table gives
+both the tier at which relaxation drops each kind of test and the order
+of a hop's steps. Every plan runs on ``KnowledgeGraph.walk``, the graph's
+one chain walker.
 
 Relaxation and query evaluation take the question's walk memo, which the
 routing check and repair have filled, so every walk from the topic along
-a chain already walked starts from it. The memo also keeps the question's
-compiled filters, keyed by relation and canonical values, so equal
-constraints of every relaxation tier and of the gold query compile to one
-filter, and the steps of a hop run in one canonical order. A gold query
-that repeats a walk of relaxation, its branches written in any order,
-then reads that walk from the memo and runs no filter.
+a chain already walked starts from it. The walk keys the memo by step
+keys, so equal constraints of every relaxation tier and of the gold query
+share its entries, and the steps of a hop run in one canonical order. A
+gold query that repeats a walk of relaxation, its branches written in any
+order, then reads that walk from the memo and runs no filter.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from operator import itemgetter
+from decimal import Decimal
+from operator import eq, ge, gt, itemgetter, le, lt
 from typing import AbstractSet, Callable, Sequence
 
 from .errors import UngroundedTopic
@@ -33,7 +35,6 @@ from .reasoning import (
     Constraint,
     ConstraintValue,
     EntityMatch,
-    NumericCompare,
     ReasoningPath,
     StringMatch,
 )
@@ -57,27 +58,6 @@ class AnswerSet:
         return bool(self.answers)
 
 
-def _compare(value: Literal, op: ComparisonOp, threshold: Literal) -> bool:
-    """Compare two date or two numeric literals.
-
-    Numbers compare as decimals, dates as ISO text (so "2001" < "2001-05"
-    < "2002").
-    """
-    if value.kind == NUMERIC:
-        a, b = value.decimal(), threshold.decimal()
-    else:
-        a, b = value.text, threshold.text
-    if op == ComparisonOp.EQ:
-        return a == b
-    if op == ComparisonOp.GE:
-        return a >= b
-    if op == ComparisonOp.LE:
-        return a <= b
-    if op == ComparisonOp.GT:
-        return a > b
-    return a < b
-
-
 def _value_key(lit: Literal) -> tuple:
     # Orders extremal candidates; kinds never mix in the second slot.
     if lit.kind == NUMERIC:
@@ -89,26 +69,59 @@ def _value_key(lit: Literal) -> tuple:
 
 _NO_NODES: frozenset = frozenset()
 
-# The tier at which relaxation drops each constraint kind. Steps at a hop
-# run in the reverse order, entity first: they commute, so the steps a
-# tier keeps at a hop are then a prefix of the tier before, and the walk
-# memo computes them once.
+# A test is what a filter reads of one constraint value: ("entity", id),
+# ("entity",) when ungrounded, ("string", trimmed text), (op,) for an
+# extremal, (op, threshold kind, threshold text) for a comparison. Its
+# head gives its kind, and this table the tier at which relaxation drops
+# each kind. Steps at a hop run in the reverse order, entity first: they
+# commute, so the steps a tier keeps at a hop are then a prefix of the
+# tier before, and the walk memo computes them once.
 _DROPPED_AT = {
-    StringMatch: TIER_DROP_STRING,
-    NumericCompare: TIER_DROP_STRING_NUMERIC,
-    EntityMatch: TIER_SKELETON,
+    "string": TIER_DROP_STRING,
+    "comparison": TIER_DROP_STRING_NUMERIC,
+    "extremal": TIER_DROP_STRING_NUMERIC,
+    "entity": TIER_SKELETON,
+}
+_PICK = {ComparisonOp.ARGMAX.value: max, ComparisonOp.ARGMIN.value: min}
+# Each binary operator on a literal's value and a threshold of its kind:
+# numbers compare as decimals, dates as ISO text (so "2001" < "2001-05"
+# < "2002").
+_HOLDS = {
+    ComparisonOp.EQ.value: eq,
+    ComparisonOp.GE.value: ge,
+    ComparisonOp.LE.value: le,
+    ComparisonOp.GT.value: gt,
+    ComparisonOp.LT.value: lt,
 }
 
 
-def _step(relation: str, values: Sequence[ConstraintValue]) -> Callable:
-    """Compile what one binding of ``relation`` must meet into a filter,
-    called as ``step(g, frontier)``.
+def _test(v: ConstraintValue) -> tuple[str, ...]:
+    if isinstance(v, EntityMatch):
+        return ("entity",) if v.entity is None else ("entity", v.entity)
+    if isinstance(v, StringMatch):
+        return ("string", v.text.strip())
+    if v.threshold is None:
+        return (v.op.value,)
+    return (v.op.value, v.threshold.kind, v.threshold.text)
 
-    No values keeps the entities with any object under ``relation``. An
-    entity match, which comes alone, keeps the entities that have its
+
+def _kind(test: tuple[str, ...]) -> str:
+    head = test[0]
+    if head in ("entity", "string"):
+        return head
+    return "extremal" if head in _PICK else "comparison"
+
+
+def _step(relation: str, tests: Sequence[tuple[str, ...]]) -> Callable:
+    """Compile the tests one binding of ``relation`` must pass into a
+    filter, called as ``step(g, frontier)``. It reads nothing but its
+    arguments, so equal tests compile to filters that keep equal nodes.
+
+    No tests keeps the entities with any object under ``relation``. An
+    entity test, which comes alone, keeps the entities that have its
     entity among their objects, as one intersection with ``g.subjects``;
-    an ungrounded one keeps nothing. Any other values are tests that one
-    literal object must all pass. A string match is trimmed,
+    an ungrounded one keeps nothing. Any other tests are ones that one
+    literal object must all pass. A string test is trimmed,
     case-sensitive equality. A comparison of a number with a date
     threshold, or the reverse, does not match; the filter logs the first
     such pair it meets, so a question costs one warning per filter, not one
@@ -116,50 +129,47 @@ def _step(relation: str, values: Sequence[ConstraintValue]) -> Callable:
     objects passes; with one (ARGMAX/ARGMIN), the entities whose best
     passing date or number is the extreme one stay, ties included. A
     literal in the frontier has no objects, so every filter drops it.
-
-    Filters are closures, so they hash by identity, and only walks that
-    share a compiled filter share the walk-memo prefixes past it;
-    ``_filter`` gives equal constraints of one question one closure.
     """
-    if not values:
+    if not tests:
         def exists(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
             objs = g.objects(relation)
             return {e for e in frontier if objs.get(e)}
 
         return exists
-    if isinstance(values[0], EntityMatch):
-        target = values[0].entity
+    if _kind(tests[0]) == "entity":
+        target = tests[0][1] if len(tests[0]) > 1 else None
         return lambda g, frontier: frontier & g.subjects(relation, target)
 
     warned = False
 
-    def literal_test(v: StringMatch | NumericCompare) -> Callable[[Literal], bool]:
-        if isinstance(v, StringMatch):
-            want = v.text.strip()
+    def literal_test(head: str, *rest: str) -> Callable[[Literal], bool]:
+        if head == "string":
+            (want,) = rest
             return lambda o: o.kind == STRING and o.text.strip() == want
-        op, threshold = v.op, v.threshold
+        holds, (kind, text) = _HOLDS[head], rest
+        bound = Decimal(text) if kind == NUMERIC else text
 
         def test(o: Literal) -> bool:
             nonlocal warned
-            if o.kind == threshold.kind:
-                return _compare(o, op, threshold)
+            if o.kind == kind:
+                return holds(o.decimal() if kind == NUMERIC else o.text, bound)
             if o.kind != STRING and not warned:
                 warned = True
                 log.warning(
                     "non-comparable literal: %s value %r vs %s threshold %r",
-                    o.kind, o.text, threshold.kind, threshold.text,
+                    o.kind, o.text, kind, text,
                 )
             return False
 
         return test
 
-    tests, pick = [], None
-    for v in values:
-        if _extremal(v):
-            pick = max if v.op == ComparisonOp.ARGMAX else min
+    checks, pick = [], None
+    for t in tests:
+        if _kind(t) == "extremal":
+            pick = _PICK[t[0]]
         else:
-            tests.append(literal_test(v))
-    admits = tests[0] if len(tests) == 1 else (lambda o: all(t(o) for t in tests))
+            checks.append(literal_test(*t))
+    admits = checks[0] if len(checks) == 1 else (lambda o: all(c(o) for c in checks))
 
     if pick is None:
         def any_passes(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
@@ -188,66 +198,34 @@ def _step(relation: str, values: Sequence[ConstraintValue]) -> Callable:
     return extreme
 
 
-# The key, in a walk memo, of its question's compiled filters. The memo is
-# ``KnowledgeGraph.walk``'s, which looks it up only by a walk's start, an
-# entity id; this key is none, so it never meets a walk, and the filters
-# die with the memo at the end of the question.
-_FILTERS = object()
-
-
-def _extremal(v: ConstraintValue) -> bool:
-    return isinstance(v, NumericCompare) and v.op.is_extremal
-
-
-def _canonical(v: ConstraintValue) -> tuple[str, ...]:
-    # What a compiled filter reads of a value: the entity id, not the
-    # surface; the trimmed text of a string match; the operator and the
-    # threshold's kind and text of a comparison.
-    if isinstance(v, EntityMatch):
-        return ("entity",) if v.entity is None else ("entity", v.entity)
-    if isinstance(v, StringMatch):
-        return ("string", v.text.strip())
-    if v.threshold is None:
-        return (v.op.value,)
-    return (v.op.value, v.threshold.kind, v.threshold.text)
-
-
 def _filter(
-    walks: dict, relation: str, values: Sequence[ConstraintValue]
-) -> tuple[tuple, Callable]:
-    """The question's one filter for ``relation`` and ``values``, compiled
-    by ``_step`` on first use and kept in the walk memo ``walks``, with
-    the place it runs among the steps of its hop.
+    relation: str, values: Sequence[ConstraintValue]
+) -> tuple[tuple[bool, int], tuple, Callable]:
+    """``(place, key, filter)`` for what a binding of ``relation`` must
+    meet: ``values``, each read as its test.
 
-    Values with equal keys compile to equal filters, so they share one
-    closure, and the walks past it share their memo entries. Extremal
+    The key is the relation and the tests, and ``_step`` compiles the
+    filter from them alone, so the walk memo shares the entries past equal
+    keys. The place, then the key, orders the steps of a hop. Extremal
     steps do not commute; they run last. The other steps run by the tier
     at which relaxation drops them, latest first (bare existence is never
-    dropped), then by key. A query branch and the path constraint it
-    renders then take the same place.
+    dropped); the place holds that tier negated. A query branch and the
+    path constraint it renders then take the same place.
     """
-    if (compiled := walks.get(_FILTERS)) is None:
-        compiled = walks[_FILTERS] = {}
-    key = (relation, *map(_canonical, values))
-    if (entry := compiled.get(key)) is None:
-        dropped = min((_DROPPED_AT[type(v)] for v in values), default=TIER_SKELETON + 1)
-        order = (any(map(_extremal, values)), -dropped, key)
-        entry = compiled[key] = (order, _step(relation, values))
-    return entry
+    tests = tuple(map(_test, values))
+    kinds = [_kind(t) for t in tests]
+    dropped = min((_DROPPED_AT[k] for k in kinds), default=TIER_SKELETON + 1)
+    return ("extremal" in kinds, -dropped), (relation, *tests), _step(relation, tests)
 
 
 def apply_constraint(
     g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
 ) -> set[EntityId]:
     """Filter a candidate entity set by one constraint."""
-    return _step(c.relation, [c.value])(g, candidates)
+    return _step(c.relation, [_test(c.value)])(g, candidates)
 
 
 # --- reasoning paths ---
-
-def _kept_at(c: Constraint, tier: int) -> bool:
-    return tier < _DROPPED_AT[type(c.value)]
-
 
 def constraints_for_tier(
     constraints: tuple[Constraint, ...], tier: int
@@ -257,7 +235,7 @@ def constraints_for_tier(
     Tier 0 keeps everything; tier 1 drops string constraints; tier 2 also
     drops numeric ones (comparisons and extremals); tier 3 drops all.
     """
-    return tuple(c for c in constraints if _kept_at(c, tier))
+    return tuple(c for c in constraints if tier < _DROPPED_AT[_kind(_test(c.value))])
 
 
 def _run_tiers(
@@ -268,16 +246,16 @@ def _run_tiers(
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
     walks = {} if walks is None else walks
-    compiled = sorted(
-        ((c, *_filter(walks, c.relation, (c.value,))) for c in rp.constraints),
-        key=itemgetter(1),
+    steps = sorted(
+        ((c.hop, *_filter(c.relation, (c.value,))) for c in rp.constraints),
+        key=itemgetter(1, 2),
     )
     for tier in tiers:
-        hops = [
-            (rel, tuple(s for c, _, s in compiled if c.hop == hop and _kept_at(c, tier)))
-            for hop, rel in enumerate(rp.path, start=1)
-        ]
-        answers = g.walk(rp.topic_entity, hops, walks)
+        hops: list[list[tuple]] = [[] for _ in rp.path]
+        for hop, (_, minus_dropped), key, step in steps:
+            if tier < -minus_dropped:
+                hops[hop - 1].append((key, step))
+        answers = g.walk(rp.topic_entity, zip(rp.path, hops), walks)
         if answers:
             return AnswerSet(answers, tier)
     return AnswerSet(frozenset(), tiers[-1])
@@ -326,18 +304,18 @@ def evaluate_query(
     Queries that are not chain-shaped raise the chain-analysis errors.
     The steps of a hop run in ``_filter``'s order, the extremal branch,
     the one the ORDER BY sorts, last. The walk reads and fills the memo
-    ``walks`` (a fresh one when None), and its steps are the memo's
-    filters. So a query that a path renders, at the tier relaxation
-    answered at, walks that path's walk again from the memo, with no
-    filter run.
+    ``walks`` (a fresh one when None) under the steps' keys. So a query
+    that a path renders, at the tier relaxation answered at, walks that
+    path's walk again from the memo, with no filter run.
     """
     topic, chain, branches = chain_branches(q)
-    walks = {} if walks is None else walks
     steps: list[list[tuple]] = [[] for _ in chain]
     for b in branches:
-        steps[b.hop - 1].append(_filter(walks, b.pattern.relation, branch_values(b)))
+        steps[b.hop - 1].append(_filter(b.pattern.relation, branch_values(b)))
     hops = [
-        (pat.relation, tuple(step for _, step in sorted(at_hop, key=itemgetter(0))))
+        (pat.relation, tuple(
+            (key, step) for _, key, step in sorted(at_hop, key=itemgetter(0, 1))
+        ))
         for pat, at_hop in zip(chain, steps)
     ]
     return g.walk(topic, hops, walks)

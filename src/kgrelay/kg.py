@@ -30,7 +30,7 @@ from decimal import Decimal, InvalidOperation
 from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping
 
 from .errors import BadLiteral, MalformedLine, UnknownEntity
 
@@ -296,19 +296,21 @@ class KnowledgeGraph:
         return frozenset().union(*map(objs.get, frontier, repeat(_NO_NODES)))
 
     def walk(
-        self, start: EntityId, hops: Iterable[tuple[RelationId, Iterable[Callable]]],
+        self, start: EntityId,
+        hops: Iterable[tuple[RelationId, Iterable[tuple[Hashable, Callable]]]],
         memo: dict | None = None,
     ) -> frozenset[NodeRef]:
         """Run a hop plan from ``start``: each hop is a relation, expanded
-        through ``image``, and the filters, hashable callables ``(graph,
-        frontier) -> frontier`` such as the closures ``execute`` compiles,
-        applied in order to what it reaches. A filter is a memo key, so
-        walks share the entries past a filter only when they pass the same
-        filter object.
+        through ``image``, and the ``(key, filter)`` pairs applied in order
+        to what it reaches. A filter is a callable ``(graph, frontier) ->
+        frontier``; its key, a hashable that is not a relation name, says
+        what it keeps, so filters with equal keys must keep equal nodes.
+        Walks share the memo entries past equal keys, and a filter whose
+        key the memo holds at its place is not called.
 
         ``memo`` (a fresh one when None) keeps every walked prefix as a
         trie: it maps the start to a level, and a level maps the next
-        relation or filter to the frontier it gives and the level after
+        relation or filter key to the frontier it gives and the level after
         it. Walks through one memo compute a shared prefix once, and an
         n-hop walk adds at most one entry per hop and filter. A literal has
         no objects, so it ends a walk where it is reached. A memo is only
@@ -324,9 +326,9 @@ class KnowledgeGraph:
             if (entry := level.get(rel)) is None:
                 entry = level[rel] = (self.image(frontier, rel), {})
             frontier, level = entry
-            for keep in filters:
-                if (entry := level.get(keep)) is None:
-                    entry = level[keep] = (keep(self, frontier), {})
+            for key, keep in filters:
+                if (entry := level.get(key)) is None:
+                    entry = level[key] = (keep(self, frontier), {})
                 frontier, level = entry
         return frozenset(frontier)
 

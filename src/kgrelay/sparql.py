@@ -29,8 +29,7 @@ exactly the queries it accepts and prints any other query as parsed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from itertools import count
+from dataclasses import dataclass
 
 from .errors import (
     AmbiguousMainPath,
@@ -535,48 +534,6 @@ def _branch_body(b: Branch) -> str:
     ))
 
 
-def _canonical_ast(q: SparqlQuery) -> SparqlQuery:
-    # Inline literal objects become a fresh variable plus an EQ filter;
-    # fresh names skip every name the query already uses.
-    taken = {q.select_var, *(f.var for f in q.filters)}
-    taken.update(t for pat in q.patterns for t in (pat.subject, pat.object))
-    if q.order is not None:
-        taken.add(q.order.var)
-    fresh = (v for v in (Var(f"_lit{i}") for i in count(1)) if v not in taken)
-    patterns: list[TriplePattern] = []
-    filters = [replace(f, value=_retype(f.value)) for f in q.filters]
-    for pat in q.patterns:
-        if isinstance(pat.object, Literal):
-            var = next(fresh)
-            patterns.append(replace(pat, object=var))
-            filters.append(FilterClause(var, ComparisonOp.EQ, _retype(pat.object)))
-        else:
-            patterns.append(pat)
-    q = SparqlQuery(q.select_var, tuple(patterns), tuple(filters), q.order)
-
-    try:
-        _, chain, branches = chain_branches(q)
-    except KgRelayError:
-        return q  # not chain shaped; leave as parsed
-    branches.sort(key=lambda b: (b.hop, b.pattern.relation, _branch_body(b)))
-    rename = {pat.object: Var(f"h{i}") for i, pat in enumerate(chain, start=1)}
-    branch_vars = [b.pattern.object for b in branches if isinstance(b.pattern.object, Var)]
-    rename.update((v, Var(f"c{i}")) for i, v in enumerate(branch_vars, start=1))
-
-    def sub(term):
-        return rename.get(term, term)
-
-    out_patterns = tuple(
-        replace(pat, subject=sub(pat.subject), object=sub(pat.object))
-        for pat in chain + [b.pattern for b in branches]
-    )
-    out_filters = [replace(f, var=rename[f.var]) for f in q.filters]
-    # (len, name) sorts c2 before c10; plain lexicographic would not.
-    out_filters.sort(key=lambda f: (len(f.var.name), f.var.name, f.op.value, f.value.token()))
-    order = replace(q.order, var=rename[q.order.var]) if q.order else None
-    return SparqlQuery(rename[q.select_var], out_patterns, tuple(out_filters), order)
-
-
 def _term_text(term) -> str:
     if isinstance(term, Var):
         return f"?{term.name}"
@@ -585,23 +542,57 @@ def _term_text(term) -> str:
     return f":{term}"
 
 
-def render_sparql(q: SparqlQuery) -> str:
-    """Canonical text: one clause per line, chain variables renamed to
-    ?h1..?hN and constraint variables to ?c1.. when the query is chain
-    shaped; other queries print with their original names."""
-    q = _canonical_ast(q)
-    lines = [f"SELECT DISTINCT {_term_text(q.select_var)} WHERE {{"]
+def _query_text(q: SparqlQuery) -> str:
+    lines = [f"SELECT DISTINCT ?{q.select_var.name} WHERE {{"]
     for pat in q.patterns:
-        lines.append(
-            f"  {_term_text(pat.subject)} :{pat.relation} {_term_text(pat.object)} ."
-        )
+        lines.append(f"  {_term_text(pat.subject)} :{pat.relation} {_term_text(pat.object)} .")
     for f in q.filters:
-        lines.append(f"  FILTER({_term_text(f.var)} {_OP_TEXT[f.op]} {f.value.token()})")
+        lines.append(f"  FILTER(?{f.var.name} {_OP_TEXT[f.op]} {f.value.token()})")
     lines.append("}")
     if q.order is not None:
         direction = "DESC" if q.order.descending else "ASC"
-        lines.append(f"ORDER BY {direction}({_term_text(q.order.var)}) LIMIT 1")
+        lines.append(f"ORDER BY {direction}(?{q.order.var.name}) LIMIT 1")
     return "\n".join(lines)
+
+
+def render_sparql(q: SparqlQuery) -> str:
+    """Canonical text, one clause per line, of a chain-shaped query.
+
+    The chain prints first, its variables ?h1..?hN. Then the branches
+    from ``chain_branches`` print in hop, relation and constraint-text
+    order, each branch variable or literal object named by the next of
+    ?c1..; a literal object becomes an ``=`` FILTER on its name. The
+    FILTERs follow by that name, operator and value, each value with the
+    kind its text gives. Any other query prints as parsed.
+    """
+    try:
+        _, chain, branches = chain_branches(q)
+    except KgRelayError:
+        return _query_text(q)
+    patterns = [
+        TriplePattern(pat.subject if i == 1 else Var(f"h{i - 1}"), pat.relation, Var(f"h{i}"))
+        for i, pat in enumerate(chain, start=1)
+    ]
+    filters: list[FilterClause] = []
+    order, named = None, 0
+    branches.sort(key=lambda b: (b.hop, b.pattern.relation, _branch_body(b)))
+    for b in branches:
+        var = obj = b.pattern.object
+        if not isinstance(obj, str):
+            named += 1
+            var = Var(f"c{named}")
+            clauses = (
+                [(ComparisonOp.EQ, obj)] if isinstance(obj, Literal)
+                else [(f.op, f.value) for f in b.filters]
+            )
+            filters += sorted(
+                (FilterClause(var, op, _retype(value)) for op, value in clauses),
+                key=lambda f: (f.op.value, f.value.token()),
+            )
+            if b.descending is not None:
+                order = OrderClause(var, b.descending)
+        patterns.append(TriplePattern(Var(f"h{b.hop}"), b.pattern.relation, var))
+    return _query_text(SparqlQuery(Var(f"h{len(chain)}"), tuple(patterns), tuple(filters), order))
 
 
 @dataclass(frozen=True)

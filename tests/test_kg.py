@@ -261,6 +261,28 @@ def test_reach_drops_intermediate_literals(tmp_path):
     assert g.reach("a", ("r",)) == {"b", Literal(NUMERIC, "5")}
 
 
+def test_walk_shares_memo_entries_by_filter_key():
+    g = KnowledgeGraph([("a", "r", "b"), ("a", "r", "c"), ("b", "s", "d"), ("c", "s", "e")])
+    calls = []
+
+    def keeping(node):
+        def keep(graph, frontier):
+            calls.append(node)
+            return frontier & {node}
+
+        return keep
+
+    memo: dict = {}
+    first, twin = keeping("b"), keeping("b")
+    assert g.walk("a", [("r", [(("keep", "b"), first)])], memo) == {"b"}
+    # a distinct callable under an equal key reads the entry and is not called
+    assert g.walk("a", [("r", [(("keep", "b"), twin)]), ("s", ())], memo) == {"d"}
+    assert calls == ["b"]
+    # an unequal key shares nothing past the hop, even with the same callable
+    assert g.walk("a", [("r", [(("keep", "b", 2), twin)]), ("s", ())], memo) == {"d"}
+    assert g.walk("a", [("r", [(("keep", "c"), keeping("c"))]), ("s", ())], memo) == {"e"}
+    assert calls == ["b", "b", "c"]
+
 def test_ground_entity_casefold_and_unknown(presidents):
     assert presidents.ground_entity("obama") == "Obama"
     assert presidents.ground_entity("OBAMA") == "Obama"

@@ -281,3 +281,24 @@ def test_grounding_does_not_change_the_text(seed):
     grounded = ground_reasoning_path(g, rp)
     assert grounded.topic_entity in ids
     assert serialize_reasoning_path(grounded) == serialize_reasoning_path(rp)
+
+
+def _mistyped(c: Constraint) -> Constraint:
+    # A year threshold typed as a number, which canonicalize types back.
+    v = c.value
+    if isinstance(v, NumericCompare) and v.threshold is not None and v.threshold.text.isdigit():
+        return Constraint(c.hop, c.relation, NumericCompare(v.op, Literal(NUMERIC, v.threshold.text)))
+    return c
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000_000))
+def test_serialization_is_already_canonical(seed):
+    # exact_match compares the texts of two paths without canonicalizing
+    # them: the text sorts constraints and prints no threshold kind.
+    rng = random.Random(seed)
+    rp = random_ungrounded_path(rng, max_constraints=5)
+    constraints = [_mistyped(c) for c in rp.constraints]
+    rng.shuffle(constraints)
+    rp = ReasoningPath(rp.topic_surface, rp.path, tuple(constraints), rp.topic_entity)
+    assert serialize_reasoning_path(canonicalize(rp)) == serialize_reasoning_path(rp)

@@ -479,6 +479,44 @@ def test_render_filter_on_unbound_variable_keeps_names():
     assert "FILTER(?nowhere = " in rendered
 
 
+def test_render_non_chain_query_prints_as_parsed():
+    # a filter on a chain variable is not chain-shaped: the literal object
+    # stays inline and the integer-tagged year keeps its tag
+    text = """SELECT DISTINCT ?x WHERE {
+  :A :r ?x .
+  ?x :v "5"^^xsd:integer .
+  FILTER(?x = "2001"^^xsd:integer)
+}"""
+    assert render_sparql(parse_sparql(text)) == text
+
+
+def _shuffled(q: SparqlQuery, rng) -> SparqlQuery:
+    patterns, filters = list(q.patterns), list(q.filters)
+    rng.shuffle(patterns)
+    rng.shuffle(filters)
+    return SparqlQuery(q.select_var, tuple(patterns), tuple(filters), q.order)
+
+
+def _inlined(q: SparqlQuery, rng) -> SparqlQuery:
+    # Some `=` filters written as the literal object of their variable's
+    # pattern; path_to_sparql gives each variable one filter at most.
+    inline = {f.var: f.value for f in q.filters if f.op == ComparisonOp.EQ and rng.random() < 0.7}
+    patterns = tuple(
+        TriplePattern(p.subject, p.relation, inline.get(p.object, p.object)) for p in q.patterns
+    )
+    filters = tuple(f for f in q.filters if f.var not in inline)
+    return SparqlQuery(q.select_var, patterns, filters, q.order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000_000))
+def test_render_ignores_clause_order_and_inline_literals(seed):
+    rng = random.Random(seed)
+    q = path_to_sparql(random_ungrounded_path(rng, max_constraints=5))
+    text = render_sparql(q)
+    for variant in (_shuffled(q, rng), _inlined(q, rng), _shuffled(_inlined(q, rng), rng)):
+        assert render_sparql(variant) == text
+
 def test_render_parse_fixpoint(worked_argmax_path):
     text = render_sparql(path_to_sparql(worked_argmax_path))
     assert render_sparql(parse_sparql(text)) == text
