@@ -215,8 +215,8 @@ def _row(
 
     A record without a result (an unusable dataset line) is flagged with
     its load error. Any other record is scored against its gold answers,
-    or the gold query's answers when it has none, and flagged when there
-    is no gold to score against. The gold query walks through the
+    or the gold query's answers when it has none, and flagged when its
+    question fell back or there is no gold to score against. The gold query walks through the
     question's walk memo ``walks``, with the question's filters. When it
     reaches the answer node set itself, no answer text is normalized: a
     non-empty set is its own gold and scores hits 1 and F1 1.0, however
@@ -276,8 +276,9 @@ def _row(
         else:
             row["skeleton_accuracy"] = skeleton_accuracy(result.crp_initial, gold_rp)
             row["exact_match"] = exact_match(result.crp_initial, gold_rp)
-    if not gold:
-        # Cannot score against nothing; count the record as failed.
+    if not gold or result.route is Route.FALLBACK:
+        # A question that failed, or one with no gold to score against,
+        # counts as failed.
         row["flagged"] = True
     if error:
         row["error"] = error

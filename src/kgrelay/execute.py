@@ -1,15 +1,15 @@
 """Compilation of reasoning paths and subset queries into hop plans.
 
 Both forms compile to one hop plan: for each hop of the main chain, the
-relation to expand and the steps that filter the hop's frontier. One
-function, ``_step``, compiles every step, from a path constraint or from
-a query branch, into a plain closure. It reads only the step's relation
-and tests, what the step checks of each constraint value, and those are
-the step's key. Binary steps run before extremal ones, so the result does
-not depend on the order constraints were written in. One table gives
-both the tier at which relaxation drops each kind of test and the order
-of a hop's steps. Every plan runs on ``KnowledgeGraph.walk``, the graph's
-one chain walker.
+relation to expand and the keys of the steps that filter the hop's
+frontier. A step is its key: the relation and the tests one binding of it
+must pass, a test being what the step checks of one constraint value.
+One plain function, ``_keep``, applies a key to a frontier, for a path
+constraint and for a query branch alike. Binary steps run before
+extremal ones, so the result does not depend on the order constraints
+were written in. One table gives both the tier at which relaxation drops
+each kind of test and the order of a hop's steps. Every plan runs on
+``KnowledgeGraph.walk``, the graph's one chain walker.
 
 Relaxation and query evaluation take the question's walk memo, which the
 routing check and repair have filled, so every walk from the topic along
@@ -17,7 +17,7 @@ a chain already walked starts from it. The walk keys the memo by step
 keys, so equal constraints of every relaxation tier and of the gold query
 share its entries, and the steps of a hop run in one canonical order. A
 gold query that repeats a walk of relaxation, its branches written in any
-order, then reads that walk from the memo and runs no filter.
+order, then reads that walk from the memo and applies no key.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import logging
 from dataclasses import dataclass
 from decimal import Decimal
 from operator import eq, ge, gt, itemgetter, le, lt
-from typing import AbstractSet, Callable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import UngroundedTopic
-from .kg import DATETIME, NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, NodeRef
+from .kg import NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, NodeRef
 from .reasoning import (
     ComparisonOp,
     Constraint,
@@ -65,17 +65,18 @@ def _value_key(lit: Literal) -> tuple:
     return (lit.kind, lit.text)
 
 
-# --- the filter compiler ---
+# --- the step keys ---
 
 _NO_NODES: frozenset = frozenset()
 
-# A test is what a filter reads of one constraint value: ("entity", id),
-# ("entity",) when ungrounded, ("string", trimmed text), (op,) for an
-# extremal, (op, threshold kind, threshold text) for a comparison. Its
-# head gives its kind, and this table the tier at which relaxation drops
-# each kind. Steps at a hop run in the reverse order, entity first: they
-# commute, so the steps a tier keeps at a hop are then a prefix of the
-# tier before, and the walk memo computes them once.
+# A test is what a step reads of one constraint value, its kind at its
+# head: ("entity", id), or ("entity",) when ungrounded (None would not
+# order against an id); ("string", trimmed text); ("extremal", op); and
+# ("comparison", op, threshold kind, threshold text). This table gives the
+# tier at which relaxation drops each kind. Steps at a hop run in the
+# reverse order, entity first: they commute, so the steps a tier keeps at
+# a hop are then a prefix of the tier before, and the walk memo computes
+# them once.
 _DROPPED_AT = {
     "string": TIER_DROP_STRING,
     "comparison": TIER_DROP_STRING_NUMERIC,
@@ -95,134 +96,126 @@ _HOLDS = {
 }
 
 
+def _trimmed_eq(text: str, want: str) -> bool:
+    return text.strip() == want
+
+
 def _test(v: ConstraintValue) -> tuple[str, ...]:
     if isinstance(v, EntityMatch):
         return ("entity",) if v.entity is None else ("entity", v.entity)
     if isinstance(v, StringMatch):
         return ("string", v.text.strip())
     if v.threshold is None:
-        return (v.op.value,)
-    return (v.op.value, v.threshold.kind, v.threshold.text)
+        return ("extremal", v.op.value)
+    return ("comparison", v.op.value, v.threshold.kind, v.threshold.text)
 
 
-def _kind(test: tuple[str, ...]) -> str:
-    head = test[0]
-    if head in ("entity", "string"):
-        return head
-    return "extremal" if head in _PICK else "comparison"
+def _keep(g: KnowledgeGraph, frontier: AbstractSet[NodeRef], key: tuple) -> AbstractSet[NodeRef]:
+    """The nodes of ``frontier`` that step ``key``, a relation and its
+    tests, keeps: the one function that reads a key.
 
-
-def _step(relation: str, tests: Sequence[tuple[str, ...]]) -> Callable:
-    """Compile the tests one binding of ``relation`` must pass into a
-    filter, called as ``step(g, frontier)``. It reads nothing but its
-    arguments, so equal tests compile to filters that keep equal nodes.
-
-    No tests keeps the entities with any object under ``relation``. An
+    No tests keeps the entities with any object under the relation. An
     entity test, which comes alone, keeps the entities that have its
     entity among their objects, as one intersection with ``g.subjects``;
     an ungrounded one keeps nothing. Any other tests are ones that one
-    literal object must all pass. A string test is trimmed,
-    case-sensitive equality. A comparison of a number with a date
-    threshold, or the reverse, does not match; the filter logs the first
-    such pair it meets, so a question costs one warning per filter, not one
-    per literal. Without an extremal, an entity stays when one of its literal
-    objects passes; with one (ARGMAX/ARGMIN), the entities whose best
-    passing date or number is the extreme one stay, ties included. A
-    literal in the frontier has no objects, so every filter drops it.
+    literal object must all pass, checked in order up to the first that
+    fails. A string test is trimmed, case-sensitive equality. A
+    comparison of a number with a date threshold, or the reverse, does
+    not match; each call logs the first such pair it meets, so a call
+    costs at most one warning, not one per literal. Without an extremal,
+    an entity stays when one of its literal objects passes; with one
+    (ARGMAX/ARGMIN), the entities whose best passing date or number is
+    the extreme one stay, ties included. A literal in the frontier has no
+    objects, so every step drops it.
     """
+    relation, *tests = key
+    objs = g.objects(relation)
     if not tests:
-        def exists(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
-            objs = g.objects(relation)
-            return {e for e in frontier if objs.get(e)}
+        return {e for e in frontier if objs.get(e)}
+    if tests[0][0] == "entity":
+        return frontier & g.subjects(relation, tests[0][1] if len(tests[0]) > 1 else None)
 
-        return exists
-    if _kind(tests[0]) == "entity":
-        target = tests[0][1] if len(tests[0]) > 1 else None
-        return lambda g, frontier: frontier & g.subjects(relation, target)
-
-    warned = False
-
-    def literal_test(head: str, *rest: str) -> Callable[[Literal], bool]:
-        if head == "string":
-            (want,) = rest
-            return lambda o: o.kind == STRING and o.text.strip() == want
-        holds, (kind, text) = _HOLDS[head], rest
-        bound = Decimal(text) if kind == NUMERIC else text
-
-        def test(o: Literal) -> bool:
-            nonlocal warned
-            if o.kind == kind:
-                return holds(o.decimal() if kind == NUMERIC else o.text, bound)
-            if o.kind != STRING and not warned:
-                warned = True
-                log.warning(
-                    "non-comparable literal: %s value %r vs %s threshold %r",
-                    o.kind, o.text, kind, text,
-                )
-            return False
-
-        return test
-
-    checks, pick = [], None
-    for t in tests:
-        if _kind(t) == "extremal":
-            pick = _PICK[t[0]]
+    pick, checks = None, []
+    for head, *rest in tests:
+        if head == "extremal":
+            pick = _PICK[rest[0]]
+        elif head == "string":
+            checks.append((_trimmed_eq, STRING, rest[0], None))
         else:
-            checks.append(literal_test(*t))
-    admits = checks[0] if len(checks) == 1 else (lambda o: all(c(o) for c in checks))
-
+            op, kind, text = rest
+            checks.append((_HOLDS[op], kind, Decimal(text) if kind == NUMERIC else text, text))
+    warned = False
+    kept: set[EntityId] = set()
+    best_of: dict[EntityId, tuple] = {}
+    for e in frontier:
+        for o in objs.get(e, _NO_NODES):
+            if not isinstance(o, Literal) or pick and o.kind == STRING:
+                continue
+            for holds, kind, bound, text in checks:
+                if o.kind != kind:
+                    if STRING not in (o.kind, kind) and not warned:
+                        warned = True
+                        log.warning(
+                            "non-comparable literal: %s value %r vs %s threshold %r",
+                            o.kind, o.text, kind, text,
+                        )
+                    break
+                if not holds(o.decimal() if kind == NUMERIC else o.text, bound):
+                    break
+            else:
+                if pick is None:
+                    kept.add(e)
+                    break
+                value = _value_key(o)
+                best_of[e] = pick(best_of.get(e, value), value)
     if pick is None:
-        def any_passes(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
-            objs = g.objects(relation)
-            return {
-                e for e in frontier
-                if any(isinstance(o, Literal) and admits(o) for o in objs.get(e, _NO_NODES))
-            }
-
-        return any_passes
-
-    def extreme(g: KnowledgeGraph, frontier: AbstractSet[NodeRef]) -> set[EntityId]:
-        objs = g.objects(relation)
-        best_of = {}
-        for e in frontier:
-            keys = [
-                _value_key(o)
-                for o in objs.get(e, _NO_NODES)
-                if isinstance(o, Literal) and o.kind in (NUMERIC, DATETIME) and admits(o)
-            ]
-            if keys:
-                best_of[e] = pick(keys)
-        best = pick(best_of.values(), default=None)
-        return {e for e, key in best_of.items() if key == best}
-
-    return extreme
+        return kept
+    best = pick(best_of.values(), default=None)
+    return {e for e, value in best_of.items() if value == best}
 
 
-def _filter(
-    relation: str, values: Sequence[ConstraintValue]
-) -> tuple[tuple[bool, int], tuple, Callable]:
-    """``(place, key, filter)`` for what a binding of ``relation`` must
-    meet: ``values``, each read as its test.
+def _filter(relation: str, values: Sequence[ConstraintValue]) -> tuple[tuple[bool, int], tuple]:
+    """``(place, key)`` of the step that a binding of ``relation`` must
+    pass: ``values``, each read as its test.
 
-    The key is the relation and the tests, and ``_step`` compiles the
-    filter from them alone, so the walk memo shares the entries past equal
-    keys. The place, then the key, orders the steps of a hop. Extremal
-    steps do not commute; they run last. The other steps run by the tier
-    at which relaxation drops them, latest first (bare existence is never
-    dropped); the place holds that tier negated. A query branch and the
-    path constraint it renders then take the same place.
+    The key is the relation and the tests; ``_keep`` applies it, and the
+    walk memo shares the entries past equal keys. The place, then the key,
+    orders the steps of a hop. Extremal steps do not commute; they run
+    last. The other steps run by the tier at which relaxation drops them,
+    latest first (bare existence is never dropped); the place holds that
+    tier negated. A query branch and the path constraint it renders then
+    take the same place.
     """
     tests = tuple(map(_test, values))
-    kinds = [_kind(t) for t in tests]
-    dropped = min((_DROPPED_AT[k] for k in kinds), default=TIER_SKELETON + 1)
-    return ("extremal" in kinds, -dropped), (relation, *tests), _step(relation, tests)
+    dropped = min((_DROPPED_AT[t[0]] for t in tests), default=TIER_SKELETON + 1)
+    return (any(t[0] == "extremal" for t in tests), -dropped), (relation, *tests)
+
+
+def _hop_plans(
+    path: Sequence[str],
+    steps: Iterable[tuple[int, str, Sequence[ConstraintValue]]],
+    tiers: Iterable[int],
+) -> Iterator[list[tuple[str, list[tuple]]]]:
+    """The hop plan of ``path`` at each tier in turn: per hop, the
+    relation and the keys of the steps ``(hop, relation, values)`` that
+    the tier keeps, in ``_filter``'s order. The steps are sorted once."""
+    ordered = sorted(
+        ((hop, *_filter(relation, values)) for hop, relation, values in steps),
+        key=itemgetter(1, 2),
+    )
+    for tier in tiers:
+        hops: list[tuple[str, list[tuple]]] = [(relation, []) for relation in path]
+        for hop, (_, minus_dropped), key in ordered:
+            if tier < -minus_dropped:
+                hops[hop - 1][1].append(key)
+        yield hops
 
 
 def apply_constraint(
     g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
 ) -> set[EntityId]:
     """Filter a candidate entity set by one constraint."""
-    return _step(c.relation, [_test(c.value)])(g, candidates)
+    return _keep(g, candidates, (c.relation, _test(c.value)))
 
 
 # --- reasoning paths ---
@@ -235,7 +228,7 @@ def constraints_for_tier(
     Tier 0 keeps everything; tier 1 drops string constraints; tier 2 also
     drops numeric ones (comparisons and extremals); tier 3 drops all.
     """
-    return tuple(c for c in constraints if tier < _DROPPED_AT[_kind(_test(c.value))])
+    return tuple(c for c in constraints if tier < _DROPPED_AT[_test(c.value)[0]])
 
 
 def _run_tiers(
@@ -246,17 +239,9 @@ def _run_tiers(
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
     walks = {} if walks is None else walks
-    steps = sorted(
-        ((c.hop, *_filter(c.relation, (c.value,))) for c in rp.constraints),
-        key=itemgetter(1, 2),
-    )
-    for tier in tiers:
-        hops: list[list[tuple]] = [[] for _ in rp.path]
-        for hop, (_, minus_dropped), key, step in steps:
-            if tier < -minus_dropped:
-                hops[hop - 1].append((key, step))
-        answers = g.walk(rp.topic_entity, zip(rp.path, hops), walks)
-        if answers:
+    steps = ((c.hop, c.relation, (c.value,)) for c in rp.constraints)
+    for tier, hops in zip(tiers, _hop_plans(rp.path, steps, tiers)):
+        if answers := g.walk(rp.topic_entity, hops, walks, _keep):
             return AnswerSet(answers, tier)
     return AnswerSet(frozenset(), tiers[-1])
 
@@ -297,7 +282,7 @@ def evaluate_query(
 ) -> frozenset[NodeRef]:
     """Interpret a chain-shaped query on the graph.
 
-    Each branch from ``chain_branches`` compiles to a step from its
+    Each branch from ``chain_branches`` is a step, keyed by its
     ``branch_values``, including the shapes a reasoning path cannot
     express: bare existence, literal objects, filter conjunctions over one
     binding and a filtered ORDER BY.
@@ -306,16 +291,9 @@ def evaluate_query(
     the one the ORDER BY sorts, last. The walk reads and fills the memo
     ``walks`` (a fresh one when None) under the steps' keys. So a query
     that a path renders, at the tier relaxation answered at, walks that
-    path's walk again from the memo, with no filter run.
+    path's walk again from the memo, with no key applied.
     """
     topic, chain, branches = chain_branches(q)
-    steps: list[list[tuple]] = [[] for _ in chain]
-    for b in branches:
-        steps[b.hop - 1].append(_filter(b.pattern.relation, branch_values(b)))
-    hops = [
-        (pat.relation, tuple(
-            (key, step) for _, key, step in sorted(at_hop, key=itemgetter(0, 1))
-        ))
-        for pat, at_hop in zip(chain, steps)
-    ]
-    return g.walk(topic, hops, walks)
+    steps = ((b.hop, b.pattern.relation, branch_values(b)) for b in branches)
+    (hops,) = _hop_plans([pat.relation for pat in chain], steps, (TIER_FULL,))
+    return g.walk(topic, hops, walks, _keep)

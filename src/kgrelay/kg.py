@@ -10,7 +10,9 @@ answers never changes once it is built, so it can be shared freely across
 worker threads.
 
 Every chain walk, filtered or bare, runs through ``KnowledgeGraph.walk``,
-the one owner of the walk-prefix memo and its format.
+the one owner of the walk-prefix memo and its format. A filtered walk
+names each filter by a key and passes the one function that applies a key
+to a frontier.
 
 TSV input format, one triple per line::
 
@@ -297,38 +299,37 @@ class KnowledgeGraph:
 
     def walk(
         self, start: EntityId,
-        hops: Iterable[tuple[RelationId, Iterable[tuple[Hashable, Callable]]]],
-        memo: dict | None = None,
+        hops: Iterable[tuple[RelationId, Iterable[Hashable]]],
+        memo: dict | None = None, keep: Callable | None = None,
     ) -> frozenset[NodeRef]:
         """Run a hop plan from ``start``: each hop is a relation, expanded
-        through ``image``, and the ``(key, filter)`` pairs applied in order
-        to what it reaches. A filter is a callable ``(graph, frontier) ->
-        frontier``; its key, a hashable that is not a relation name, says
-        what it keeps, so filters with equal keys must keep equal nodes.
-        Walks share the memo entries past equal keys, and a filter whose
-        key the memo holds at its place is not called.
+        through ``image``, and the keys, each a hashable that is not a
+        relation name, applied in order to what it reaches. A key the memo
+        does not hold at its place is applied as ``keep(graph, frontier,
+        key)``, and the frontier goes on as what that returns.
 
         ``memo`` (a fresh one when None) keeps every walked prefix as a
         trie: it maps the start to a level, and a level maps the next
-        relation or filter key to the frontier it gives and the level after
-        it. Walks through one memo compute a shared prefix once, and an
-        n-hop walk adds at most one entry per hop and filter. A literal has
-        no objects, so it ends a walk where it is reached. A memo is only
-        valid for one graph, and each question gets its own.
+        relation or key to the frontier it gives and the level after it.
+        Walks through one memo compute a shared prefix once, and an n-hop
+        walk adds at most one entry per hop and key. A literal has no
+        objects, so it ends a walk where it is reached. A memo is only
+        valid for one graph and one ``keep``, and each question gets its
+        own.
         """
         memo = {} if memo is None else memo
         if (level := memo.get(start)) is None:
             level = memo[start] = {}
         frontier: Collection[NodeRef] = frozenset((start,))
-        for rel, filters in hops:
+        for rel, keys in hops:
             if not frontier:
                 return _NO_NODES
             if (entry := level.get(rel)) is None:
                 entry = level[rel] = (self.image(frontier, rel), {})
             frontier, level = entry
-            for key, keep in filters:
+            for key in keys:
                 if (entry := level.get(key)) is None:
-                    entry = level[key] = (keep(self, frontier), {})
+                    entry = level[key] = (keep(self, frontier, key), {})
                 frontier, level = entry
         return frozenset(frontier)
 
@@ -339,7 +340,7 @@ class KnowledgeGraph:
 
         The empty chain reaches exactly {start}. Literals reached before
         the final hop cannot be expanded and are dropped; literals in the
-        final frontier are kept. It is ``walk`` with no filters, so the
+        final frontier are kept. It is ``walk`` with no keys, so the
         result may be the graph's own object set.
         """
         return self.walk(start, zip(relations, repeat(())), memo)

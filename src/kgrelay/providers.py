@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import os
 import re
 import threading
@@ -34,7 +33,6 @@ from .errors import (
 if TYPE_CHECKING:
     import urllib.request
 
-log = logging.getLogger(__name__)
 
 ROLE_SPECIALIZED = "specialized"
 ROLE_GENERAL = "general"

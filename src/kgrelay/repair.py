@@ -87,14 +87,13 @@ def expand_beam(
     step one ``emb.rank`` call keeps the x relations most similar to the
     step; the union over steps is kept, deduplicated across beam paths.
     Paths whose frontier has no outgoing relation are dead ends and are
-    dropped. Every returned candidate reaches a non-empty frontier by
-    construction.
+    dropped, each recorded once, as a ``dead_end`` event on ``trace``.
+    Every returned candidate reaches a non-empty frontier by construction.
     """
     candidates: dict[tuple[str, ...], None] = {}
     for pp in beam:
         rels = g.outgoing_relations(g.reach(s1, pp.relations, walks))
         if not rels:
-            log.info("dead end at %r", linearize(pp.relations))
             if trace is not None:
                 trace.append({"event": "dead_end", "path": linearize(pp.relations)})
             continue

@@ -205,6 +205,26 @@ def test_eval_flagged_records_exit_1(cfg_path, tmp_path):
     assert result.exit_code == 1
 
 
+def test_eval_fallback_rows_are_flagged(cfg_path, tmp_path):
+    # Both records have gold answers; the repair-only route fails on a
+    # record without a topic and on one repaired to depth 0.
+    ds = tmp_path / "d.jsonl"
+    ds.write_text(
+        '{"id": "f1", "question": "q1", "answers": ["Obama"]}\n'
+        '{"id": "f2", "question": "q2", "answers": ["Obama"], "topic": "usa", "depth": 0}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    result = run("--config", cfg_path, "eval", str(ds), "--out", str(out), "--stage2-only")
+    assert result.exit_code == 1
+    rows = [
+        json.loads(ln)
+        for ln in (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert [(r["route"], r["flagged"]) for r in rows] == [("repair_failed_fallback", True)] * 2
+    assert json.loads((out / "summary.json").read_text(encoding="utf-8"))["flagged"] == 2
+
+
 def test_eval_missing_dataset(cfg_path, tmp_path):
     result = run(
         "--config", cfg_path, "eval", str(tmp_path / "none.jsonl"),

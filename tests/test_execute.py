@@ -231,6 +231,27 @@ def test_cross_kind_comparison_warns_once_per_step(tmp_path, caplog):
         assert len([r for r in caplog.records if "non-comparable" in r.message]) == 1
 
 
+def test_cross_kind_comparison_warns_once_per_keep_call(tmp_path, caplog):
+    # Tier 0 compares B1's date after the name filter, tier 1 compares the
+    # dates of B1 and B2 after no filter: two prefixes, two _keep calls,
+    # one warning line each.
+    g = graph(
+        tmp_path,
+        'S\tr\tA1\nS\tr\tA2\nA1\tname\t"y"\nA1\ts\tB1\nA2\ts\tB2\n'
+        'B1\tv\t"2003"^^xsd:dateTime\nB2\tv\t"2004"^^xsd:dateTime\n',
+    )
+    rp = grounded(
+        g,
+        'TOPIC: S\nPATH: r -> s\nCONSTRAINT: hop=1; rel=name; string="y"\n'
+        'CONSTRAINT: hop=2; rel=v; op=GE; value="2"',
+    )
+    with caplog.at_level(logging.WARNING, logger="kgrelay.execute"):
+        assert execute_with_relaxation(g, rp) == AnswerSet(
+            frozenset({"B1", "B2"}), TIER_DROP_STRING_NUMERIC
+        )
+    assert len([r for r in caplog.records if "non-comparable" in r.message]) == 2
+
+
 def test_extremal_ties_survive(tmp_path):
     g = graph(
         tmp_path,
@@ -638,23 +659,18 @@ def test_gold_query_through_the_relaxation_memo_is_unchanged(tmp_path_factory, s
 
 @contextmanager
 def counted_filters():
-    """Counts the calls of every filter ``execute`` compiles meanwhile."""
+    """Counts the ``_keep`` calls ``execute`` makes meanwhile, by relation."""
     import kgrelay.execute as execute
 
     calls = []
-    compile_step = execute._step
+    keep = execute._keep
 
-    def counting(relation, values):
-        step = compile_step(relation, values)
-
-        def counted(g, frontier):
-            calls.append(relation)
-            return step(g, frontier)
-
-        return counted
+    def counting(g, frontier, key):
+        calls.append(key[0])
+        return keep(g, frontier, key)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(execute, "_step", counting)
+        mp.setattr(execute, "_keep", counting)
         yield calls
 
 

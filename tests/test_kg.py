@@ -265,23 +265,24 @@ def test_walk_shares_memo_entries_by_filter_key():
     g = KnowledgeGraph([("a", "r", "b"), ("a", "r", "c"), ("b", "s", "d"), ("c", "s", "e")])
     calls = []
 
-    def keeping(node):
-        def keep(graph, frontier):
-            calls.append(node)
-            return frontier & {node}
-
-        return keep
+    def keep(graph, frontier, key):
+        calls.append(key)
+        return frontier & {key[1]}
 
     memo: dict = {}
-    first, twin = keeping("b"), keeping("b")
-    assert g.walk("a", [("r", [(("keep", "b"), first)])], memo) == {"b"}
-    # a distinct callable under an equal key reads the entry and is not called
-    assert g.walk("a", [("r", [(("keep", "b"), twin)]), ("s", ())], memo) == {"d"}
-    assert calls == ["b"]
-    # an unequal key shares nothing past the hop, even with the same callable
-    assert g.walk("a", [("r", [(("keep", "b", 2), twin)]), ("s", ())], memo) == {"d"}
-    assert g.walk("a", [("r", [(("keep", "c"), keeping("c"))]), ("s", ())], memo) == {"e"}
-    assert calls == ["b", "b", "c"]
+    assert g.walk("a", [("r", [("keep", "b")])], memo, keep) == {"b"}
+    # an equal key reads the entry, and keep is not called again
+    assert g.walk("a", [("r", [("keep", "b")]), ("s", ())], memo, keep) == {"d"}
+    assert calls == [("keep", "b")]
+    # an unequal key shares nothing past the hop
+    assert g.walk("a", [("r", [("keep", "b", 2)]), ("s", ())], memo, keep) == {"d"}
+    assert g.walk("a", [("r", [("keep", "c")]), ("s", ())], memo, keep) == {"e"}
+    assert calls == [("keep", "b"), ("keep", "b", 2), ("keep", "c")]
+    # the same key after another prefix is another entry
+    assert g.walk("a", [("r", [("keep", "b")]), ("s", [("keep", "d")])], memo, keep) == {"d"}
+    assert g.walk("a", [("r", ()), ("s", [("keep", "d")])], memo, keep) == {"d"}
+    assert calls[3:] == [("keep", "d"), ("keep", "d")]
+
 
 def test_ground_entity_casefold_and_unknown(presidents):
     assert presidents.ground_entity("obama") == "Obama"
