@@ -171,7 +171,7 @@ def run_stage2_only(
     try:
         topic = g.ground_entity(topic_surface)
         path = repair(g, question, topic, depth, repair_cfg, gen_llm, embedder, trace, walks)
-    except (KgRelayError, ValueError) as exc:
+    except KgRelayError as exc:
         return _fallback(question, ledger, trace, "repair", exc)
     rp = ReasoningPath(topic_surface, tuple(path), (), topic)
     answers = AnswerSet(g.reach(topic, path, walks), TIER_FULL)

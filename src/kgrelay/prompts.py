@@ -6,6 +6,8 @@ substrings and tests can recompute token counts.
 
 from __future__ import annotations
 
+import re
+
 GENERATION_TEMPLATE = """\
 Instruction: Generate a reasoning path that retrieves the information corresponding to the given question.
 
@@ -59,9 +61,8 @@ def blueprint_prompt(question: str) -> str:
 
 
 def selection_prompt(question: str, start_names: str, path_lines: list[str], n: int) -> str:
-    return (
-        SELECTION_TEMPLATE.replace("<question>", question)
-        .replace("<start_entity_names>", start_names)
-        .replace("<paths>", "\n".join(path_lines))
-        .replace("<n>", str(n))
-    )
+    # One pass over the template: a placeholder inside the question or a
+    # path is left as written.
+    values = {"<question>": question, "<start_entity_names>": start_names,
+              "<paths>": "\n".join(path_lines), "<n>": str(n)}
+    return re.sub("|".join(values), lambda m: values[m[0]], SELECTION_TEMPLATE)

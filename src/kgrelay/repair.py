@@ -4,9 +4,9 @@ When a generated path does not execute on the graph, a beam search walks
 outward from the topic entity, keeping only relation chains that exist in
 the graph. One blueprint call sketches the reasoning steps; at each depth
 the candidate relations are ranked against each blueprint step and
-pruned, the paths are scored against the question, and a selection call
-picks the paths to keep.
-Total LLM calls for depth d are therefore at most d + 1.
+pruned, the paths (plain relation tuples) are ranked by how similar
+their text is to the question, and a selection call picks the paths to
+keep. Total LLM calls for depth d are therefore at most d + 1.
 
 Each level walks its beam paths through the question's walk memo, where
 the level before left all but their last hop, so it expands one hop each.
@@ -18,7 +18,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import EmptyBlueprint, RepairFailed
+from .errors import EmptyBlueprint, RepairError, RepairFailed
 from .kg import EntityId, KnowledgeGraph
 from .prompts import blueprint_prompt, selection_prompt
 from .providers import EmbeddingProvider, LlmProvider
@@ -29,17 +29,6 @@ log = logging.getLogger(__name__)
 # stripped in code, not by the pattern: a pattern that trims trailing
 # spaces itself backtracks quadratically over a run of inner spaces.
 _STEP_RE = re.compile(r"\s*#\d+(.*)")
-
-
-@dataclass(frozen=True)
-class Blueprint:
-    steps: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PartialPath:
-    relations: tuple[str, ...]
-    score: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +43,7 @@ def linearize(relations: tuple[str, ...]) -> str:
     return " -> ".join(relations)
 
 
-def generate_blueprint(llm: LlmProvider, question: str) -> Blueprint:
+def generate_blueprint(llm: LlmProvider, question: str) -> tuple[str, ...]:
     """One LLM call producing numbered reasoning steps (#1, #2, ...).
 
     A numbered line with no text after the number gives no step.
@@ -68,19 +57,19 @@ def generate_blueprint(llm: LlmProvider, question: str) -> Blueprint:
             steps.append(step)
     if not steps:
         raise EmptyBlueprint(f"no numbered steps in reply: {reply[:80]!r}")
-    return Blueprint(tuple(steps))
+    return tuple(steps)
 
 
 def expand_beam(
     g: KnowledgeGraph,
     s1: EntityId,
-    beam: list[PartialPath],
-    blueprint: Blueprint,
+    beam: list[tuple[str, ...]],
+    blueprint: tuple[str, ...],
     emb: EmbeddingProvider,
     x: int,
     trace: list | None = None,
     walks: dict | None = None,
-) -> list[PartialPath]:
+) -> list[tuple[str, ...]]:
     """Extend each beam path by one relation that exists at its frontier.
 
     Frontiers are walked through the walk memo ``walks``. Per blueprint
@@ -91,37 +80,34 @@ def expand_beam(
     Every returned candidate reaches a non-empty frontier by construction.
     """
     candidates: dict[tuple[str, ...], None] = {}
-    for pp in beam:
-        rels = g.outgoing_relations(g.reach(s1, pp.relations, walks))
+    for path in beam:
+        rels = g.outgoing_relations(g.reach(s1, path, walks))
         if not rels:
             if trace is not None:
-                trace.append({"event": "dead_end", "path": linearize(pp.relations)})
+                trace.append({"event": "dead_end", "path": linearize(path)})
             continue
         keep: set[str] = set()
-        for step in blueprint.steps:
+        for step in blueprint:
             keep.update(emb.rank(step, rels, x))
         for rel in sorted(keep):
-            candidates.setdefault(pp.relations + (rel,), None)
-    return [PartialPath(rels) for rels in candidates]
+            candidates.setdefault(path + (rel,), None)
+    return list(candidates)
 
 
 def filter_paths(
     question: str,
-    cands: list[PartialPath],
+    cands: list[tuple[str, ...]],
     emb: EmbeddingProvider,
     y: int,
-) -> list[PartialPath]:
+) -> list[tuple[str, ...]]:
     """Keep the y candidates most similar to the question, best first.
 
-    Ties break on the linearized path text so the ranking is stable
-    regardless of input order.
+    Ties break on the linearized path text, so input order does not
+    matter, except between candidates that linearize to one text (a
+    relation name may hold " -> "): those keep it.
     """
-    scored = []
-    for p in cands:
-        text = linearize(p.relations)
-        scored.append((text, PartialPath(p.relations, emb.similarity(question, text))))
-    scored.sort(key=lambda tp: (-tp[1].score, tp[0]))
-    return [p for _, p in scored[:y]]
+    text = {path: linearize(path) for path in cands}
+    return sorted(cands, key=lambda p: (-emb.similarity(question, text[p]), text[p]))[:y]
 
 
 _PATH_REF_RE = re.compile(r"[Pp]ath\s+(\d+)")
@@ -131,18 +117,19 @@ def select_paths(
     llm: LlmProvider,
     question: str,
     s1_names: str,
-    cands: list[PartialPath],
+    cands: list[tuple[str, ...]],
     n: int,
-) -> tuple[list[PartialPath], str]:
+) -> tuple[list[tuple[str, ...]], str]:
     """One LLM call choosing up to n of the candidate paths.
 
     The reply is parsed for "Path k" references in mention order. Any
     reference outside 1..len(cands), or a reply with no reference at all,
-    falls back to the top n candidates by score.
+    falls back to the first n candidates, which ``filter_paths`` left best
+    first.
     """
     lines = [
-        f"Path {k}: {s1_names} -> {linearize(p.relations)}"
-        for k, p in enumerate(cands, start=1)
+        f"Path {k}: {s1_names} -> {linearize(path)}"
+        for k, path in enumerate(cands, start=1)
     ]
     prompt = selection_prompt(question, s1_names, lines, n)
     reply, _ = llm.complete(prompt)
@@ -174,18 +161,18 @@ def repair(
     target the selector keeps up to beam_width paths; at the final depth
     it keeps exactly one, which is returned. Every level walks through
     the walk memo ``walks`` (a fresh one when None). Raises RepairFailed
-    when all beam paths dead-end.
+    when all beam paths dead-end, and RepairError for a depth below 1.
     """
     if depth < 1:
-        raise ValueError("repair depth must be at least 1")
+        raise RepairError("repair depth must be at least 1")
     d_eff = min(depth, cfg.max_depth_cap)
 
     walks = {} if walks is None else walks
     blueprint = generate_blueprint(llm, question)
     if trace is not None:
-        trace.append({"event": "blueprint", "steps": list(blueprint.steps)})
+        trace.append({"event": "blueprint", "steps": list(blueprint)})
 
-    beam = [PartialPath(())]
+    beam: list[tuple[str, ...]] = [()]
     for level in range(1, d_eff + 1):
         cands = expand_beam(g, s1, beam, blueprint, emb, cfg.relation_filter, trace, walks)
         if not cands:
@@ -198,11 +185,11 @@ def repair(
                 {
                     "event": "depth",
                     "depth": level,
-                    "beam": [linearize(p.relations) for p in beam],
-                    "candidates": [linearize(p.relations) for p in cands],
+                    "beam": [linearize(path) for path in beam],
+                    "candidates": [linearize(path) for path in cands],
                     "llm_reply": reply,
-                    "chosen": [linearize(p.relations) for p in chosen],
+                    "chosen": [linearize(path) for path in chosen],
                 }
             )
         beam = chosen
-    return beam[0].relations
+    return beam[0]

@@ -177,10 +177,23 @@ def test_eval_outputs_do_not_depend_on_the_hash_seed(data_dir, tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("trace, results_file", [
+GOLDEN_RUNS = pytest.mark.parametrize("trace, results_file", [
     (False, "results.jsonl"),
     (True, "results_trace.jsonl"),
 ])
+
+
+def check_golden(cfg_path, data_dir, out, trace, results_file, golden, *flags):
+    result = run(
+        "--config", cfg_path, *(["--trace"] if trace else []),
+        "eval", str(data_dir / "routing_eval.jsonl"), "--out", str(out), *flags,
+    )
+    assert result.exit_code == 0
+    assert (out / "results.jsonl").read_bytes() == (golden / results_file).read_bytes()
+    assert (out / "summary.json").read_bytes() == (golden / "summary.json").read_bytes()
+
+
+@GOLDEN_RUNS
 def test_eval_matches_golden_outputs(cfg_path, data_dir, tmp_path, trace, results_file):
     """The demo eval writes exactly the checked-in outputs, float bits included.
 
@@ -188,14 +201,29 @@ def test_eval_matches_golden_outputs(cfg_path, data_dir, tmp_path, trace, result
     data/routing_eval.jsonl`` output; a change that moves any byte, such
     as the order in which call costs are summed, fails here.
     """
-    out = tmp_path / "out"
-    result = run(
-        "--config", cfg_path, *(["--trace"] if trace else []),
-        "eval", str(data_dir / "routing_eval.jsonl"), "--out", str(out),
+    check_golden(cfg_path, data_dir, tmp_path / "out", trace, results_file, GOLDEN)
+
+
+@GOLDEN_RUNS
+def test_eval_stage2_only_matches_golden_outputs(
+    cfg_path, data_dir, tmp_path, trace, results_file
+):
+    """tests/golden/stage2_only/ holds the same runs with ``--stage2-only``."""
+    check_golden(
+        cfg_path, data_dir, tmp_path / "out", trace, results_file,
+        GOLDEN / "stage2_only", "--stage2-only",
     )
-    assert result.exit_code == 0
-    assert (out / "results.jsonl").read_bytes() == (GOLDEN / results_file).read_bytes()
-    assert (out / "summary.json").read_bytes() == (GOLDEN / "summary.json").read_bytes()
+
+
+def test_golden_summaries_hold_the_route_trade_off():
+    # On the demo, routing answers with fewer calls, at a third of the
+    # cost and with a higher F1 than the repair-only ablation.
+    def point(summary_path):
+        s = json.loads(summary_path.read_text(encoding="utf-8"))
+        return s["avg_llm_calls"], round(s["f1"], 4), round(s["cost_per_10k_usd"], 3)
+
+    assert point(GOLDEN / "summary.json") == (1.75, 0.8667, 0.171)
+    assert point(GOLDEN / "stage2_only" / "summary.json") == (3.0, 0.77, 0.542)
 
 
 def test_eval_flagged_records_exit_1(cfg_path, tmp_path):

@@ -68,6 +68,15 @@ def test_selection_prompt_embeds_parts():
     assert "Select up to 2 paths" in p
 
 
+def test_selection_prompt_leaves_placeholders_in_the_question():
+    p = selection_prompt("what is <n> and <paths>?", "S", ["Path 1: S -> r"], 3)
+    assert "Q: 'what is <n> and <paths>?'" in p
+    assert "Paths from 'S':\nPath 1: S -> r\n" in p
+    assert "Select up to 3 paths" in p
+    # a start name is filled in as written too
+    assert "Paths from '<question>':" in selection_prompt("q", "<question>", [], 1)
+
+
 def test_run_stage1_parses_reply():
     rp = run_stage1(spec_llm(WORKED_REPLY), "q")
     assert rp == parse_reasoning_path(WORKED_REPLY)
@@ -356,4 +365,4 @@ def test_stage2_only_unknown_topic(presidents):
 def test_stage2_only_bad_depth(presidents):
     result = run_stage2_only(presidents, "q", "USA", 0, general_llm(), EMB)
     assert result.route == Route.FALLBACK
-    assert "ValueError" in result.error
+    assert "RepairError" in result.error

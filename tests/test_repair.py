@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrelay.errors import EmptyBlueprint, RepairFailed
+from kgrelay.errors import EmptyBlueprint, RepairError, RepairFailed
 from kgrelay.kg import KnowledgeGraph, load_tsv
 from kgrelay.providers import TokenOverlapEmbedder
 from kgrelay.repair import (
-    Blueprint,
-    PartialPath,
     RepairConfig,
     expand_beam,
     filter_paths,
@@ -62,7 +60,7 @@ def test_package_root_does_not_shadow_the_module():
 def test_blueprint_parses_numbered_lines():
     llm = ReplyLlm("preamble\n#1 find the terms\n#2  find the holder \nnoise")
     bp = generate_blueprint(llm, "who?")
-    assert bp == Blueprint(("find the terms", "find the holder"))
+    assert bp == ("find the terms", "find the holder")
 
 
 def test_blueprint_long_line_is_fast():
@@ -71,12 +69,12 @@ def test_blueprint_long_line_is_fast():
     bp, elapsed = timed(lambda: generate_blueprint(llm, "who?"))
     assert elapsed < 1.0
     # a number followed only by spaces gives no step
-    assert bp == Blueprint((f"find{gap}the terms", "holder"))
+    assert bp == (f"find{gap}the terms", "holder")
 
 
 def test_blueprint_skips_numbers_without_text():
     llm = ReplyLlm("#12\n#1 \t\n#3find it\n# 4 not numbered\n#5 2 hops ")
-    assert generate_blueprint(llm, "who?") == Blueprint(("find it", "2 hops"))
+    assert generate_blueprint(llm, "who?") == ("find it", "2 hops")
 
 
 def test_blueprint_empty_raises():
@@ -91,13 +89,11 @@ def test_blueprint_empty_raises():
 # --- expansion ---
 
 def test_expand_beam_walks_graph(presidents):
-    bp = Blueprint(("presidents", "office holder"))
-    out = expand_beam(presidents, "USA", [PartialPath(())], bp, EMB, x=4)
-    assert [p.relations for p in out] == [("country.presidents",)]
+    bp = ("presidents", "office holder")
+    out = expand_beam(presidents, "USA", [()], bp, EMB, x=4)
+    assert out == [("country.presidents",)]
     out2 = expand_beam(presidents, "USA", out, bp, EMB, x=4)
-    assert [p.relations for p in out2] == [
-        ("country.presidents", "president.office_holder")
-    ]
+    assert out2 == [("country.presidents", "president.office_holder")]
 
 
 def test_repair_levels_expand_one_hop_per_beam_path(monkeypatch):
@@ -124,13 +120,12 @@ def test_repair_levels_expand_one_hop_per_beam_path(monkeypatch):
 
 
 def test_expand_beam_dead_end_traced(presidents):
-    bp = Blueprint(("anything",))
+    bp = ("anything",)
     trace = []
-    dead = PartialPath(("country.presidents", "president.office_holder",
-                        "position.from"))
+    dead = ("country.presidents", "president.office_holder", "position.from")
     out = expand_beam(presidents, "USA", [dead], bp, EMB, x=4, trace=trace)
     assert out == []
-    assert trace == [{"event": "dead_end", "path": linearize(dead.relations)}]
+    assert trace == [{"event": "dead_end", "path": linearize(dead)}]
 
 
 def test_expand_beam_relation_filter(tmp_path):
@@ -140,13 +135,13 @@ def test_expand_beam_relation_filter(tmp_path):
         "S\talpha.one\tA\nS\tbeta.two\tB\nS\tgamma.three\tC\n", encoding="utf-8"
     )
     g = load_tsv(p)
-    bp = Blueprint(("find the beta",))
-    out = expand_beam(g, "S", [PartialPath(())], bp, EMB, x=1)
-    assert [p.relations for p in out] == [("beta.two",)]
+    bp = ("find the beta",)
+    out = expand_beam(g, "S", [()], bp, EMB, x=1)
+    assert out == [("beta.two",)]
     # two steps union their picks
-    bp2 = Blueprint(("find the beta", "find the gamma"))
-    out2 = expand_beam(g, "S", [PartialPath(())], bp2, EMB, x=1)
-    assert sorted(p.relations for p in out2) == [("beta.two",), ("gamma.three",)]
+    bp2 = ("find the beta", "find the gamma")
+    out2 = expand_beam(g, "S", [()], bp2, EMB, x=1)
+    assert sorted(out2) == [("beta.two",), ("gamma.three",)]
 
 
 class CountingEmbedder(TokenOverlapEmbedder):
@@ -167,14 +162,14 @@ class CountingEmbedder(TokenOverlapEmbedder):
 def sorted_key_expand(g, s1, beam, blueprint, emb, x):
     """expand_beam as written before ``rank``: one sort key per pair."""
     candidates = {}
-    for pp in beam:
-        rels = g.outgoing_relations(g.reach(s1, pp.relations))
+    for path in beam:
+        rels = g.outgoing_relations(g.reach(s1, path))
         keep = set()
-        for step in blueprint.steps:
+        for step in blueprint:
             keep.update(sorted(rels, key=lambda r: (-emb.similarity(step, r), r))[:x])
         for rel in sorted(keep):
-            candidates.setdefault(pp.relations + (rel,), None)
-    return [PartialPath(rels) for rels in candidates]
+            candidates.setdefault(path + (rel,), None)
+    return list(candidates)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,20 +184,19 @@ def test_expand_beam_ranks_without_pair_scores(tmp_path_factory, seed):
     # Step words name relation tokens (r3, t5), often two relations at
     # once, so scores tie; some steps share nothing or have no token.
     words = [f"{c}{j}" for c in "rt" for j in range(8)] + ["the", "film", ".", "-"]
-    steps = tuple(
+    blueprint = tuple(
         " ".join(rng.sample(words, rng.randint(1, 3))) for _ in range(rng.randint(1, 3))
     )
-    blueprint = Blueprint(steps)
     start = rng.choice(sorted({s for s, _, _ in og.triples}))
-    beam = [PartialPath(())]
+    beam = [()]
     for _ in range(3):
         x = rng.randint(1, 4)
         emb = CountingEmbedder()
         out = expand_beam(g, start, beam, blueprint, emb, x, walks={})
         assert out == sorted_key_expand(g, start, beam, blueprint, EMB, x)
         assert emb.calls["similarity"] == 0
-        assert emb.calls["rank"] == len(blueprint.steps) * sum(
-            bool(g.outgoing_relations(g.reach(start, pp.relations))) for pp in beam
+        assert emb.calls["rank"] == len(blueprint) * sum(
+            bool(g.outgoing_relations(g.reach(start, path))) for path in beam
         )
         beam = rng.sample(out, min(len(out), 3))
         if not beam:
@@ -213,37 +207,48 @@ def test_expand_beam_dedups_across_paths(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("S\tr\tA\nS\ts\tA\nA\tt\tB\n", encoding="utf-8")
     g = load_tsv(p)
-    bp = Blueprint(("step",))
-    beam = [PartialPath(("r",)), PartialPath(("s",))]
+    bp = ("step",)
+    beam = [("r",), ("s",)]
     out = expand_beam(g, "S", beam, bp, EMB, x=4)
-    assert sorted(p.relations for p in out) == [("r", "t"), ("s", "t")]
+    assert sorted(out) == [("r", "t"), ("s", "t")]
 
 
 # --- pruning ---
 
 def test_filter_paths_scores_and_caps():
     cands = [
-        PartialPath(("film.actor", "actor.name")),
-        PartialPath(("film.director",)),
-        PartialPath(("unrelated.thing",)),
+        ("film.actor", "actor.name"),
+        ("film.director",),
+        ("unrelated.thing",),
     ]
-    out = filter_paths("who directed the film", cands, EMB, y=2)
-    assert [p.relations for p in out] == [
+    q = "who directed the film"
+    out = filter_paths(q, cands, EMB, y=2)
+    assert out == [
         ("film.director",),
         ("film.actor", "actor.name"),
     ]
-    assert out[0].score > out[1].score > 0
+    assert EMB.similarity(q, linearize(out[0])) > EMB.similarity(q, linearize(out[1])) > 0
 
 
 def test_filter_paths_tie_breaks_on_text():
-    cands = [PartialPath(("zz",)), PartialPath(("aa",))]
+    cands = [("zz",), ("aa",)]
     out = filter_paths("question with no overlap", cands, EMB, y=5)
-    assert [p.relations for p in out] == [("aa",), ("zz",)]
+    assert out == [("aa",), ("zz",)]
+
+
+@pytest.mark.parametrize("cands", [
+    [("x", "a -> b"), ("x -> a", "b")],
+    [("x -> a", "b"), ("x", "a -> b")],
+])
+def test_filter_paths_keeps_input_order_on_one_text(cands):
+    # Both candidates linearize to "x -> a -> b": their keys are equal.
+    out = filter_paths("x a b", cands + [("zz",)], EMB, y=5)
+    assert out == cands + [("zz",)]
 
 
 # --- selection ---
 
-CANDS = [PartialPath(("a",)), PartialPath(("b",)), PartialPath(("c",))]
+CANDS = [("a",), ("b",), ("c",)]
 
 
 @pytest.mark.parametrize(
@@ -258,14 +263,14 @@ CANDS = [PartialPath(("a",)), PartialPath(("b",)), PartialPath(("c",))]
 def test_select_paths_parses_references(reply, expected):
     llm = ReplyLlm(reply)
     chosen, got_reply = select_paths(llm, "q", "S", CANDS, n=2)
-    assert [p.relations for p in chosen] == expected
+    assert chosen == expected
     assert got_reply == reply
 
 
 def test_select_paths_caps_at_n():
     llm = ReplyLlm("Path 1, Path 2, Path 3")
     chosen, _ = select_paths(llm, "q", "S", CANDS, n=2)
-    assert [p.relations for p in chosen] == [("a",), ("b",)]
+    assert chosen == [("a",), ("b",)]
 
 
 @pytest.mark.parametrize(
@@ -277,7 +282,7 @@ def test_select_paths_falls_back(reply, caplog):
     llm = ReplyLlm(reply)
     with caplog.at_level(logging.WARNING, logger="kgrelay.repair"):
         chosen, _ = select_paths(llm, "q", "S", CANDS, n=2)
-    assert [p.relations for p in chosen] == [("a",), ("b",)]
+    assert chosen == [("a",), ("b",)]
     assert [r.msg for r in caplog.records] == ["selection fallback, reply was %r"]
 
 
@@ -315,7 +320,7 @@ def test_repair_worked_chain(presidents):
 
 
 def test_repair_depth_must_be_positive(presidents):
-    with pytest.raises(ValueError):
+    with pytest.raises(RepairError, match="repair depth must be at least 1"):
         repair(presidents, "q", "USA", 0, RepairConfig(), ReplyLlm(), EMB)
 
 
