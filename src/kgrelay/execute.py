@@ -1,7 +1,7 @@
 """Compilation of reasoning paths and subset queries into hop plans.
 
-Both forms compile to one hop plan: for each hop of the main chain, the
-relation to expand and the keys of the steps that filter the hop's
+Both forms compile to one plan: for each hop of the main chain, the
+relation to expand, then the keys of the steps that filter the hop's
 frontier. A step is its key: the relation and the tests one binding of it
 must pass, a test being what the step checks of one constraint value.
 One plain function, ``_keep``, applies a key to a frontier, for a path
@@ -121,12 +121,13 @@ def _keep(g: KnowledgeGraph, frontier: AbstractSet[NodeRef], key: tuple) -> Abst
     literal object must all pass, checked in order up to the first that
     fails. A string test is trimmed, case-sensitive equality. A
     comparison of a number with a date threshold, or the reverse, does
-    not match; each call logs the first such pair it meets, so a call
-    costs at most one warning, not one per literal. Without an extremal,
-    an entity stays when one of its literal objects passes; with one
-    (ARGMAX/ARGMIN), the entities whose best passing date or number is
-    the extreme one stay, ties included. A literal in the frontier has no
-    objects, so every step drops it.
+    not match. Every literal object of the frontier is checked, and a call
+    logs at most one warning, naming the smallest such (value kind, value
+    text, threshold kind, threshold text), so the line does not depend on
+    set order. Without an extremal, an entity stays when one of its
+    literal objects passes; with one (ARGMAX/ARGMIN), the entities whose
+    best passing date or number is the extreme one stay, ties included.
+    A literal in the frontier has no objects, so every step drops it.
     """
     relation, *tests = key
     objs = g.objects(relation)
@@ -144,7 +145,7 @@ def _keep(g: KnowledgeGraph, frontier: AbstractSet[NodeRef], key: tuple) -> Abst
         else:
             op, kind, text = rest
             checks.append((_HOLDS[op], kind, Decimal(text) if kind == NUMERIC else text, text))
-    warned = False
+    mismatched: list[tuple[str, str, str, str]] = []
     kept: set[EntityId] = set()
     best_of: dict[EntityId, tuple] = {}
     for e in frontier:
@@ -153,21 +154,21 @@ def _keep(g: KnowledgeGraph, frontier: AbstractSet[NodeRef], key: tuple) -> Abst
                 continue
             for holds, kind, bound, text in checks:
                 if o.kind != kind:
-                    if STRING not in (o.kind, kind) and not warned:
-                        warned = True
-                        log.warning(
-                            "non-comparable literal: %s value %r vs %s threshold %r",
-                            o.kind, o.text, kind, text,
-                        )
+                    if STRING not in (o.kind, kind):
+                        mismatched.append((o.kind, o.text, kind, text))
                     break
                 if not holds(o.decimal() if kind == NUMERIC else o.text, bound):
                     break
             else:
                 if pick is None:
                     kept.add(e)
-                    break
-                value = _value_key(o)
-                best_of[e] = pick(best_of.get(e, value), value)
+                else:
+                    value = _value_key(o)
+                    best_of[e] = pick(best_of.get(e, value), value)
+    if mismatched:
+        log.warning(
+            "non-comparable literal: %s value %r vs %s threshold %r", *min(mismatched)
+        )
     if pick is None:
         return kept
     best = pick(best_of.values(), default=None)
@@ -195,20 +196,20 @@ def _hop_plans(
     path: Sequence[str],
     steps: Iterable[tuple[int, str, Sequence[ConstraintValue]]],
     tiers: Iterable[int],
-) -> Iterator[list[tuple[str, list[tuple]]]]:
-    """The hop plan of ``path`` at each tier in turn: per hop, the
-    relation and the keys of the steps ``(hop, relation, values)`` that
-    the tier keeps, in ``_filter``'s order. The steps are sorted once."""
+) -> Iterator[list[str | tuple]]:
+    """The plan of ``path`` at each tier in turn: each relation, then the
+    keys of the steps ``(hop, relation, values)`` on its hop that the tier
+    keeps, in ``_filter``'s order. The steps are sorted once."""
     ordered = sorted(
         ((hop, *_filter(relation, values)) for hop, relation, values in steps),
         key=itemgetter(1, 2),
     )
     for tier in tiers:
-        hops: list[tuple[str, list[tuple]]] = [(relation, []) for relation in path]
+        hops: list[list[str | tuple]] = [[relation] for relation in path]
         for hop, (_, minus_dropped), key in ordered:
             if tier < -minus_dropped:
-                hops[hop - 1][1].append(key)
-        yield hops
+                hops[hop - 1].append(key)
+        yield [step for hop in hops for step in hop]
 
 
 def apply_constraint(
@@ -240,8 +241,8 @@ def _run_tiers(
         raise UngroundedTopic("execution needs a grounded topic")
     walks = {} if walks is None else walks
     steps = ((c.hop, c.relation, (c.value,)) for c in rp.constraints)
-    for tier, hops in zip(tiers, _hop_plans(rp.path, steps, tiers)):
-        if answers := g.walk(rp.topic_entity, hops, walks, _keep):
+    for tier, plan in zip(tiers, _hop_plans(rp.path, steps, tiers)):
+        if answers := g.walk(rp.topic_entity, plan, walks, _keep):
             return AnswerSet(answers, tier)
     return AnswerSet(frozenset(), tiers[-1])
 
@@ -295,5 +296,5 @@ def evaluate_query(
     """
     topic, chain, branches = chain_branches(q)
     steps = ((b.hop, b.pattern.relation, branch_values(b)) for b in branches)
-    (hops,) = _hop_plans([pat.relation for pat in chain], steps, (TIER_FULL,))
-    return g.walk(topic, hops, walks, _keep)
+    (plan,) = _hop_plans([pat.relation for pat in chain], steps, (TIER_FULL,))
+    return g.walk(topic, plan, walks, _keep)

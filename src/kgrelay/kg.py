@@ -10,9 +10,9 @@ answers never changes once it is built, so it can be shared freely across
 worker threads.
 
 Every chain walk, filtered or bare, runs through ``KnowledgeGraph.walk``,
-the one owner of the walk-prefix memo and its format. A filtered walk
-names each filter by a key and passes the one function that applies a key
-to a frontier.
+the one owner of the walk-prefix memo and its format. A walk is one flat
+list of steps: a relation name, or the key of a filter, which the one
+function the caller passes applies to a frontier.
 
 TSV input format, one triple per line::
 
@@ -298,39 +298,37 @@ class KnowledgeGraph:
         return frozenset().union(*map(objs.get, frontier, repeat(_NO_NODES)))
 
     def walk(
-        self, start: EntityId,
-        hops: Iterable[tuple[RelationId, Iterable[Hashable]]],
+        self, start: EntityId, steps: Iterable[RelationId | Hashable],
         memo: dict | None = None, keep: Callable | None = None,
     ) -> frozenset[NodeRef]:
-        """Run a hop plan from ``start``: each hop is a relation, expanded
-        through ``image``, and the keys, each a hashable that is not a
-        relation name, applied in order to what it reaches. A key the memo
-        does not hold at its place is applied as ``keep(graph, frontier,
-        key)``, and the frontier goes on as what that returns.
+        """Run a plan of steps from ``start``. A step that is a ``str`` is
+        a relation, expanded through ``image``; any other step is a key,
+        and a key the memo does not hold at its place is applied as
+        ``keep(graph, frontier, key)``, the frontier going on as what that
+        returns.
 
         ``memo`` (a fresh one when None) keeps every walked prefix as a
         trie: it maps the start to a level, and a level maps the next
-        relation or key to the frontier it gives and the level after it.
-        Walks through one memo compute a shared prefix once, and an n-hop
-        walk adds at most one entry per hop and key. A literal has no
-        objects, so it ends a walk where it is reached. A memo is only
-        valid for one graph and one ``keep``, and each question gets its
-        own.
+        step to the frontier it gives and the level after it. Walks
+        through one memo compute a shared prefix once, and a walk adds at
+        most one entry per step. A literal has no objects, so it ends a
+        walk where it is reached, and an empty frontier ends the walk at
+        the next relation. A memo is only valid for one graph and one
+        ``keep``, and each question gets its own.
         """
         memo = {} if memo is None else memo
         if (level := memo.get(start)) is None:
             level = memo[start] = {}
         frontier: Collection[NodeRef] = frozenset((start,))
-        for rel, keys in hops:
-            if not frontier:
-                return _NO_NODES
-            if (entry := level.get(rel)) is None:
-                entry = level[rel] = (self.image(frontier, rel), {})
+        for step in steps:
+            if isinstance(step, str):
+                if not frontier:
+                    return _NO_NODES
+                if (entry := level.get(step)) is None:
+                    entry = level[step] = (self.image(frontier, step), {})
+            elif (entry := level.get(step)) is None:
+                entry = level[step] = (keep(self, frontier, step), {})
             frontier, level = entry
-            for key in keys:
-                if (entry := level.get(key)) is None:
-                    entry = level[key] = (keep(self, frontier, key), {})
-                frontier, level = entry
         return frozenset(frontier)
 
     def reach(
@@ -340,10 +338,10 @@ class KnowledgeGraph:
 
         The empty chain reaches exactly {start}. Literals reached before
         the final hop cannot be expanded and are dropped; literals in the
-        final frontier are kept. It is ``walk`` with no keys, so the
-        result may be the graph's own object set.
+        final frontier are kept. It is ``walk`` with relations only, so
+        the result may be the graph's own object set.
         """
-        return self.walk(start, zip(relations, repeat(())), memo)
+        return self.walk(start, relations, memo)
 
     def ground_entity(self, surface: str) -> EntityId:
         """Resolve a surface form through the alias table.

@@ -33,7 +33,7 @@ from .providers import (
     TrackedLlm,
 )
 from .reasoning import ReasoningPath, ground_reasoning_path, parse_reasoning_path
-from .repair import RepairConfig, linearize, repair
+from .repair import RepairConfig, repair
 
 log = logging.getLogger(__name__)
 
@@ -129,10 +129,6 @@ def answer_question(
                 trace.append(
                     {"event": "constraint_dropped", "hop": c.hop, "relation": c.relation}
                 )
-        if new_path == rp.path:
-            # The search came back with the path that already failed the
-            # reachability check; note it and execute anyway.
-            trace.append({"event": "repair_returned_original", "path": linearize(new_path)})
         rp_final = ReasoningPath(
             rp.topic_surface, tuple(new_path), kept, rp.topic_entity
         )

@@ -118,27 +118,24 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    line = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line)
-        line += text[pos:m.end()].count("\n")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append((kind, m.group(), line))
-    return tokens
-
-
 class _Parser:
+    """The tokens of one query text, read front to back.
+
+    A token is ``(kind, text, line)``: its group in ``_TOKEN_RE``, its
+    text and the line it ends on. Whitespace makes no token.
+    """
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens: list[tuple[str, str, int]] = []
         self.pos = 0
+        pos, line = 0, 1
+        while pos < len(text):
+            if not (m := _TOKEN_RE.match(text, pos)):
+                raise ParseError(f"unexpected character {text[pos]!r}", line)
+            line += text.count("\n", pos, m.end())
+            pos = m.end()
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), line))
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -150,15 +147,21 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_name(self, word: str):
-        kind, value, line = self.next()
-        if kind != "name" or value.upper() != word:
-            raise ParseError(f"expected {word}, got {value!r}", line)
+    def take(self, kind: str, what: str, word: str | None = None) -> str:
+        """The text of the next token, which must be of ``kind`` and, when
+        ``word`` is given, spell it in any case; otherwise ParseError
+        ``"{what}, got {text!r}"``."""
+        got, value, line = self.next()
+        if got != kind or word is not None and value.upper() != word:
+            raise ParseError(f"{what}, got {value!r}", line)
+        return value
 
-    def expect_punct(self, ch: str):
-        kind, value, line = self.next()
-        if kind != "punct" or value != ch:
-            raise ParseError(f"expected {ch!r}, got {value!r}", line)
+    def literal(self, value: str) -> Literal:
+        """The literal that ``value``, the token just read, spells."""
+        try:
+            return parse_literal_token(value)
+        except ValueError as exc:
+            raise ParseError(f"bad literal {value!r}: {exc}", self.tokens[self.pos - 1][2])
 
     def _check_unsupported(self, kind: str, value: str, line: int):
         if kind == "name" and value.upper() in _UNSUPPORTED:
@@ -172,31 +175,24 @@ class _Parser:
         if kind == "sym":
             return value[1:]
         if kind == "lit":
-            try:
-                return parse_literal_token(value)
-            except ValueError as exc:
-                raise ParseError(f"bad literal {value!r}: {exc}", line)
+            return self.literal(value)
         raise ParseError(f"expected a term, got {value!r}", line)
 
 
 def parse_sparql(text: str) -> SparqlQuery:
     """Parse subset text into an AST. Raises ParseError or UnsupportedFeature."""
     p = _Parser(text)
-    p.expect_name("SELECT")
+    p.take("name", "expected SELECT", "SELECT")
     kind, value, line = p.peek()
-    if kind == "name" and value.upper() == "DISTINCT":
-        p.next()
-    else:
+    if kind != "name" or value.upper() != "DISTINCT":
         raise UnsupportedFeature(f"line {line}: SELECT without DISTINCT")
-    kind, value, line = p.next()
-    if kind != "var":
-        raise ParseError(f"expected one select variable, got {value!r}", line)
-    select_var = Var(value[1:])
+    p.next()
+    select_var = Var(p.take("var", "expected one select variable")[1:])
     kind, value, line = p.peek()
     if kind == "var":
         raise UnsupportedFeature(f"line {line}: more than one select variable")
-    p.expect_name("WHERE")
-    p.expect_punct("{")
+    p.take("name", "expected WHERE", "WHERE")
+    p.take("punct", "expected '{'", "{")
 
     patterns: list[TriplePattern] = []
     filters: list[FilterClause] = []
@@ -209,29 +205,17 @@ def parse_sparql(text: str) -> SparqlQuery:
             raise ParseError("unterminated group: missing }", line)
         if kind == "name" and value.upper() == "FILTER":
             p.next()
-            p.expect_punct("(")
-            kind, value, line = p.next()
-            if kind != "var":
-                raise ParseError(f"FILTER must start with a variable, got {value!r}", line)
-            fvar = Var(value[1:])
-            kind, value, line = p.next()
-            if kind != "op":
-                raise ParseError(f"expected comparison operator, got {value!r}", line)
-            op = _TEXT_OP[value]
-            kind, value, line = p.next()
-            if kind != "lit":
-                raise ParseError(f"FILTER compares against a literal, got {value!r}", line)
-            try:
-                lit = parse_literal_token(value)
-            except ValueError as exc:
-                raise ParseError(f"bad literal {value!r}: {exc}", line)
-            p.expect_punct(")")
+            p.take("punct", "expected '('", "(")
+            fvar = Var(p.take("var", "FILTER must start with a variable")[1:])
+            op = _TEXT_OP[p.take("op", "expected comparison operator")]
+            lit = p.literal(p.take("lit", "FILTER compares against a literal"))
+            p.take("punct", "expected ')'", ")")
             filters.append(FilterClause(fvar, op, lit))
             continue
         # triple pattern
         subject = p.term()
         if isinstance(subject, Literal):
-            raise ParseError(f"a literal cannot be a subject", line)
+            raise ParseError("a literal cannot be a subject", line)
         kind, value, line = p.peek()
         if kind == "var":
             raise UnsupportedFeature(f"line {line}: variable in relation position")
@@ -239,26 +223,21 @@ def parse_sparql(text: str) -> SparqlQuery:
         if not isinstance(rel, str):
             raise ParseError("expected a relation symbol", line)
         obj = p.term()
-        kind, value, line = p.next()
-        if kind != "punct" or value != ".":
-            raise ParseError(f"pattern must end with '.', got {value!r}", line)
+        p.take("punct", "pattern must end with '.'", ".")
         patterns.append(TriplePattern(subject, rel, obj))
 
     order = None
     kind, value, line = p.peek()
     if kind == "name" and value.upper() == "ORDER":
         p.next()
-        p.expect_name("BY")
+        p.take("name", "expected BY", "BY")
         kind, value, line = p.next()
         if kind != "name" or value.upper() not in ("ASC", "DESC"):
             raise UnsupportedFeature(f"line {line}: ORDER BY needs ASC(...) or DESC(...)")
         descending = value.upper() == "DESC"
-        p.expect_punct("(")
-        kind, value, line = p.next()
-        if kind != "var":
-            raise ParseError(f"expected a variable in ORDER BY, got {value!r}", line)
-        ovar = Var(value[1:])
-        p.expect_punct(")")
+        p.take("punct", "expected '('", "(")
+        ovar = Var(p.take("var", "expected a variable in ORDER BY")[1:])
+        p.take("punct", "expected ')'", ")")
         kind, value, line = p.peek()
         if kind != "name" or value.upper() != "LIMIT":
             raise UnsupportedFeature(f"line {line}: ORDER BY without LIMIT 1")
@@ -291,30 +270,25 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
     and one forward pass decide it, so the cost is linear in the pattern
     count.
     """
-    def key(term):
-        return ("var", term.name) if isinstance(term, Var) else ("ent", term)
-
-    edges: dict[tuple, list[tuple[tuple, TriplePattern]]] = {}
-    into: dict[tuple, list[tuple[tuple, TriplePattern]]] = {}
-    sources = set()
+    # The nodes are the terms: a Var never equals an entity name.
+    edges: dict[Var | str, list[tuple[Var | str, TriplePattern]]] = {}
+    into: dict[Var | str, list[tuple[Var | str, TriplePattern]]] = {}
+    sources: set[str] = set()
     for pat in q.patterns:
-        if isinstance(pat.object, Literal):
-            if not isinstance(pat.subject, Var):
-                sources.add(key(pat.subject))
+        s, o = pat.subject, pat.object
+        if isinstance(s, str):
+            sources.add(s)
+        if isinstance(o, Literal):
             continue
-        s, o = key(pat.subject), key(pat.object)
         edges.setdefault(s, []).append((o, pat))
         into.setdefault(o, []).append((s, pat))
-        if s[0] == "ent":
-            sources.add(s)
-        if o[0] == "ent":
+        if isinstance(o, str):
             sources.add(o)
 
     # Backward, breadth first from the select variable: each node that
     # reaches it, with the next node and pattern on a shortest path there.
-    target = ("var", q.select_var.name)
-    toward: dict[tuple, tuple | None] = {target: None}
-    queue = [target]
+    toward: dict[Var | str, tuple[Var | str, TriplePattern] | None] = {q.select_var: None}
+    queue: list[Var | str] = [q.select_var]
     for node in queue:
         for prev, pat in into.get(node, ()):
             if prev not in toward:
@@ -339,9 +313,9 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
     # visit each off-chain node once, from the first n_i that reaches it,
     # so a pattern into a later n_j from n_i or from a node its round
     # visits is such a path.
-    off_chain: set[tuple] = set()
+    off_chain: set[Var | str] = set()
     for i, hop in enumerate(path):
-        stack = [key(hop.subject)]
+        stack = [hop.subject]
         while stack:
             for nxt, pat in edges.get(stack.pop(), ()):
                 j = position.get(nxt)
@@ -351,7 +325,7 @@ def find_main_chain(q: SparqlQuery) -> tuple[str, list[TriplePattern]]:
                         stack.append(nxt)
                 elif j > i and pat is not hop:
                     raise AmbiguousMainPath("more than one candidate main path")
-    return starts[0][1], path
+    return starts[0], path
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import logging
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgrelay
 from kgrelay.errors import UnclassifiableBranch, UngroundedTopic
 from kgrelay.execute import (
     TIER_DROP_STRING,
@@ -250,6 +255,44 @@ def test_cross_kind_comparison_warns_once_per_keep_call(tmp_path, caplog):
             frozenset({"B1", "B2"}), TIER_DROP_STRING_NUMERIC
         )
     assert len([r for r in caplog.records if "non-comparable" in r.message]) == 2
+
+
+_WARN_SCRIPT = """
+import logging, sys
+from kgrelay.execute import execute_full
+from kgrelay.kg import load_tsv
+from kgrelay.reasoning import ground_reasoning_path, parse_reasoning_path
+logging.basicConfig(format="%(message)s")
+g = load_tsv(sys.argv[1])
+rp = parse_reasoning_path('TOPIC: S\\nPATH: r\\nCONSTRAINT: hop=1; rel=v; op=GE; value="2"')
+print(len(execute_full(g, ground_reasoning_path(g, rp))))
+"""
+
+
+def test_cross_kind_warning_does_not_depend_on_the_hash_seed(tmp_path):
+    # 50 dates under a numeric threshold, every other entity also with a
+    # passing integer: set order decides which literal a scan meets first,
+    # but the one line names the smallest date in every process.
+    p = tmp_path / "g.tsv"
+    p.write_text(
+        "".join(f"S\tr\tE{i}\nE{i}\tv\t\"{1950 + i}\"^^xsd:dateTime\n" for i in range(50))
+        + "".join(f'E{i}\tv\t"5"^^xsd:integer\n' for i in range(0, 50, 2)),
+        encoding="utf-8",
+    )
+    src = Path(kgrelay.__file__).resolve().parents[1]
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", _WARN_SCRIPT, str(p)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append((done.stdout, done.stderr))
+    assert outs[0] == outs[1] == (
+        "25\n", "non-comparable literal: datetime value '1950' vs numeric threshold '2'\n"
+    )
 
 
 def test_extremal_ties_survive(tmp_path):

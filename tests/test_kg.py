@@ -270,17 +270,17 @@ def test_walk_shares_memo_entries_by_filter_key():
         return frontier & {key[1]}
 
     memo: dict = {}
-    assert g.walk("a", [("r", [("keep", "b")])], memo, keep) == {"b"}
+    assert g.walk("a", ["r", ("keep", "b")], memo, keep) == {"b"}
     # an equal key reads the entry, and keep is not called again
-    assert g.walk("a", [("r", [("keep", "b")]), ("s", ())], memo, keep) == {"d"}
+    assert g.walk("a", ["r", ("keep", "b"), "s"], memo, keep) == {"d"}
     assert calls == [("keep", "b")]
     # an unequal key shares nothing past the hop
-    assert g.walk("a", [("r", [("keep", "b", 2)]), ("s", ())], memo, keep) == {"d"}
-    assert g.walk("a", [("r", [("keep", "c")]), ("s", ())], memo, keep) == {"e"}
+    assert g.walk("a", ["r", ("keep", "b", 2), "s"], memo, keep) == {"d"}
+    assert g.walk("a", ["r", ("keep", "c"), "s"], memo, keep) == {"e"}
     assert calls == [("keep", "b"), ("keep", "b", 2), ("keep", "c")]
     # the same key after another prefix is another entry
-    assert g.walk("a", [("r", [("keep", "b")]), ("s", [("keep", "d")])], memo, keep) == {"d"}
-    assert g.walk("a", [("r", ()), ("s", [("keep", "d")])], memo, keep) == {"d"}
+    assert g.walk("a", ["r", ("keep", "b"), "s", ("keep", "d")], memo, keep) == {"d"}
+    assert g.walk("a", ["r", "s", ("keep", "d")], memo, keep) == {"d"}
     assert calls[3:] == [("keep", "d"), ("keep", "d")]
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-import kgrelay.pipeline as pipeline
 from kgrelay.evaluation import DatasetRecord, run_batch
 from kgrelay.execute import AnswerSet, TIER_DROP_STRING, TIER_FULL, TIER_SKELETON
 from kgrelay.kg import KnowledgeGraph, load_tsv
@@ -248,19 +247,6 @@ def test_repair_drops_out_of_range_constraints(tmp_path):
     assert {"event": "constraint_dropped", "hop": 5, "relation": "x"} in result.trace
     assert result.answers == AnswerSet(frozenset({"S"}), TIER_FULL)
     assert result.ledger.calls(ROLE_GENERAL) == 5
-
-
-def test_repair_returning_original_is_traced(presidents, monkeypatch):
-    reply = "TOPIC: USA\nPATH: made.up_relation\n"
-    monkeypatch.setattr(
-        pipeline, "repair", lambda *a, **k: ("made.up_relation",)
-    )
-    result = answer_question(presidents, "q", spec_llm(reply), general_llm(), EMB)
-    assert result.route == Route.STAGE1_PLUS_2
-    assert {
-        "event": "repair_returned_original", "path": "made.up_relation"
-    } in result.trace
-    assert result.answers == AnswerSet(frozenset(), TIER_SKELETON)
 
 
 # --- failure fallbacks ---

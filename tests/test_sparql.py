@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from kgrelay.errors import (
     AmbiguousMainPath,
+    KgRelayError,
     NoTopicEntity,
     ParseError,
     UnclassifiableBranch,
@@ -154,6 +157,109 @@ def test_parse_error_carries_line():
     with pytest.raises(ParseError) as err:
         parse_sparql(text)
     assert err.value.line == 4  # the '}' arrives where '.' was expected
+
+
+_HEAD = "SELECT DISTINCT ?x WHERE {\n  :A :r ?x .\n"
+_ORDER = "SELECT DISTINCT ?x WHERE { :A :r ?x . ?x :v ?c . }\nORDER BY "
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        # one input for each token the grammar requires
+        ("ASK DISTINCT ?x WHERE { :A :r ?x . }", "expected SELECT, got 'ASK'", 1),
+        ("SELECT DISTINCT\n:x WHERE { :A :r ?x . }",
+         "expected one select variable, got ':x'", 2),
+        ("SELECT DISTINCT ?x\n{ :A :r ?x . }", "expected WHERE, got '{'", 2),
+        ("SELECT DISTINCT ?x WHERE\n:A :r ?x . }", "expected '{', got ':A'", 2),
+        (_HEAD + '  FILTER ?x > "1"^^xsd:integer\n}', "expected '(', got '?x'", 3),
+        (_HEAD + '  FILTER("1" = ?x)\n}',
+         "FILTER must start with a variable, got '\"1\"'", 3),
+        (_HEAD + "  FILTER(?x ?y)\n}", "expected comparison operator, got '?y'", 3),
+        (_HEAD + "  FILTER(?x > :B)\n}", "FILTER compares against a literal, got ':B'", 3),
+        (_HEAD + '  FILTER(?x > "1"^^xsd:integer\n}', "expected ')', got '}'", 4),
+        ("SELECT DISTINCT ?x WHERE {\n  :A :r ?x\n}", "pattern must end with '.', got '}'", 3),
+        (_ORDER.replace(" BY ", "\n") + "ASC(?c) LIMIT 1", "expected BY, got 'ASC'", 3),
+        (_ORDER + "DESC ?c) LIMIT 1", "expected '(', got '?c'", 2),
+        (_ORDER + "DESC(:c) LIMIT 1", "expected a variable in ORDER BY, got ':c'", 2),
+        (_ORDER + "DESC(?c LIMIT 1", "expected ')', got 'LIMIT'", 2),
+        # the other messages
+        (_HEAD + "  $\n}", "unexpected character '$'", 3),
+        ("", "expected SELECT, got ''", 1),
+        ("SELECT DISTINCT ?x\n\n", "expected WHERE, got ''", 1),  # eof: the last token's line
+        (_HEAD + "\n\n", "unterminated group: missing }", 2),
+        ("SELECT DISTINCT ?x WHERE {\n  :A :r .\n}", "expected a term, got '.'", 2),
+        ('SELECT DISTINCT ?x WHERE {\n  "a\nb" :r ?x .\n}', "a literal cannot be a subject", 3),
+        ('SELECT DISTINCT ?x WHERE {\n  :A "b" ?x .\n}', "expected a relation symbol", 2),
+        ('SELECT DISTINCT ?x WHERE {\n  :A :r "3.5"^^xsd:integer .\n}',
+         "bad literal '\"3.5\"^^xsd:integer': not an integer: '3.5'", 2),
+        (_HEAD + '  FILTER(?x > "1.5"^^xsd:integer)\n}',
+         "bad literal '\"1.5\"^^xsd:integer': not an integer: '1.5'", 3),
+        (_HEAD[:-1] + " }\n\ntrailing", "trailing input: 'trailing'", 4),
+    ],
+)
+def test_parse_error_messages(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_sparql(text)
+    assert type(err.value) is ParseError
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
+def test_parse_empty_group_has_no_line():
+    with pytest.raises(ParseError) as err:
+        parse_sparql("SELECT DISTINCT ?x WHERE { }")
+    assert (str(err.value), err.value.line) == ("empty WHERE group", 0)
+
+
+_FUZZ_PIECES = [
+    "{", "}", ".", "(", ")", "?x", "?h1", "?c1", ":A", ":r", '"1"^^xsd:integer',
+    '"2000"^^xsd:dateTime', '"x"@en', '"3.5"^^xsd:integer', "FILTER", "ORDER BY", "DESC",
+    "LIMIT 1", "UNION", "a", ">=", "=", "~", "\n", '"', "$", "?", ":",
+]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(5)
+        words = text.split(" ")
+        if op == 0:  # delete a few characters
+            text = text[:i] + text[i + rng.randint(1, 10):]
+        elif op == 1:  # insert a piece of the grammar
+            text = text[:i] + rng.choice(_FUZZ_PIECES) + text[i:]
+        elif op == 2:  # swap two words
+            a, b = rng.randrange(len(words)), rng.randrange(len(words))
+            words[a], words[b] = words[b], words[a]
+            text = " ".join(words)
+        elif op == 3:  # copy a line
+            lines = text.split("\n")
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            text = "\n".join(lines)
+        elif names := re.findall(r"[?:][A-Za-z_][A-Za-z0-9_.]*", text):
+            # rename a variable or entity to another the query uses
+            text = text.replace(rng.choice(names), rng.choice(names), 1)
+    return text
+
+
+def test_parse_fuzz_raises_only_typed_errors(data_dir):
+    # Every mutated corpus query parses or raises a KgRelayError, and
+    # every one that parses goes through chain analysis, rendering and the
+    # round trip raising nothing else.
+    rng = random.Random(5000)
+    blocks = _corpus_blocks(data_dir)
+    parsed = 0
+    for _ in range(5000):
+        text = _mutate(rng, rng.choice(blocks))
+        try:
+            q = parse_sparql(text)
+        except KgRelayError:
+            continue
+        parsed += 1
+        with contextlib.suppress(KgRelayError):
+            chain_branches(q)
+        render_sparql(q)
+        round_trip_check(text)
+    assert parsed >= 500
 
 
 # --- chain analysis ---
@@ -537,8 +643,6 @@ def _corpus_blocks(data_dir):
     kept = "\n".join(
         ln for ln in text.splitlines() if not ln.lstrip().startswith("#")
     )
-    import re
-
     return [b.strip() for b in re.split(r"\n\s*\n", kept) if b.strip()]
 
 
