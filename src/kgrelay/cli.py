@@ -45,7 +45,7 @@ def _load_graph(settings):
         _die("no knowledge graph configured (use --kg or the kg setting)", 2)
     try:
         return load_tsv(settings.kg)
-    except (OSError, KgRelayError) as exc:
+    except (OSError, UnicodeDecodeError, KgRelayError) as exc:
         _die(f"cannot load graph: {exc}", 2)
 
 
@@ -170,7 +170,7 @@ def eval_cmd(ctx, dataset, out_dir, stage2_only):
 def _read_blocks(path: str) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _die(f"cannot read {path}: {exc}", 2)
     kept = "\n".join(
         line for line in text.splitlines() if not line.lstrip().startswith("#")
@@ -220,12 +220,12 @@ def convert(ctx, input_file, direction):
                 click.echo(serialize_reasoning_path(rp))
                 click.echo("")
             else:
-                report = round_trip_check(block)
-                if report.ok:
+                error = round_trip_check(block)
+                if error is None:
                     click.echo(f"block {idx}: ok")
                 else:
                     failures += 1
-                    click.echo(f"block {idx}: FAIL ({report.error})")
+                    click.echo(f"block {idx}: FAIL ({error})")
         except KgRelayError as exc:
             failures += 1
             click.echo(f"block {idx}: {type(exc).__name__}: {exc}", err=True)

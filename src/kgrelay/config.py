@@ -81,7 +81,7 @@ def _coerce(key: str, raw: str):
 def _parse_file(path: str | Path) -> dict:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     values = {}
     for line_no, line in enumerate(lines, start=1):
@@ -140,7 +140,7 @@ def _load_script(path: str) -> list[ScriptEntry]:
     try:
         with open(path, encoding="utf-8") as fh:
             entries = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load script {path}: {exc}") from exc
     if not isinstance(entries, list):
         raise ConfigError(f"script {path} must be a JSON list")

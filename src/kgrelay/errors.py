@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Every error that callers are expected to catch lives here so that the CLI
-can map them to exit codes in one place.
+can map them to exit codes in one place. Each derives from
+``KgRelayError``, directly or through ``ProviderError`` or
+``RepairError``. A ``detail`` argument is always written into the
+message, except an empty one of ``HttpError`` (a 4xx reply with no body).
 """
 
 from __future__ import annotations
@@ -16,24 +19,18 @@ class KgRelayError(Exception):
 class MalformedLine(KgRelayError):
     """A TSV line does not have three tab-separated fields."""
 
-    def __init__(self, line_no: int, detail: str = ""):
+    def __init__(self, line_no: int, detail: str):
         self.line_no = line_no
-        msg = f"line {line_no}: malformed"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"line {line_no}: malformed ({detail})")
 
 
 class BadLiteral(KgRelayError):
     """A literal token is syntactically or semantically invalid."""
 
-    def __init__(self, line_no: int, token: str, detail: str = ""):
+    def __init__(self, line_no: int, token: str, detail: str):
         self.line_no = line_no
         self.token = token
-        msg = f"line {line_no}: bad literal {token!r}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"line {line_no}: bad literal {token!r} ({detail})")
 
 
 class UnknownEntity(KgRelayError):
@@ -46,11 +43,7 @@ class UnknownEntity(KgRelayError):
 
 # --- reasoning path grammar ---
 
-class CrpError(KgRelayError):
-    """Base for reasoning-path construction and parse errors."""
-
-
-class ParseError(CrpError):
+class ParseError(KgRelayError):
     """Input text does not match the expected grammar.
 
     Used by both the reasoning-path parser and the query parser; carries
@@ -64,7 +57,7 @@ class ParseError(CrpError):
         super().__init__(message)
 
 
-class HopOutOfRange(CrpError):
+class HopOutOfRange(KgRelayError):
     """A constraint refers to a hop outside 1..len(path)."""
 
     def __init__(self, index: int, hop: int, depth: int):
@@ -82,27 +75,23 @@ class UnsupportedFeature(KgRelayError):
     """The query uses syntax outside the supported subset."""
 
 
-class BridgeError(KgRelayError):
-    """Base for conversion failures between paths and queries."""
-
-
-class NoTopicEntity(BridgeError):
+class NoTopicEntity(KgRelayError):
     """No named entity roots a path to the selected variable."""
 
 
-class AmbiguousMainPath(BridgeError):
+class AmbiguousMainPath(KgRelayError):
     """More than one named-entity path reaches the selected variable."""
 
 
-class UnclassifiableBranch(BridgeError):
+class UnclassifiableBranch(KgRelayError):
     """An off-path pattern or filter fits no constraint class."""
 
 
-class UngroundedTopic(BridgeError):
+class UngroundedTopic(KgRelayError):
     """The reasoning path has no resolved topic entity."""
 
 
-class UnresolvedConstraintEntity(BridgeError):
+class UnresolvedConstraintEntity(KgRelayError):
     """An entity constraint has no resolved entity id."""
 
     def __init__(self, surface: str):
@@ -170,12 +159,9 @@ class EmptyBlueprint(RepairError):
 class RepairFailed(RepairError):
     """Beam search could not produce any executable path."""
 
-    def __init__(self, depth_reached: int, detail: str = ""):
+    def __init__(self, depth_reached: int, detail: str):
         self.depth_reached = depth_reached
-        msg = f"repair failed at depth {depth_reached}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"repair failed at depth {depth_reached}: {detail}")
 
 
 # --- configuration / datasets ---

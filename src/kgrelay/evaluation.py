@@ -51,7 +51,7 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset: {exc}") from exc
     records: list[DatasetRecord] = []
     for line_no, raw in enumerate(lines, start=1):
@@ -291,7 +291,7 @@ def run_batch(
     g: KnowledgeGraph,
     records: list[DatasetRecord],
     provider_factory: ProviderFactory,
-    repair_cfg: RepairConfig | None = None,
+    repair_cfg: RepairConfig = RepairConfig(),
     prices: dict | None = None,
     workers: int = 1,
     relax: bool = True,
@@ -309,9 +309,10 @@ def run_batch(
     dataset order, so output is identical. Every report figure is a sum
     or mean over the rows, except cost. Calls are priced here and nowhere
     else, under ``prices`` (default ``DEFAULT_PRICES``), summed in dataset
-    order, then call order.
+    order, then call order. An empty ``records`` raises DatasetError.
     """
-    repair_cfg = repair_cfg or RepairConfig()
+    if not records:
+        raise DatasetError("no records in dataset")
 
     def work(rec: DatasetRecord) -> tuple[dict, float, list]:
         """The record's row, its unrounded F1 and its call records."""

@@ -212,13 +212,6 @@ def _hop_plans(
         yield [step for hop in hops for step in hop]
 
 
-def apply_constraint(
-    g: KnowledgeGraph, candidates: set[EntityId], c: Constraint
-) -> set[EntityId]:
-    """Filter a candidate entity set by one constraint."""
-    return _keep(g, candidates, (c.relation, _test(c.value)))
-
-
 # --- reasoning paths ---
 
 def constraints_for_tier(

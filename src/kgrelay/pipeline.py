@@ -47,7 +47,6 @@ class Route(str, Enum):
 
 @dataclass
 class QuestionResult:
-    question: str
     route: Route
     answers: AnswerSet
     crp_initial: ReasoningPath | None
@@ -74,8 +73,8 @@ def _fallback(
     log.warning("question %r failed, %s", question, message)
     trace.append({"event": "error", "stage": stage, "message": message})
     return QuestionResult(
-        question, Route.FALLBACK, AnswerSet(frozenset(), TIER_FULL),
-        initial, final, ledger, trace, error=message,
+        Route.FALLBACK, AnswerSet(frozenset(), TIER_FULL), initial, final, ledger, trace,
+        error=message,
     )
 
 
@@ -85,7 +84,7 @@ def answer_question(
     specialized: LlmProvider,
     general: LlmProvider,
     embedder: EmbeddingProvider,
-    repair_cfg: RepairConfig | None = None,
+    repair_cfg: RepairConfig = RepairConfig(),
     relax: bool = True,
     walks: dict | None = None,
 ) -> QuestionResult:
@@ -96,7 +95,6 @@ def answer_question(
     (a fresh one when None); the routing check, repair and execution fill
     it, and the caller may score the answers through it.
     """
-    repair_cfg = repair_cfg or RepairConfig()
     ledger = CostLedger()
     spec_llm = TrackedLlm(specialized, ROLE_SPECIALIZED, ledger)
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
@@ -137,7 +135,7 @@ def answer_question(
         answers = execute_with_relaxation(g, rp_final, walks)
     else:
         answers = AnswerSet(execute_full(g, rp_final, walks), TIER_FULL)
-    return QuestionResult(question, route, answers, rp_initial, rp_final, ledger, trace)
+    return QuestionResult(route, answers, rp_initial, rp_final, ledger, trace)
 
 
 def run_stage2_only(
@@ -147,7 +145,7 @@ def run_stage2_only(
     depth: int | None,
     general: LlmProvider,
     embedder: EmbeddingProvider,
-    repair_cfg: RepairConfig | None = None,
+    repair_cfg: RepairConfig = RepairConfig(),
     walks: dict | None = None,
 ) -> QuestionResult:
     """Repair-only ablation: no specialized model, no constraints.
@@ -157,7 +155,6 @@ def run_stage2_only(
     the repaired skeleton reaches from the walks repair left in the walk
     memo ``walks`` (a fresh one when None).
     """
-    repair_cfg = repair_cfg or RepairConfig()
     ledger = CostLedger()
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
     trace: list = []
@@ -171,4 +168,4 @@ def run_stage2_only(
         return _fallback(question, ledger, trace, "repair", exc)
     rp = ReasoningPath(topic_surface, tuple(path), (), topic)
     answers = AnswerSet(g.reach(topic, path, walks), TIER_FULL)
-    return QuestionResult(question, Route.STAGE2_ONLY, answers, None, rp, ledger, trace)
+    return QuestionResult(Route.STAGE2_ONLY, answers, None, rp, ledger, trace)

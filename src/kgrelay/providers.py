@@ -352,7 +352,8 @@ class CallRecord:
 
 
 class CostLedger:
-    """Thread-safe per-call usage log for one question."""
+    """Thread-safe per-call usage log for one question. The totals count
+    every call; each record keeps its role, which pricing reads."""
 
     def __init__(self):
         self.records: list[CallRecord] = []
@@ -362,20 +363,14 @@ class CostLedger:
         with self._lock:
             self.records.append(CallRecord(role, usage))
 
-    def calls(self, role: str | None = None) -> int:
-        return sum(1 for r in self.records if role is None or r.role == role)
+    def calls(self) -> int:
+        return len(self.records)
 
-    def prompt_tokens(self, role: str | None = None) -> int:
-        return sum(
-            r.usage.prompt_tokens for r in self.records if role is None or r.role == role
-        )
+    def prompt_tokens(self) -> int:
+        return sum(r.usage.prompt_tokens for r in self.records)
 
-    def completion_tokens(self, role: str | None = None) -> int:
-        return sum(
-            r.usage.completion_tokens
-            for r in self.records
-            if role is None or r.role == role
-        )
+    def completion_tokens(self) -> int:
+        return sum(r.usage.completion_tokens for r in self.records)
 
 
 def price_calls(

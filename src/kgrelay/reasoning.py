@@ -47,15 +47,6 @@ class ComparisonOp(str, Enum):
         return self in (ComparisonOp.ARGMAX, ComparisonOp.ARGMIN)
 
 
-BINARY_OPS = (
-    ComparisonOp.EQ,
-    ComparisonOp.GE,
-    ComparisonOp.LE,
-    ComparisonOp.GT,
-    ComparisonOp.LT,
-)
-
-
 @dataclass(frozen=True)
 class EntityMatch:
     """Candidate must have the constraint relation pointing at this entity."""
@@ -98,10 +89,6 @@ class Constraint:
     relation: str
     value: ConstraintValue
 
-    @property
-    def is_extremal(self) -> bool:
-        return isinstance(self.value, NumericCompare) and self.value.op.is_extremal
-
     def body_text(self) -> str:
         v = self.value
         if isinstance(v, EntityMatch):
@@ -135,10 +122,6 @@ class ReasoningPath:
     @property
     def depth(self) -> int:
         return len(self.path)
-
-    def skeleton(self) -> "ReasoningPath":
-        """The same path with every constraint removed."""
-        return replace(self, constraints=())
 
 
 # --- parsing ---

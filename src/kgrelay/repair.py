@@ -67,7 +67,7 @@ def expand_beam(
     blueprint: tuple[str, ...],
     emb: EmbeddingProvider,
     x: int,
-    trace: list | None = None,
+    trace: list,
     walks: dict | None = None,
 ) -> list[tuple[str, ...]]:
     """Extend each beam path by one relation that exists at its frontier.
@@ -76,15 +76,14 @@ def expand_beam(
     step one ``emb.rank`` call keeps the x relations most similar to the
     step; the union over steps is kept, deduplicated across beam paths.
     Paths whose frontier has no outgoing relation are dead ends and are
-    dropped, each recorded once, as a ``dead_end`` event on ``trace``.
+    dropped, each appended once to ``trace`` as a ``dead_end`` event.
     Every returned candidate reaches a non-empty frontier by construction.
     """
     candidates: dict[tuple[str, ...], None] = {}
     for path in beam:
         rels = g.outgoing_relations(g.reach(s1, path, walks))
         if not rels:
-            if trace is not None:
-                trace.append({"event": "dead_end", "path": linearize(path)})
+            trace.append({"event": "dead_end", "path": linearize(path)})
             continue
         keep: set[str] = set()
         for step in blueprint:
@@ -152,7 +151,7 @@ def repair(
     cfg: RepairConfig,
     llm: LlmProvider,
     emb: EmbeddingProvider,
-    trace: list | None = None,
+    trace: list,
     walks: dict | None = None,
 ) -> tuple[str, ...]:
     """Search the graph for an executable relation chain of the given depth.
@@ -160,8 +159,10 @@ def repair(
     The depth is capped by cfg.max_depth_cap. At every depth below the
     target the selector keeps up to beam_width paths; at the final depth
     it keeps exactly one, which is returned. Every level walks through
-    the walk memo ``walks`` (a fresh one when None). Raises RepairFailed
-    when all beam paths dead-end, and RepairError for a depth below 1.
+    the walk memo ``walks`` (a fresh one when None). The search appends
+    its events to ``trace``: the blueprint, each dead end and one event
+    per depth. Raises RepairFailed when all beam paths dead-end, and
+    RepairError for a depth below 1.
     """
     if depth < 1:
         raise RepairError("repair depth must be at least 1")
@@ -169,8 +170,7 @@ def repair(
 
     walks = {} if walks is None else walks
     blueprint = generate_blueprint(llm, question)
-    if trace is not None:
-        trace.append({"event": "blueprint", "steps": list(blueprint)})
+    trace.append({"event": "blueprint", "steps": list(blueprint)})
 
     beam: list[tuple[str, ...]] = [()]
     for level in range(1, d_eff + 1):
@@ -180,16 +180,15 @@ def repair(
         cands = filter_paths(question, cands, emb, cfg.path_filter)
         n = 1 if level == d_eff else cfg.beam_width
         chosen, reply = select_paths(llm, question, s1, cands, n)
-        if trace is not None:
-            trace.append(
-                {
-                    "event": "depth",
-                    "depth": level,
-                    "beam": [linearize(path) for path in beam],
-                    "candidates": [linearize(path) for path in cands],
-                    "llm_reply": reply,
-                    "chosen": [linearize(path) for path in chosen],
-                }
-            )
+        trace.append(
+            {
+                "event": "depth",
+                "depth": level,
+                "beam": [linearize(path) for path in beam],
+                "candidates": [linearize(path) for path in cands],
+                "llm_reply": reply,
+                "chosen": [linearize(path) for path in chosen],
+            }
+        )
         beam = chosen
     return beam[0]

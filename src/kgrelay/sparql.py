@@ -569,24 +569,14 @@ def render_sparql(q: SparqlQuery) -> str:
     return _query_text(SparqlQuery(Var(f"h{len(chain)}"), tuple(patterns), tuple(filters), order))
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
-    ok: bool
-    error: str | None = None
-    rendered: str | None = None
-    regenerated: str | None = None
-
-
-def round_trip_check(text: str) -> RoundTripReport:
+def round_trip_check(text: str) -> str | None:
     """Parse, convert to a reasoning path, compile back, and compare
-    canonical renderings. Conversion failures are reported, not raised."""
+    canonical renderings: None when they are equal, else the failure
+    text. Conversion failures are reported, not raised."""
     try:
         q = parse_sparql(text)
         baseline = render_sparql(q)
-        rp = sparql_to_path(q)
-        regenerated = render_sparql(path_to_sparql(rp))
+        regenerated = render_sparql(path_to_sparql(sparql_to_path(q)))
     except KgRelayError as exc:
-        return RoundTripReport(False, f"{type(exc).__name__}: {exc}")
-    if regenerated != baseline:
-        return RoundTripReport(False, "canonical forms differ", baseline, regenerated)
-    return RoundTripReport(True, None, baseline, regenerated)
+        return f"{type(exc).__name__}: {exc}"
+    return None if regenerated == baseline else "canonical forms differ"

@@ -16,7 +16,6 @@ from decimal import Decimal
 
 from kgrelay.kg import Literal
 from kgrelay.reasoning import (
-    BINARY_OPS,
     ComparisonOp,
     Constraint,
     EntityMatch,
@@ -268,6 +267,9 @@ def oracle_sequences(og: OracleGraph, start: str, depth: int) -> list[tuple]:
 
 # --- random instance generators (seeded, deterministic) ---
 
+_BINARY_OPS = (
+    ComparisonOp.EQ, ComparisonOp.GE, ComparisonOp.LE, ComparisonOp.GT, ComparisonOp.LT,
+)
 _WORDS = ["alpha", "beta", "gamma", "delta", "Omega", "say \"hi\""]
 _THRESHOLD_POOL = [
     "0", "7", "13", "-2", "3.5", "250", "1995", "2001-05", "2003-07-22", "1e2",
@@ -382,7 +384,7 @@ def random_reasoning_path(
             )
             value = EntityMatch(target, entity=target)
         elif roll < 0.8:
-            op = rng.choice(list(BINARY_OPS))
+            op = rng.choice(_BINARY_OPS)
             value = NumericCompare(op, classify_threshold(rng.choice(_THRESHOLD_POOL)))
         else:
             texts = _string_texts_at(og, anchor, rel)
@@ -434,7 +436,7 @@ def random_ungrounded_path(rng, max_depth=4, max_constraints=3) -> ReasoningPath
             value = EntityMatch(t, entity=t)
         elif roll < 0.8:
             value = NumericCompare(
-                rng.choice(list(BINARY_OPS)),
+                rng.choice(_BINARY_OPS),
                 classify_threshold(rng.choice(_THRESHOLD_POOL)),
             )
         else:

@@ -64,6 +64,29 @@ def test_bad_config_file(tmp_path):
     assert result.stderr.startswith("error: cannot read config")
 
 
+@pytest.mark.parametrize("reads", ["graph", "dataset", "config", "script", "convert"])
+def test_input_that_is_not_utf8_exits_2(reads, cfg_path, data_dir, tmp_path):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\n")
+    if reads == "script":
+        Path(cfg_path).write_text(
+            f"kg = {data_dir / 'presidents.tsv'}\nspecialized_script = {bad}\n"
+            f"general_script = {data_dir / 'scripts' / 'general.json'}\n",
+            encoding="utf-8",
+        )
+    args, message = {
+        "graph": (["--kg", str(bad), "load-check"], "cannot load graph: "),
+        "dataset": (["--config", cfg_path, "eval", str(bad), "--out", str(tmp_path / "out")],
+                    "cannot read dataset: "),
+        "config": (["--config", str(bad), "load-check"], "cannot read config: "),
+        "script": (["--config", cfg_path, "ask", "q"], f"cannot load script {bad}: "),
+        "convert": (["convert", str(bad), "--direction", "roundtrip"], f"cannot read {bad}: "),
+    }[reads]
+    result = run(*args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {message}'utf-8' codec can't decode byte 0xff")
+
+
 # --- ask ---
 
 def test_ask_stage1(cfg_path):

@@ -291,6 +291,14 @@ def assert_report_folds_rows(report, rows):
     assert report.avg_llm_calls == pytest.approx(sum(r["llm_calls"] for r in rows) / n)
 
 
+def test_run_batch_without_records_raises(presidents):
+    def factory():
+        raise AssertionError("no provider is built for an empty batch")
+
+    with pytest.raises(DatasetError, match="^no records in dataset$"):
+        run_batch(presidents, [], factory)
+
+
 def test_run_batch_scores_and_routes(presidents, tmp_path):
     report, rows = run_batch(presidents, batch_records(tmp_path), make_factory())
     assert_report_folds_rows(report, rows)
@@ -734,9 +742,7 @@ def _scored_row(g, rec, answers, monkeypatch):
 
     monkeypatch.setattr(evaluation, "_norm_set", spy)
     rp = ground_reasoning_path(g, parse_reasoning_path("TOPIC: T\nPATH: c.r\n"))
-    result = QuestionResult(
-        rec.question, Route.STAGE1_ONLY, AnswerSet(answers, TIER_FULL), rp, rp, CostLedger(),
-    )
+    result = QuestionResult(Route.STAGE1_ONLY, AnswerSet(answers, TIER_FULL), rp, rp, CostLedger())
     row, f1 = evaluation._row(g, rec, result, {}, False)
     return row, f1, normalized
 

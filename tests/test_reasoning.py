@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrelay.errors import HopOutOfRange, ParseError, UnknownEntity
+from kgrelay.errors import HopOutOfRange, KgRelayError, ParseError, UnknownEntity
 from kgrelay.kg import DATETIME, NUMERIC, KnowledgeGraph, Literal
 from kgrelay.reasoning import (
     ComparisonOp,
@@ -223,11 +225,60 @@ def test_parse_serialize_roundtrip(seed):
     assert serialize_reasoning_path(again) == text
 
 
-def test_skeleton_drops_constraints(worked_path):
-    bare = worked_path.skeleton()
-    assert bare.constraints == ()
-    assert bare.path == worked_path.path
-    assert bare.topic_entity == worked_path.topic_entity
+_FUZZ_PIECES = [
+    "TOPIC: ", "PATH: ", "CONSTRAINT: ", "hop=", "hop=0", "hop=3", "9" * 30, "rel=", "; ",
+    ";", " -> ", "->", "entity=", "string=", "op=", "op=GE", "op=ARGMAX", "op=XX", "value=",
+    '"2000"', '"2001-05"', '"1e2"', '"nan"', '"x"', '"', "\\", "\n", " ", "=",
+]
+# Whole lines that a mutation may add.
+_FUZZ_LINES = [
+    'CONSTRAINT: hop=1; rel=r.s; op=LT; value="nan"',
+    'CONSTRAINT: hop=1; rel=r.s; op=EQ; value="2003-07-22"',
+    'CONSTRAINT: hop=1; rel=r.s; string="a \\"b\\""',
+    "CONSTRAINT: hop=2; rel=r.s; entity=E1",
+]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(5)
+        lines = text.split("\n")
+        if op == 0:  # delete a few characters
+            text = text[:i] + text[i + rng.randint(1, 10):]
+        elif op == 1:  # insert a piece of the grammar
+            text = text[:i] + rng.choice(_FUZZ_PIECES) + text[i:]
+        elif op == 2:  # swap two words
+            words = text.split(" ")
+            a, b = rng.randrange(len(words)), rng.randrange(len(words))
+            words[a], words[b] = words[b], words[a]
+            text = " ".join(words)
+        elif op == 3:  # copy a line, or add a new one
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines + _FUZZ_LINES))
+            text = "\n".join(lines)
+        elif names := re.findall(r"[A-Za-z_][A-Za-z0-9_.]*", text):
+            # rename a relation, entity or keyword to another the text uses
+            text = text.replace(rng.choice(names), rng.choice(names), 1)
+    return text
+
+
+def test_parse_fuzz_raises_only_typed_errors(data_dir):
+    # Every mutated stage-1 reply parses or raises a KgRelayError, and
+    # every path that parses reads back from its text as its canonical form.
+    rng = random.Random(29)
+    script = json.loads((data_dir / "scripts" / "specialized.json").read_text(encoding="utf-8"))
+    replies = [entry["reply"] for entry in script]
+    replies += [serialize_reasoning_path(random_ungrounded_path(rng)) for _ in range(40)]
+    parsed = 0
+    for _ in range(5000):
+        text = _mutate(rng, rng.choice(replies))
+        try:
+            rp = parse_reasoning_path(text)
+        except KgRelayError:
+            continue
+        parsed += 1
+        assert parse_reasoning_path(serialize_reasoning_path(rp)) == canonicalize(rp), text
+    assert parsed >= 500
 
 
 # --- grounding ---

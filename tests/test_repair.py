@@ -90,9 +90,9 @@ def test_blueprint_empty_raises():
 
 def test_expand_beam_walks_graph(presidents):
     bp = ("presidents", "office holder")
-    out = expand_beam(presidents, "USA", [()], bp, EMB, x=4)
+    out = expand_beam(presidents, "USA", [()], bp, EMB, x=4, trace=[])
     assert out == [("country.presidents",)]
-    out2 = expand_beam(presidents, "USA", out, bp, EMB, x=4)
+    out2 = expand_beam(presidents, "USA", out, bp, EMB, x=4, trace=[])
     assert out2 == [("country.presidents", "president.office_holder")]
 
 
@@ -136,11 +136,11 @@ def test_expand_beam_relation_filter(tmp_path):
     )
     g = load_tsv(p)
     bp = ("find the beta",)
-    out = expand_beam(g, "S", [()], bp, EMB, x=1)
+    out = expand_beam(g, "S", [()], bp, EMB, x=1, trace=[])
     assert out == [("beta.two",)]
     # two steps union their picks
     bp2 = ("find the beta", "find the gamma")
-    out2 = expand_beam(g, "S", [()], bp2, EMB, x=1)
+    out2 = expand_beam(g, "S", [()], bp2, EMB, x=1, trace=[])
     assert sorted(out2) == [("beta.two",), ("gamma.three",)]
 
 
@@ -192,7 +192,7 @@ def test_expand_beam_ranks_without_pair_scores(tmp_path_factory, seed):
     for _ in range(3):
         x = rng.randint(1, 4)
         emb = CountingEmbedder()
-        out = expand_beam(g, start, beam, blueprint, emb, x, walks={})
+        out = expand_beam(g, start, beam, blueprint, emb, x, [], {})
         assert out == sorted_key_expand(g, start, beam, blueprint, EMB, x)
         assert emb.calls["similarity"] == 0
         assert emb.calls["rank"] == len(blueprint) * sum(
@@ -209,7 +209,7 @@ def test_expand_beam_dedups_across_paths(tmp_path):
     g = load_tsv(p)
     bp = ("step",)
     beam = [("r",), ("s",)]
-    out = expand_beam(g, "S", beam, bp, EMB, x=4)
+    out = expand_beam(g, "S", beam, bp, EMB, x=4, trace=[])
     assert sorted(out) == [("r", "t"), ("s", "t")]
 
 
@@ -321,7 +321,7 @@ def test_repair_worked_chain(presidents):
 
 def test_repair_depth_must_be_positive(presidents):
     with pytest.raises(RepairError, match="repair depth must be at least 1"):
-        repair(presidents, "q", "USA", 0, RepairConfig(), ReplyLlm(), EMB)
+        repair(presidents, "q", "USA", 0, RepairConfig(), ReplyLlm(), EMB, [])
 
 
 def test_repair_depth_capped(tmp_path):
@@ -331,7 +331,7 @@ def test_repair_depth_capped(tmp_path):
     p.write_text(tsv, encoding="utf-8")
     g = load_tsv(p)
     llm = FirstPathLlm(2)
-    rels = repair(g, "q", "S", 9, RepairConfig(), llm, EMB)
+    rels = repair(g, "q", "S", 9, RepairConfig(), llm, EMB, [])
     assert rels == ("hop.fwd", "hop.back", "hop.fwd", "hop.back")
     assert llm.calls == 5
     assert oracle_reach(parse_tsv(tsv), "S", rels) == frozenset({("e", "S")})
@@ -344,7 +344,7 @@ def test_repair_failure_reports_depth(tmp_path):
     g = load_tsv(p)
     llm = FirstPathLlm(2)
     with pytest.raises(RepairFailed) as err:
-        repair(g, "q", "S", 3, RepairConfig(), llm, EMB)
+        repair(g, "q", "S", 3, RepairConfig(), llm, EMB, [])
     assert err.value.depth_reached == 3
     assert "depth 3" in str(err.value)
 
@@ -361,7 +361,7 @@ def test_repair_call_budget_random():
         g = load_tsv(f.name)
         llm = GoldSelectorLlm(gold, start)
         cfg = RepairConfig(beam_width=3, relation_filter=10, path_filter=64)
-        rels = repair(g, "q", start, depth, cfg, llm, EMB)
+        rels = repair(g, "q", start, depth, cfg, llm, EMB, [])
         assert rels == gold
         assert llm.calls == depth + 1
 
