@@ -16,9 +16,8 @@ import click
 
 from . import config as cfg
 from .errors import ConfigError, KgRelayError
-from .evaluation import load_dataset, run_batch, write_results, write_summary
+from .evaluation import DatasetRecord, load_dataset, run_batch, write_results, write_summary
 from .kg import answer_texts, load_tsv
-from .pipeline import answer_question, run_stage2_only
 from .reasoning import (
     EntityMatch,
     ground_reasoning_path,
@@ -96,40 +95,33 @@ def _print_trace(events):
               help="Search depth for --stage2-only.")
 @click.pass_context
 def ask(ctx, question, stage2_only, topic, depth):
-    """Answer one question."""
+    """Answer one question and print the row eval would write for it."""
     settings = ctx.obj["settings"]
     g = _load_graph(settings)
     try:
         repair_cfg = cfg.repair_config(settings)
         factory = cfg.provider_factory(settings, need_specialized=not stage2_only)
-        specialized, general, embedder = factory()
-    except (ConfigError, KgRelayError) as exc:
+    except KgRelayError as exc:
         _die(str(exc), 2)
+    if stage2_only and (topic is None or depth is None):
+        _die("--stage2-only needs --topic and --depth", 2)
 
-    if stage2_only:
-        if topic is None or depth is None:
-            _die("--stage2-only needs --topic and --depth", 2)
-        result = run_stage2_only(g, question, topic, depth, general, embedder, repair_cfg)
-    else:
-        result = answer_question(
-            g, question, specialized, general, embedder, repair_cfg,
-            relax=settings.relaxation,
-        )
-
-    if ctx.obj["trace"]:
-        _print_trace(result.trace)
-    click.echo(f"route: {result.route.value}")
-    click.echo(f"relaxation_tier: {result.answers.relaxation_tier}")
-    if result.crp_final is not None:
+    _, (row,) = run_batch(
+        g, [DatasetRecord("ask", question, topic=topic, depth=depth)], factory, repair_cfg,
+        relax=settings.relaxation, stage2_only=stage2_only, include_trace=ctx.obj["trace"],
+    )
+    _print_trace(row.get("trace", ()))
+    click.echo(f"route: {row['route']}")
+    click.echo(f"relaxation_tier: {row['relaxation_tier']}")
+    if row["crp_final"] is not None:
         click.echo("path:")
-        for line in serialize_reasoning_path(result.crp_final).splitlines():
+        for line in row["crp_final"].splitlines():
             click.echo(f"  {line}")
-    answers = answer_texts(result.answers.answers)
-    click.echo(f"answers ({len(answers)}):")
-    for text in answers:
+    click.echo(f"answers ({len(row['answers'])}):")
+    for text in row["answers"]:
         click.echo(f"  {text}")
-    if result.error:
-        click.echo(f"error: {result.error}", err=True)
+    if "error" in row:
+        click.echo(f"error: {row['error']}", err=True)
         sys.exit(1)
 
 
@@ -169,7 +161,7 @@ def eval_cmd(ctx, dataset, out_dir, stage2_only):
 
 def _read_blocks(path: str) -> list[str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         _die(f"cannot read {path}: {exc}", 2)
     kept = "\n".join(

@@ -80,7 +80,7 @@ def _coerce(key: str, raw: str):
 
 def _parse_file(path: str | Path) -> dict:
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     values = {}
@@ -114,10 +114,6 @@ def load_settings(path: str | Path | None = None, overrides: dict | None = None)
 
 
 def repair_config(settings: Settings) -> RepairConfig:
-    if min(settings.beam_width, settings.relation_filter, settings.path_filter) < 1:
-        raise ConfigError("beam_width, relation_filter, path_filter must be >= 1")
-    if settings.max_depth_cap < 1:
-        raise ConfigError("max_depth_cap must be >= 1")
     return RepairConfig(
         beam_width=settings.beam_width,
         relation_filter=settings.relation_filter,
@@ -138,7 +134,7 @@ def price_table(settings: Settings) -> dict[str, tuple[float, float]]:
 
 def _load_script(path: str) -> list[ScriptEntry]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             entries = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load script {path}: {exc}") from exc

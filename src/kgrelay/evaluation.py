@@ -49,7 +49,7 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Read a JSONL dataset. Unparsable lines become flagged records so a
     batch run can score the rest; an unreadable or empty file raises."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset: {exc}") from exc
@@ -216,7 +216,8 @@ def _row(
     A record without a result (an unusable dataset line) is flagged with
     its load error. Any other record is scored against its gold answers,
     or the gold query's answers when it has none, and flagged when its
-    question fell back or there is no gold to score against. The gold query walks through the
+    question fell back or there is no gold to score against, as when it
+    has neither answers nor a query. The gold query walks through the
     question's walk memo ``walks``, with the question's filters. When it
     reaches the answer node set itself, no answer text is normalized: a
     non-empty set is its own gold and scores hits 1 and F1 1.0, however
@@ -252,7 +253,7 @@ def _row(
     try:
         if rec.sparql:
             query = parse_sparql(rec.sparql)
-        if not gold:
+        if not gold and query is not None:
             nodes = evaluate_query(g, query, walks)
             same = nodes == result.answers.answers
             # Only the set is scored, so the nodes need no sorting.

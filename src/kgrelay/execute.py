@@ -9,7 +9,9 @@ constraint and for a query branch alike. Binary steps run before
 extremal ones, so the result does not depend on the order constraints
 were written in. One table gives both the tier at which relaxation drops
 each kind of test and the order of a hop's steps. Every plan runs on
-``KnowledgeGraph.walk``, the graph's one chain walker.
+``KnowledgeGraph.walk``, the graph's one chain walker. A reasoning path
+runs through one executor, ``execute_with_relaxation``, at a list of
+tiers; ``execute_full`` is its tier-0 view.
 
 Relaxation and query evaluation take the question's walk memo, which the
 routing check and repair have filled, so every walk from the topic along
@@ -32,7 +34,6 @@ from .errors import UngroundedTopic
 from .kg import NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, NodeRef
 from .reasoning import (
     ComparisonOp,
-    Constraint,
     ConstraintValue,
     EntityMatch,
     ReasoningPath,
@@ -47,6 +48,7 @@ TIER_FULL = 0
 TIER_DROP_STRING = 1
 TIER_DROP_STRING_NUMERIC = 2
 TIER_SKELETON = 3
+TIERS = (TIER_FULL, TIER_DROP_STRING, TIER_DROP_STRING_NUMERIC, TIER_SKELETON)
 
 
 @dataclass(frozen=True)
@@ -214,22 +216,19 @@ def _hop_plans(
 
 # --- reasoning paths ---
 
-def constraints_for_tier(
-    constraints: tuple[Constraint, ...], tier: int
-) -> tuple[Constraint, ...]:
-    """Constraints that remain active at a relaxation tier.
-
-    Tier 0 keeps everything; tier 1 drops string constraints; tier 2 also
-    drops numeric ones (comparisons and extremals); tier 3 drops all.
-    """
-    return tuple(c for c in constraints if tier < _DROPPED_AT[_test(c.value)[0]])
-
-
-def _run_tiers(
-    g: KnowledgeGraph, rp: ReasoningPath, tiers: Sequence[int], walks: dict | None
+def execute_with_relaxation(
+    g: KnowledgeGraph, rp: ReasoningPath, walks: dict | None = None,
+    tiers: Sequence[int] = TIERS,
 ) -> AnswerSet:
-    """Walk the path at each tier in turn, through the walk memo ``walks``
-    (a fresh one when None); the first non-empty tier wins."""
+    """Walk a grounded reasoning path at each of ``tiers`` in turn and
+    return the first non-empty answer set, with the tier that produced it.
+
+    When every tier is empty the result is the empty set at the last one.
+    Literals reached at a hop that carries constraints are dropped there;
+    at the final hop without constraints they are answers. The tiers read
+    and fill the walk memo ``walks`` (a fresh one when None), so a chain
+    prefix already walked through it is not walked again.
+    """
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
     walks = {} if walks is None else walks
@@ -240,33 +239,11 @@ def _run_tiers(
     return AnswerSet(frozenset(), tiers[-1])
 
 
-def answers_at_tier(g: KnowledgeGraph, rp: ReasoningPath, tier: int) -> frozenset[NodeRef]:
-    return _run_tiers(g, rp, (tier,), None).answers
-
-
 def execute_full(
     g: KnowledgeGraph, rp: ReasoningPath, walks: dict | None = None
 ) -> frozenset[NodeRef]:
-    """Execute a grounded reasoning path with all its constraints, through
-    the walk memo ``walks`` (a fresh one when None).
-
-    Literals reached at a hop that carries constraints are dropped there;
-    at the final hop without constraints they are answers.
-    """
-    return _run_tiers(g, rp, (TIER_FULL,), walks).answers
-
-
-def execute_with_relaxation(
-    g: KnowledgeGraph, rp: ReasoningPath, walks: dict | None = None
-) -> AnswerSet:
-    """Try tiers 0..3 in order and return the first non-empty answer set.
-
-    The tier that produced the answers is recorded. When even the bare
-    skeleton is empty the result is the empty set at tier 3. The tiers
-    read and fill the walk memo ``walks`` (a fresh one when None), so a
-    chain prefix already walked through it is not walked again.
-    """
-    return _run_tiers(g, rp, range(TIER_FULL, TIER_SKELETON + 1), walks)
+    """The answers of ``rp`` with every constraint: its tier-0 walk."""
+    return execute_with_relaxation(g, rp, walks, (TIER_FULL,)).answers
 
 
 # --- subset queries ---

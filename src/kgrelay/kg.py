@@ -366,7 +366,7 @@ def load_tsv(path: str | Path) -> KnowledgeGraph:
     intern = sys.intern
 
     def triples() -> Iterator[tuple[EntityId, RelationId, NodeRef]]:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n").rstrip("\r")
                 if not line.strip():

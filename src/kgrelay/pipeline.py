@@ -9,9 +9,10 @@ constraints are re-attached where their hop still exists.
 Each question has one walk memo (see ``KnowledgeGraph.walk``), and every
 walk of the question goes through it: the routing check, which is one
 ``KnowledgeGraph.reach`` call, each repair level, which expands only the
-last hop of each beam path, relaxation or full execution, the stage-2
-answers, and gold scoring when the caller passes the memo on. So a chain
-prefix is expanded once per question.
+last hop of each beam path, the answers, and gold scoring when the caller
+passes the memo on. So a chain prefix is expanded once per question.
+Every answered question, stage-2-only ones too, gets its answers from
+one ``execute_with_relaxation`` call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import KgRelayError
-from .execute import TIER_FULL, AnswerSet, execute_full, execute_with_relaxation
+from .execute import TIER_FULL, TIERS, AnswerSet, execute_with_relaxation
 from .kg import KnowledgeGraph
 from .prompts import generation_prompt
 from .providers import (
@@ -91,9 +92,11 @@ def answer_question(
     """Answer one question; never raises on provider or path failures.
 
     Failures degrade to the fallback route with empty answers and the
-    error recorded on the result. ``walks`` is the question's walk memo
-    (a fresh one when None); the routing check, repair and execution fill
-    it, and the caller may score the answers through it.
+    error recorded on the result. The final path is answered at every
+    relaxation tier when ``relax`` holds, else at tier 0 only. ``walks``
+    is the question's walk memo (a fresh one when None); the routing
+    check, repair and execution fill it, and the caller may score the
+    answers through it.
     """
     ledger = CostLedger()
     spec_llm = TrackedLlm(specialized, ROLE_SPECIALIZED, ledger)
@@ -131,10 +134,7 @@ def answer_question(
             rp.topic_surface, tuple(new_path), kept, rp.topic_entity
         )
 
-    if relax:
-        answers = execute_with_relaxation(g, rp_final, walks)
-    else:
-        answers = AnswerSet(execute_full(g, rp_final, walks), TIER_FULL)
+    answers = execute_with_relaxation(g, rp_final, walks, TIERS if relax else TIERS[:1])
     return QuestionResult(route, answers, rp_initial, rp_final, ledger, trace)
 
 
@@ -151,9 +151,9 @@ def run_stage2_only(
     """Repair-only ablation: no specialized model, no constraints.
 
     The topic and search depth come from the caller (dataset fields);
-    either missing gives the fallback result. The answers are whatever
-    the repaired skeleton reaches from the walks repair left in the walk
-    memo ``walks`` (a fresh one when None).
+    either missing gives the fallback result. The answers are the
+    repaired skeleton's tier-0 walk, read from the walks repair left in
+    the walk memo ``walks`` (a fresh one when None).
     """
     ledger = CostLedger()
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
@@ -167,5 +167,5 @@ def run_stage2_only(
     except KgRelayError as exc:
         return _fallback(question, ledger, trace, "repair", exc)
     rp = ReasoningPath(topic_surface, tuple(path), (), topic)
-    answers = AnswerSet(g.reach(topic, path, walks), TIER_FULL)
+    answers = execute_with_relaxation(g, rp, walks, TIERS[:1])
     return QuestionResult(Route.STAGE2_ONLY, answers, None, rp, ledger, trace)

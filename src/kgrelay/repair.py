@@ -18,7 +18,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import EmptyBlueprint, RepairError, RepairFailed
+from .errors import ConfigError, EmptyBlueprint, RepairError, RepairFailed
 from .kg import EntityId, KnowledgeGraph
 from .prompts import blueprint_prompt, selection_prompt
 from .providers import EmbeddingProvider, LlmProvider
@@ -37,6 +37,12 @@ class RepairConfig:
     relation_filter: int = 4  # relations kept per blueprint step
     path_filter: int = 10     # candidates shown to the selector
     max_depth_cap: int = 4
+
+    def __post_init__(self):
+        if min(self.beam_width, self.relation_filter, self.path_filter) < 1:
+            raise ConfigError("beam_width, relation_filter, path_filter must be >= 1")
+        if self.max_depth_cap < 1:
+            raise ConfigError("max_depth_cap must be >= 1")
 
 
 def linearize(relations: tuple[str, ...]) -> str:

@@ -204,6 +204,20 @@ def _apply(og: OracleGraph, entities: set, c: Constraint) -> set:
     }
 
 
+def oracle_tier(constraints, tier: int) -> tuple:
+    """The constraints that relaxation keeps at ``tier``: tier 0 keeps all,
+    tier 1 drops string matches, tier 2 also drops numeric comparisons and
+    extremals, and tier 3 drops every constraint."""
+    def dropped_at(c: Constraint) -> int:
+        if isinstance(c.value, StringMatch):
+            return 1
+        if isinstance(c.value, NumericCompare):
+            return 2
+        return 3
+
+    return tuple(c for c in constraints if tier < dropped_at(c))
+
+
 def oracle_execute(og: OracleGraph, rp: ReasoningPath) -> frozenset:
     """Walk the main path, filtering each hop's entity frontier.
 

@@ -13,6 +13,7 @@ import re
 import tempfile
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -33,20 +34,10 @@ from kgrelay.evaluation import (
     write_results,
     write_summary,
 )
-from kgrelay.execute import (
-    answers_at_tier,
-    constraints_for_tier,
-    evaluate_query,
-    execute_full,
-)
+from kgrelay.execute import evaluate_query, execute_full, execute_with_relaxation
 from kgrelay.kg import load_tsv
 from kgrelay.providers import TokenOverlapEmbedder
-from kgrelay.reasoning import (
-    NumericCompare,
-    StringMatch,
-    canonicalize,
-    parse_reasoning_path,
-)
+from kgrelay.reasoning import canonicalize, parse_reasoning_path
 from kgrelay.repair import RepairConfig, repair
 from kgrelay.sparql import (
     parse_sparql,
@@ -63,6 +54,7 @@ from oracle import (
     oracle_execute,
     oracle_reach,
     oracle_sequences,
+    oracle_tier,
     parse_tsv,
     random_graph_tsv,
     random_reasoning_path,
@@ -232,21 +224,15 @@ def test_criterion_6_relaxation_monotone(capsys):
             rp = random_reasoning_path(
                 rng, og, max_depth=3, max_constraints=3, safe_relaxation=True
             )
-            tiers = [answers_at_tier(g, rp, t) for t in range(4)]
+            tiers = [execute_with_relaxation(g, rp, tiers=(t,)).answers for t in range(4)]
             for t in range(3):
                 assert tiers[t] <= tiers[t + 1], f"tier {t} not nested"
-            # the progression drops strings first, then numerics, then all
-            full = set(rp.constraints)
-            t1 = set(constraints_for_tier(rp.constraints, 1))
-            t2 = set(constraints_for_tier(rp.constraints, 2))
-            assert full - t1 == {
-                c for c in rp.constraints if isinstance(c.value, StringMatch)
-            }
-            assert t1 - t2 == {
-                c for c in t1 if isinstance(c.value, NumericCompare)
-            }
-            assert constraints_for_tier(rp.constraints, 3) == ()
-            if full - t1 or t1 - t2:
+            # each tier answers as the oracle does with the constraints it
+            # keeps: strings dropped first, then numerics, then all
+            for t, answers in enumerate(tiers):
+                kept = oracle_tier(rp.constraints, t)
+                assert keyset(answers) == oracle_execute(og, replace(rp, constraints=kept))
+            if oracle_tier(rp.constraints, 2) != rp.constraints:
                 checked_drops += 1
         assert checked_drops >= 20  # enough instances actually had constraints
 

@@ -15,6 +15,7 @@ import kgrelay
 from kgrelay.cli import main
 
 RUNNER = CliRunner()
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -87,6 +88,42 @@ def test_input_that_is_not_utf8_exits_2(reads, cfg_path, data_dir, tmp_path):
     assert result.stderr.startswith(f"error: {message}'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("reads", ["graph", "dataset", "config", "script", "convert"])
+def test_input_with_a_utf8_bom_reads_as_without_it(reads, cfg_path, data_dir, tmp_path):
+    source = {
+        "graph": data_dir / "presidents.tsv",
+        "dataset": data_dir / "routing_eval.jsonl",
+        "config": Path(cfg_path),
+        "script": data_dir / "scripts" / "specialized.json",
+        "convert": data_dir / "roundtrip_corpus.sparql",
+    }[reads]
+    copy = tmp_path / "input" / source.name
+    copy.parent.mkdir()
+    script_cfg = tmp_path / "script.cfg"
+    script_cfg.write_text(
+        f"kg = {data_dir / 'presidents.tsv'}\nspecialized_script = {copy}\n"
+        f"general_script = {data_dir / 'scripts' / 'general.json'}\n",
+        encoding="utf-8",
+    )
+    question = "which us presidents attended harvard and took office in 2000 or later"
+    out = tmp_path / "out"
+    args = {
+        "graph": ["--config", cfg_path, "--kg", str(copy), "ask", question],
+        "dataset": ["--config", cfg_path, "eval", str(copy), "--out", str(out)],
+        "config": ["--config", str(copy), "ask", question],
+        "script": ["--config", str(script_cfg), "ask", question],
+        "convert": ["convert", str(copy), "--direction", "roundtrip"],
+    }[reads]
+    runs = []
+    for bom in ("", "\ufeff"):
+        copy.write_text(bom + source.read_text(encoding="utf-8"), encoding="utf-8")
+        result = run(*args)
+        written = (out / "results.jsonl").read_bytes() if reads == "dataset" else b""
+        runs.append((result.exit_code, result.output, result.stderr, written))
+    assert runs[0][0] == 0, runs[0]
+    assert runs[1] == runs[0]
+
+
 # --- ask ---
 
 def test_ask_stage1(cfg_path):
@@ -144,6 +181,35 @@ def test_ask_stage2_only_needs_topic_and_depth(cfg_path):
     assert "--topic and --depth" in result.stderr
 
 
+def ask_output(row):
+    """What ask prints to stdout for an eval row."""
+    lines = [f"route: {row['route']}", f"relaxation_tier: {row['relaxation_tier']}"]
+    if row["crp_final"] is not None:
+        lines += ["path:", *(f"  {line}" for line in row["crp_final"].splitlines())]
+    lines += [f"answers ({len(row['answers'])}):", *(f"  {a}" for a in row["answers"])]
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("golden, flags", [
+    ("", []),
+    ("stage2_only", ["--stage2-only", "--topic", "USA", "--depth", "2"]),
+])
+def test_ask_prints_the_eval_row(cfg_path, golden, flags, trace):
+    """ask answers each demo question as eval does: the golden row's
+    route, tier, final path and answers, and with --trace its events."""
+    rows = (GOLDEN / golden / "results_trace.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 20
+    for row in map(json.loads, rows):
+        result = run(
+            "--config", cfg_path, *(["--trace"] if trace else []), "ask", row["question"], *flags
+        )
+        assert result.exit_code == (1 if "error" in row else 0), row["id"]
+        assert result.stdout == ask_output(row), row["id"]
+        events = [json.loads(line) for line in result.stderr.splitlines()]
+        assert events == (row["trace"] if trace else []), row["id"]
+
+
 # --- eval ---
 
 def test_eval_writes_outputs(cfg_path, data_dir, tmp_path):
@@ -195,9 +261,6 @@ def test_eval_outputs_do_not_depend_on_the_hash_seed(data_dir, tmp_path):
         outs.append(out)
     for name in ("results.jsonl", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 GOLDEN_RUNS = pytest.mark.parametrize("trace, results_file", [

@@ -122,6 +122,14 @@ def test_repair_config_validation(kwargs):
         repair_config(Settings(**kwargs))
 
 
+def test_repair_config_checks_its_own_fields():
+    # A config built without the settings, as a run_batch caller may
+    # build one, is checked too.
+    for name in ("beam_width", "relation_filter", "path_filter", "max_depth_cap"):
+        with pytest.raises(ConfigError, match=f"{name}.* must be >= 1"):
+            RepairConfig(**{name: 0})
+
+
 def test_price_table():
     s = Settings(price_specialized_input=1.0, price_general_output=2.0)
     assert price_table(s) == {

@@ -422,6 +422,22 @@ def test_run_batch_answers_with_unparsable_query(presidents):
     assert report.path_scored == 0
 
 
+@pytest.mark.parametrize("stage2_only", [False, True])
+def test_run_batch_flags_a_record_without_gold(presidents, stage2_only):
+    # With neither answers nor a query (what ask builds), the question is
+    # answered, scored 0 and flagged; only a failed question has an error.
+    answered = DatasetRecord("n", "all presidents", topic="USA", depth=2)
+    failed = DatasetRecord("u", "nobody scripted this")
+    report, rows = run_batch(
+        presidents, [answered, failed], make_factory(), stage2_only=stage2_only
+    )
+    assert rows[0]["answers"] == ["Clinton", "GWBush", "Obama"]
+    assert (rows[0]["hits_at_1"], rows[0]["f1"], rows[0]["flagged"]) == (0, 0.0, True)
+    assert "error" not in rows[0]
+    assert rows[1]["flagged"] is True and rows[1]["error"]
+    assert report.flagged == 2
+
+
 def test_run_batch_row_schema(presidents, tmp_path):
     _, rows = run_batch(presidents, batch_records(tmp_path), make_factory())
     base = {

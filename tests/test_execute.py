@@ -18,13 +18,11 @@ from hypothesis import strategies as st
 import kgrelay
 from kgrelay.errors import UnclassifiableBranch, UngroundedTopic
 from kgrelay.execute import (
-    TIER_DROP_STRING,
     TIER_DROP_STRING_NUMERIC,
     TIER_FULL,
     TIER_SKELETON,
+    TIERS,
     AnswerSet,
-    answers_at_tier,
-    constraints_for_tier,
     evaluate_query,
     execute_full,
     execute_with_relaxation,
@@ -36,7 +34,6 @@ from kgrelay.reasoning import (
     EntityMatch,
     NumericCompare,
     ReasoningPath,
-    StringMatch,
     ground_reasoning_path,
     parse_reasoning_path,
 )
@@ -46,6 +43,7 @@ from oracle import (
     keyset,
     oracle_execute,
     oracle_reach,
+    oracle_tier,
     parse_tsv,
     random_graph_tsv,
     random_reasoning_path,
@@ -358,23 +356,6 @@ def test_binary_runs_before_extremal(tmp_path):
 
 # --- relaxation tiers ---
 
-FOUR_KINDS = (
-    Constraint(1, "n", StringMatch("x")),
-    Constraint(1, "v", NumericCompare(ComparisonOp.GE, Literal(NUMERIC, "2"))),
-    Constraint(1, "w", NumericCompare(ComparisonOp.ARGMAX)),
-    Constraint(1, "e", EntityMatch("A", entity="A")),
-)
-
-
-def test_constraints_for_tier_sets():
-    assert constraints_for_tier(FOUR_KINDS, TIER_FULL) == FOUR_KINDS
-    assert constraints_for_tier(FOUR_KINDS, TIER_DROP_STRING) == FOUR_KINDS[1:]
-    assert constraints_for_tier(FOUR_KINDS, TIER_DROP_STRING_NUMERIC) == (
-        FOUR_KINDS[3],
-    )
-    assert constraints_for_tier(FOUR_KINDS, TIER_SKELETON) == ()
-
-
 def test_tier_zero_not_monotone_when_string_gates_extremal(tmp_path):
     # the string keeps A in the extremal pool at tier 0; dropping it at
     # tier 1 lets B outscore A, so tier-0 answers are not a subset
@@ -388,7 +369,7 @@ def test_tier_zero_not_monotone_when_string_gates_extremal(tmp_path):
         'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=s; string="x"\n'
         "CONSTRAINT: hop=1; rel=v; op=ARGMAX",
     )
-    per_tier = [answers_at_tier(g, rp, t) for t in range(4)]
+    per_tier = [execute_with_relaxation(g, rp, tiers=(t,)).answers for t in TIERS]
     assert per_tier[0] == frozenset({"A"})
     assert per_tier[1] == frozenset({"B"})
     assert per_tier[2] == frozenset({"A", "B"})
@@ -604,11 +585,14 @@ def test_random_execution_matches_oracle(tmp_path_factory, seed):
         assert keyset(got) == oracle_execute(og, rp)
         q = path_to_sparql(rp)
         assert evaluate_query(g, q) == got
-        # relaxation answers at the first tier the oracle finds non-empty
+        # each tier alone answers as the oracle does on the constraints the
+        # tier keeps, and relaxation answers at the first non-empty one
         per_tier = [
-            oracle_execute(og, replace(rp, constraints=constraints_for_tier(rp.constraints, t)))
-            for t in range(TIER_FULL, TIER_SKELETON + 1)
+            oracle_execute(og, replace(rp, constraints=oracle_tier(rp.constraints, t)))
+            for t in TIERS
         ]
+        for t in TIERS:
+            assert keyset(execute_with_relaxation(g, rp, tiers=(t,)).answers) == per_tier[t]
         tier = next((t for t, answers in enumerate(per_tier) if answers), TIER_SKELETON)
         relaxed = execute_with_relaxation(g, rp)
         assert relaxed.relaxation_tier == tier
@@ -688,10 +672,7 @@ def test_gold_query_through_the_relaxation_memo_is_unchanged(tmp_path_factory, s
         rp = _with_surfaces(random_reasoning_path(rng, og, max_constraints=4))
         walks: dict = {}
         relaxed = execute_with_relaxation(g, rp, walks)
-        golds = [
-            replace(rp, constraints=constraints_for_tier(rp.constraints, t))
-            for t in range(TIER_FULL, TIER_SKELETON + 1)
-        ]
+        golds = [replace(rp, constraints=oracle_tier(rp.constraints, t)) for t in TIERS]
         golds.append(random_reasoning_path(rng, og))
         for gold in golds:
             q = path_to_sparql(gold)
@@ -732,7 +713,7 @@ def test_query_at_the_answering_tier_runs_no_filter_again(tmp_path_factory, seed
         walks: dict = {}
         with counted_filters() as calls:
             relaxed = execute_with_relaxation(g, rp, walks)
-            kept = constraints_for_tier(rp.constraints, relaxed.relaxation_tier)
+            kept = oracle_tier(rp.constraints, relaxed.relaxation_tier)
             q = _shuffled(path_to_sparql(replace(rp, constraints=kept)), rng)
             calls.clear()
             assert evaluate_query(g, q, walks) == relaxed.answers
