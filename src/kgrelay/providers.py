@@ -15,7 +15,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse, islice
 from operator import not_
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -66,15 +66,16 @@ class LlmProvider(Protocol):
 class EmbeddingProvider(Protocol):
     """Scores text against text.
 
-    ``rank(query, names, k)`` returns the k names most similar to
-    ``query``, best first, ties broken by the smaller name: exactly
-    ``sorted(names, key=lambda n: (-self.similarity(query, n), n))[:k]``.
+    ``rank(queries, names, k)`` returns, for each query, the k names most
+    similar to it, best first, ties broken by the smaller name: exactly
+    ``[sorted(names, key=lambda n: (-self.similarity(q, n), n))[:k]
+    for q in queries]``.
     """
 
     def similarity(self, a: str, b: str) -> float:
         ...
 
-    def rank(self, query: str, names: Sequence[str], k: int) -> list[str]:
+    def rank(self, queries: Sequence[str], names: Sequence[str], k: int) -> list[list[str]]:
         ...
 
 
@@ -147,18 +148,26 @@ class ScriptedLlm:
 
 # --- embedding fallback ---
 
-_TOKEN_SPLIT_RE = re.compile(r"[\s._\-]+")
-
-
-# Repair ranks the same relation names against the same blueprint steps
-# once per step and beam path at every level, so each distinct string is
-# split once. The cache lives at module level because callers build a
-# fresh embedder per question; its bound keeps one-off strings
-# (questions, linearized paths) from growing it for the life of the
-# process.
+# Repair ranks a beam path's relation names against every blueprint step
+# in one call, which splits each name once; the same names and steps come
+# back at every level and in other questions, so the LRU carries them
+# across calls. It lives at module level because callers build a fresh
+# embedder per question; its bound keeps one-off strings (questions,
+# linearized paths) from growing it for the life of the process.
 @functools.lru_cache(maxsize=1024)
 def _tokens(text: str) -> frozenset[str]:
-    return frozenset(t for t in _TOKEN_SPLIT_RE.split(text.casefold()) if t)
+    # Tokens are split on whitespace (str.isspace, which is also what a
+    # regex's \s matches), ".", "_" and "-"; a run of them splits once.
+    return frozenset(
+        text.casefold().replace(".", " ").replace("_", " ").replace("-", " ").split()
+    )
+
+
+def _jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
+    if not ta or not tb:
+        return 0.0
+    shared = len(ta & tb)
+    return shared / (len(ta) + len(tb) - shared)
 
 
 def token_overlap_similarity(a: str, b: str) -> float:
@@ -168,34 +177,37 @@ def token_overlap_similarity(a: str, b: str) -> float:
     so "president.office_holder" shares tokens with "who holds the
     office". A deterministic stand-in for an embedding model.
     """
-    ta = _tokens(a)
-    tb = _tokens(b)
-    if not ta or not tb:
-        return 0.0
-    shared = len(ta & tb)
-    return shared / (len(ta) + len(tb) - shared)
+    return _jaccard(_tokens(a), _tokens(b))
 
 
 class TokenOverlapEmbedder:
     def similarity(self, a: str, b: str) -> float:
         return token_overlap_similarity(a, b)
 
-    def rank(self, query: str, names: Sequence[str], k: int) -> list[str]:
-        """The k names most similar to ``query``, best first, ties by name.
+    def rank(self, queries: Sequence[str], names: Sequence[str], k: int) -> list[list[str]]:
+        """Per query, the k names most similar to it, best first, ties by name.
 
-        A name that shares no token with the query scores exactly 0, and
-        most names share none. So the query is split once, a C-level
-        disjointness test finds the few names that share a token, only
-        those are scored, and the rest follow in name order.
+        A name that shares no token with a query scores exactly 0, and
+        most names share none with any query. So each query and name is
+        split once, a C-level disjointness test against the union of the
+        queries' tokens finds the few names that share a token with any
+        query, only those are scored, from the sets already split, and
+        every other place is filled from one sort of the names.
         """
-        apart = list(map(_tokens(query).isdisjoint, map(_tokens, names)))
-        if all(apart):
-            return sorted(names)[:k]
-        near = sorted(
-            compress(names, map(not_, apart)),
-            key=lambda n: (-token_overlap_similarity(query, n), n),
-        )
-        return (near + sorted(compress(names, apart)))[:k]
+        query_tokens = list(map(_tokens, queries))
+        name_tokens = list(map(_tokens, names))
+        near = list(compress(
+            zip(names, name_tokens),
+            map(not_, map(frozenset().union(*query_tokens).isdisjoint, name_tokens)),
+        ))
+        ordered = sorted(names)
+        ranked = []
+        for tq in query_tokens:
+            scored = [(-s, n) for n, tn in near if (s := _jaccard(tq, tn))]
+            top = [n for _, n in sorted(scored)[:k]]
+            rest = filterfalse({n for _, n in scored}.__contains__, ordered)
+            ranked.append(top + list(islice(rest, k - len(top))))
+        return ranked
 
 
 # --- HTTP provider ---

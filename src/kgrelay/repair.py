@@ -78,9 +78,10 @@ def expand_beam(
 ) -> list[tuple[str, ...]]:
     """Extend each beam path by one relation that exists at its frontier.
 
-    Frontiers are walked through the walk memo ``walks``. Per blueprint
-    step one ``emb.rank`` call keeps the x relations most similar to the
-    step; the union over steps is kept, deduplicated across beam paths.
+    Frontiers are walked through the walk memo ``walks``. One
+    ``emb.rank`` call per beam path keeps, for each blueprint step, the x
+    relations most similar to the step; the union over steps is kept,
+    deduplicated across beam paths.
     Paths whose frontier has no outgoing relation are dead ends and are
     dropped, each appended once to ``trace`` as a ``dead_end`` event.
     Every returned candidate reaches a non-empty frontier by construction.
@@ -91,9 +92,7 @@ def expand_beam(
         if not rels:
             trace.append({"event": "dead_end", "path": linearize(path)})
             continue
-        keep: set[str] = set()
-        for step in blueprint:
-            keep.update(emb.rank(step, rels, x))
+        keep = set().union(*emb.rank(blueprint, rels, x))
         for rel in sorted(keep):
             candidates.setdefault(path + (rel,), None)
     return list(candidates)

@@ -158,16 +158,24 @@ RANK_TEXT = st.text(alphabet=st.sampled_from(list("abAB ._-")), max_size=7) | SC
 
 
 @settings(max_examples=500, deadline=None)
-@given(query=RANK_TEXT, names=st.lists(RANK_TEXT, max_size=12), k=st.integers(0, 14))
-@example(query=".", names=["b.a", "a", "-", " "], k=2)  # query has no token
-@example(query="a", names=["-", " ", ".", "c.d"], k=3)  # no name shares a token
-@example(query="a b", names=["b", "a.c", "a b", "b a"], k=2)  # every name shares
-@example(query="a b", names=["z.a", "y.b", "a", "b.x"], k=2)  # tied scores
-@example(query="a", names=["d", "a", "c.a", "b"], k=10)  # k >= len(names)
-@example(query="film", names=["z.film", "film.a", "y", "x"], k=3)  # unsorted input
-def test_rank_is_the_sorted_key_slice(query, names, k):
-    assert TokenOverlapEmbedder().rank(query, names, k) == sorted_key_rank(query, names, k)
-    assert TokenOverlapEmbedder().rank(query, tuple(names), k) == sorted_key_rank(query, names, k)
+@given(
+    queries=st.lists(RANK_TEXT, max_size=4),
+    names=st.lists(RANK_TEXT, max_size=12),
+    k=st.integers(0, 14),
+)
+@example(queries=["."], names=["b.a", "a", "-", " "], k=2)  # query has no token
+@example(queries=["a"], names=["-", " ", ".", "c.d"], k=3)  # no name shares a token
+@example(queries=["a b"], names=["b", "a.c", "a b", "b a"], k=2)  # every name shares
+@example(queries=["a b"], names=["z.a", "y.b", "a", "b.x"], k=2)  # tied scores
+@example(queries=["a"], names=["d", "a", "c.a", "b"], k=10)  # k >= len(names)
+@example(queries=["film"], names=["z.film", "film.a", "y", "x"], k=3)  # unsorted input
+@example(queries=["a", "b"], names=["a", "b", "a", "c", "b.a"], k=3)  # duplicate names
+@example(queries=[], names=["a", "b"], k=2)  # no query
+@example(queries=["a", "b c"], names=["-", "b", ". _", "a"], k=3)  # names with no token
+def test_rank_is_the_sorted_key_slice(queries, names, k):
+    expected = [sorted_key_rank(q, names, k) for q in queries]
+    assert TokenOverlapEmbedder().rank(queries, names, k) == expected
+    assert TokenOverlapEmbedder().rank(queries, tuple(names), k) == expected
 
 
 @pytest.mark.parametrize(
@@ -179,9 +187,32 @@ def test_rank_is_the_sorted_key_slice(query, names, k):
 )
 def test_rank_many_names_is_fast(query, best):
     names = [f"film.n{i:05d}" for i in reversed(range(50_000))]
-    ranked, elapsed = timed(lambda: TokenOverlapEmbedder().rank(query, names, 2))
-    assert ranked == best == sorted_key_rank(query, names, 2)
+    ranked, elapsed = timed(lambda: TokenOverlapEmbedder().rank([query], names, 2))
+    assert ranked == [best] == [sorted_key_rank(query, names, 2)]
     assert elapsed < 2.0
+
+
+def test_rank_splits_each_name_once_per_call():
+    # More distinct names than the LRU holds, all sharing a token with the
+    # query: each is split once, not again to be scored.
+    names = [f"film.n{i:05d}" for i in range(3_000)]
+    queries = ["film director", "film"]
+    providers._tokens.cache_clear()
+    TokenOverlapEmbedder().rank(queries, names, 2)
+    assert providers._tokens.cache_info().misses == len(names) + len(queries)
+
+
+def test_tokens_equal_the_reference_split():
+    # Every code point the reference pattern or casefolding treats
+    # specially, alone, doubled and between two letters.
+    special = [
+        c for c in map(chr, range(0x110000))
+        if c.isspace() or _REFERENCE_SPLIT_RE.fullmatch(c) or c.casefold() != c
+    ]
+    for c in special:
+        for text in (c, c + c, "a" + c + "b"):
+            reference = {t for t in _REFERENCE_SPLIT_RE.split(text.casefold()) if t}
+            assert providers._tokens(text) == reference, (hex(ord(c)), text)
 
 
 def test_embedder_wraps_function():

@@ -154,9 +154,9 @@ class CountingEmbedder(TokenOverlapEmbedder):
         self.calls["similarity"] += 1
         return super().similarity(a, b)
 
-    def rank(self, query, names, k):
+    def rank(self, queries, names, k):
         self.calls["rank"] += 1
-        return super().rank(query, names, k)
+        return super().rank(queries, names, k)
 
 
 def sorted_key_expand(g, s1, beam, blueprint, emb, x):
@@ -195,7 +195,7 @@ def test_expand_beam_ranks_without_pair_scores(tmp_path_factory, seed):
         out = expand_beam(g, start, beam, blueprint, emb, x, [], {})
         assert out == sorted_key_expand(g, start, beam, blueprint, EMB, x)
         assert emb.calls["similarity"] == 0
-        assert emb.calls["rank"] == len(blueprint) * sum(
+        assert emb.calls["rank"] == sum(
             bool(g.outgoing_relations(g.reach(start, path))) for path in beam
         )
         beam = rng.sample(out, min(len(out), 3))
