@@ -17,14 +17,13 @@ import click
 from . import config as cfg
 from .errors import ConfigError, KgRelayError
 from .evaluation import DatasetRecord, load_dataset, run_batch, write_results, write_summary
-from .kg import answer_texts, load_tsv
+from .kg import load_tsv
 from .reasoning import (
     EntityMatch,
     ground_reasoning_path,
     parse_reasoning_path,
     serialize_reasoning_path,
 )
-from .repair import linearize, repair
 from .sparql import (
     parse_sparql,
     path_to_sparql,
@@ -81,11 +80,6 @@ def load_check(ctx):
     click.echo(f"aliases    {len(g.aliases)}")
 
 
-def _print_trace(events):
-    for event in events:
-        click.echo(json.dumps(event, ensure_ascii=False), err=True)
-
-
 @main.command()
 @click.argument("question")
 @click.option("--stage2-only", is_flag=True,
@@ -110,7 +104,8 @@ def ask(ctx, question, stage2_only, topic, depth):
         g, [DatasetRecord("ask", question, topic=topic, depth=depth)], factory, repair_cfg,
         relax=settings.relaxation, stage2_only=stage2_only, include_trace=ctx.obj["trace"],
     )
-    _print_trace(row.get("trace", ()))
+    for event in row.get("trace", ()):
+        click.echo(json.dumps(event, ensure_ascii=False), err=True)
     click.echo(f"route: {row['route']}")
     click.echo(f"relaxation_tier: {row['relaxation_tier']}")
     if row["crp_final"] is not None:
@@ -141,15 +136,18 @@ def eval_cmd(ctx, dataset, out_dir, stage2_only):
         factory = cfg.provider_factory(settings, need_specialized=not stage2_only)
     except KgRelayError as exc:
         _die(str(exc), 2)
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _die(f"cannot write output: {exc}", 2)
 
     report, rows = run_batch(
         g, records, factory, repair_cfg, cfg.price_table(settings),
         workers=settings.workers, relax=settings.relaxation,
         stage2_only=stage2_only, include_trace=ctx.obj["trace"],
     )
-    out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         write_results(out / "results.jsonl", rows)
         write_summary(out / "summary.json", report)
     except OSError as exc:
@@ -223,40 +221,6 @@ def convert(ctx, input_file, direction):
             click.echo(f"block {idx}: {type(exc).__name__}: {exc}", err=True)
     if failures:
         sys.exit(1)
-
-
-@main.command("repair-demo")
-@click.argument("question")
-@click.option("--topic", required=True, help="Start entity surface form.")
-@click.option("--depth", type=click.IntRange(min=1), required=True,
-              help="Target path depth.")
-@click.pass_context
-def repair_demo(ctx, question, topic, depth):
-    """Run the repair search alone and show each step."""
-    settings = ctx.obj["settings"]
-    g = _load_graph(settings)
-    try:
-        repair_cfg = cfg.repair_config(settings)
-        factory = cfg.provider_factory(settings, need_specialized=False)
-        _, general, embedder = factory()
-        start = g.ground_entity(topic)
-    except (ConfigError, KgRelayError) as exc:
-        _die(str(exc), 2)
-
-    trace: list = []
-    walks: dict = {}
-    try:
-        path = repair(g, question, start, depth, repair_cfg, general, embedder, trace, walks)
-    except KgRelayError as exc:
-        _print_trace(trace)
-        click.echo(f"repair failed: {exc}", err=True)
-        sys.exit(1)
-    _print_trace(trace)
-    click.echo(f"path: {linearize(path)}")
-    frontier = answer_texts(g.reach(start, path, walks))
-    click.echo(f"reaches ({len(frontier)}):")
-    for text in frontier:
-        click.echo(f"  {text}")
 
 
 if __name__ == "__main__":

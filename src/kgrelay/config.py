@@ -10,6 +10,7 @@ providers read their API key from the environment variable named by
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -50,6 +51,14 @@ class Settings:
     price_specialized_output: float = DEFAULT_PRICES[ROLE_SPECIALIZED][1]
     price_general_input: float = DEFAULT_PRICES[ROLE_GENERAL][0]
     price_general_output: float = DEFAULT_PRICES[ROLE_GENERAL][1]
+
+    def __post_init__(self):
+        # Checked here, so a bad value exits 2 before any record runs.
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        for key, price in vars(self).items():
+            if key.startswith("price_") and not (math.isfinite(price) and price >= 0):
+                raise ConfigError(f"{key} must be a finite number >= 0, got {price}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Settings)}

@@ -95,17 +95,14 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
 
 # --- metrics ---
 
-def normalize_answer(text: str) -> str:
-    return " ".join(text.split()).casefold()
-
-
 def _norm_set(values: Iterable[str]) -> frozenset[str]:
-    # normalize_answer of each value, with no Python call per value.
+    # Each value with its whitespace runs collapsed to one space, trimmed
+    # and casefolded, with no Python call per value.
     return frozenset(map(str.casefold, map(" ".join, map(str.split, values))))
 
 
 def _hits_and_f1(p: frozenset[str], g: frozenset[str]) -> tuple[int, float]:
-    # Both sides already normalized.
+    # Both sides already normalized; two empty sets have F1 1.0.
     if not p and not g:
         return 0, 1.0
     overlap = len(p & g)
@@ -119,11 +116,6 @@ def _hits_and_f1(p: frozenset[str], g: frozenset[str]) -> tuple[int, float]:
 def hits_at_1(pred: Iterable[str], gold: Iterable[str]) -> int:
     """1 iff the first executable query's answers overlap the gold set."""
     return _hits_and_f1(_norm_set(pred), _norm_set(gold))[0]
-
-
-def f1_score(pred: Iterable[str], gold: Iterable[str]) -> float:
-    """Set-level F1; two empty sets count as a perfect match."""
-    return _hits_and_f1(_norm_set(pred), _norm_set(gold))[1]
 
 
 def _constraint_shape(c: Constraint) -> tuple:
@@ -324,12 +316,12 @@ def run_batch(
             if stage2_only:
                 result = run_stage2_only(
                     g, rec.question, rec.topic, rec.depth, general, embedder, repair_cfg,
-                    walks,
+                    walks=walks,
                 )
             else:
                 result = answer_question(
                     g, rec.question, specialized, general, embedder, repair_cfg, relax,
-                    walks,
+                    walks=walks,
                 )
         row, f1 = _row(g, rec, result, walks, include_trace)
         return row, f1, result.ledger.records if result else []

@@ -11,7 +11,7 @@ were written in. One table gives both the tier at which relaxation drops
 each kind of test and the order of a hop's steps. Every plan runs on
 ``KnowledgeGraph.walk``, the graph's one chain walker. A reasoning path
 runs through one executor, ``execute_with_relaxation``, at a list of
-tiers; ``execute_full`` is its tier-0 view.
+tiers.
 
 Relaxation and query evaluation take the question's walk memo, which the
 routing check and repair have filled, so every walk from the topic along
@@ -217,8 +217,7 @@ def _hop_plans(
 # --- reasoning paths ---
 
 def execute_with_relaxation(
-    g: KnowledgeGraph, rp: ReasoningPath, walks: dict | None = None,
-    tiers: Sequence[int] = TIERS,
+    g: KnowledgeGraph, rp: ReasoningPath, walks: dict, tiers: Sequence[int] = TIERS
 ) -> AnswerSet:
     """Walk a grounded reasoning path at each of ``tiers`` in turn and
     return the first non-empty answer set, with the tier that produced it.
@@ -226,12 +225,11 @@ def execute_with_relaxation(
     When every tier is empty the result is the empty set at the last one.
     Literals reached at a hop that carries constraints are dropped there;
     at the final hop without constraints they are answers. The tiers read
-    and fill the walk memo ``walks`` (a fresh one when None), so a chain
-    prefix already walked through it is not walked again.
+    and fill the walk memo ``walks``, so a chain prefix already walked
+    through it is not walked again.
     """
     if rp.topic_entity is None:
         raise UngroundedTopic("execution needs a grounded topic")
-    walks = {} if walks is None else walks
     steps = ((c.hop, c.relation, (c.value,)) for c in rp.constraints)
     for tier, plan in zip(tiers, _hop_plans(rp.path, steps, tiers)):
         if answers := g.walk(rp.topic_entity, plan, walks, _keep):
@@ -239,18 +237,9 @@ def execute_with_relaxation(
     return AnswerSet(frozenset(), tiers[-1])
 
 
-def execute_full(
-    g: KnowledgeGraph, rp: ReasoningPath, walks: dict | None = None
-) -> frozenset[NodeRef]:
-    """The answers of ``rp`` with every constraint: its tier-0 walk."""
-    return execute_with_relaxation(g, rp, walks, (TIER_FULL,)).answers
-
-
 # --- subset queries ---
 
-def evaluate_query(
-    g: KnowledgeGraph, q: SparqlQuery, walks: dict | None = None
-) -> frozenset[NodeRef]:
+def evaluate_query(g: KnowledgeGraph, q: SparqlQuery, walks: dict) -> frozenset[NodeRef]:
     """Interpret a chain-shaped query on the graph.
 
     Each branch from ``chain_branches`` is a step, keyed by its
@@ -260,9 +249,9 @@ def evaluate_query(
     Queries that are not chain-shaped raise the chain-analysis errors.
     The steps of a hop run in ``_filter``'s order, the extremal branch,
     the one the ORDER BY sorts, last. The walk reads and fills the memo
-    ``walks`` (a fresh one when None) under the steps' keys. So a query
-    that a path renders, at the tier relaxation answered at, walks that
-    path's walk again from the memo, with no key applied.
+    ``walks`` under the steps' keys. So a query that a path renders, at
+    the tier relaxation answered at, walks that path's walk again from
+    the memo, with no key applied.
     """
     topic, chain, branches = chain_branches(q)
     steps = ((b.hop, b.pattern.relation, branch_values(b)) for b in branches)

@@ -111,11 +111,6 @@ _NO_NODES: frozenset = frozenset()
 _NO_OBJECTS: Mapping = MappingProxyType({})
 
 
-def node_text(node: NodeRef) -> str:
-    """Plain answer text for an entity symbol or literal."""
-    return node if isinstance(node, str) else node.text
-
-
 def node_sort_key(node: NodeRef) -> tuple:
     # Entities before literals, then lexicographic. Total and deterministic.
     if isinstance(node, str):
@@ -124,7 +119,8 @@ def node_sort_key(node: NodeRef) -> tuple:
 
 
 def answer_texts(nodes: Collection[NodeRef]) -> list[str]:
-    """``node_text`` of each node, in ``node_sort_key`` order.
+    """The answer text of each node, in ``node_sort_key`` order: an
+    entity's symbol, a literal's text.
 
     An entity is its own text, so entities sort as plain strings and only
     the few literals need the key. The list is built at its final size.
@@ -299,7 +295,7 @@ class KnowledgeGraph:
 
     def walk(
         self, start: EntityId, steps: Iterable[RelationId | Hashable],
-        memo: dict | None = None, keep: Callable | None = None,
+        memo: dict, keep: Callable | None = None,
     ) -> frozenset[NodeRef]:
         """Run a plan of steps from ``start``. A step that is a ``str`` is
         a relation, expanded through ``image``; any other step is a key,
@@ -307,16 +303,15 @@ class KnowledgeGraph:
         ``keep(graph, frontier, key)``, the frontier going on as what that
         returns.
 
-        ``memo`` (a fresh one when None) keeps every walked prefix as a
-        trie: it maps the start to a level, and a level maps the next
-        step to the frontier it gives and the level after it. Walks
-        through one memo compute a shared prefix once, and a walk adds at
-        most one entry per step. A literal has no objects, so it ends a
-        walk where it is reached, and an empty frontier ends the walk at
-        the next relation. A memo is only valid for one graph and one
-        ``keep``, and each question gets its own.
+        ``memo`` keeps every walked prefix as a trie: it maps the start to
+        a level, and a level maps the next step to the frontier it gives
+        and the level after it. Walks through one memo compute a shared
+        prefix once, and a walk adds at most one entry per step. A literal
+        has no objects, so it ends a walk where it is reached, and an
+        empty frontier ends the walk at the next relation. A memo is only
+        valid for one graph and one ``keep``, and each question gets its
+        own.
         """
-        memo = {} if memo is None else memo
         if (level := memo.get(start)) is None:
             level = memo[start] = {}
         frontier: Collection[NodeRef] = frozenset((start,))
@@ -332,7 +327,7 @@ class KnowledgeGraph:
         return frozenset(frontier)
 
     def reach(
-        self, start: EntityId, relations: Iterable[RelationId], memo: dict | None = None
+        self, start: EntityId, relations: Iterable[RelationId], memo: dict
     ) -> frozenset[NodeRef]:
         """Entities/literals reached from start along a relation chain.
 

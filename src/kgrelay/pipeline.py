@@ -87,16 +87,16 @@ def answer_question(
     embedder: EmbeddingProvider,
     repair_cfg: RepairConfig = RepairConfig(),
     relax: bool = True,
-    walks: dict | None = None,
+    *,
+    walks: dict,
 ) -> QuestionResult:
     """Answer one question; never raises on provider or path failures.
 
     Failures degrade to the fallback route with empty answers and the
     error recorded on the result. The final path is answered at every
     relaxation tier when ``relax`` holds, else at tier 0 only. ``walks``
-    is the question's walk memo (a fresh one when None); the routing
-    check, repair and execution fill it, and the caller may score the
-    answers through it.
+    is the question's walk memo; the routing check, repair and execution
+    fill it, and the caller may score the answers through it.
     """
     ledger = CostLedger()
     spec_llm = TrackedLlm(specialized, ROLE_SPECIALIZED, ledger)
@@ -104,14 +104,13 @@ def answer_question(
     trace: list = []
     try:
         rp_initial = run_stage1(spec_llm, question)
-    except (KgRelayError, ValueError) as exc:
+    except KgRelayError as exc:
         return _fallback(question, ledger, trace, "generation", exc)
     try:
         rp = ground_reasoning_path(g, rp_initial)
     except KgRelayError as exc:
         return _fallback(question, ledger, trace, "grounding", exc, rp_initial)
 
-    walks = {} if walks is None else walks
     if g.reach(rp.topic_entity, rp.path, walks):
         route = Route.STAGE1_ONLY
         rp_final = rp
@@ -146,19 +145,19 @@ def run_stage2_only(
     general: LlmProvider,
     embedder: EmbeddingProvider,
     repair_cfg: RepairConfig = RepairConfig(),
-    walks: dict | None = None,
+    *,
+    walks: dict,
 ) -> QuestionResult:
     """Repair-only ablation: no specialized model, no constraints.
 
     The topic and search depth come from the caller (dataset fields);
     either missing gives the fallback result. The answers are the
     repaired skeleton's tier-0 walk, read from the walks repair left in
-    the walk memo ``walks`` (a fresh one when None).
+    the walk memo ``walks``.
     """
     ledger = CostLedger()
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
     trace: list = []
-    walks = {} if walks is None else walks
     if topic_surface is None or depth is None:
         return _fallback(question, ledger, trace, "repair", "record lacks topic or depth")
     try:

@@ -339,10 +339,13 @@ class HttpLlm:
 
 def _is_http_url(url: str) -> bool:
     """An http or https URL with a host and a valid port, without user info
-    or any character that http.client refuses in a request line."""
+    or any character that http.client refuses in a request line. The host
+    must encode as IDNA, which the resolver does first: a label that is
+    empty or longer than 63 characters raises a UnicodeError there."""
     parts = urlsplit(url)
     try:
         parts.port
+        (parts.hostname or "").encode("idna")
     except ValueError:
         return False
     return (

@@ -74,7 +74,7 @@ def expand_beam(
     emb: EmbeddingProvider,
     x: int,
     trace: list,
-    walks: dict | None = None,
+    walks: dict,
 ) -> list[tuple[str, ...]]:
     """Extend each beam path by one relation that exists at its frontier.
 
@@ -157,23 +157,22 @@ def repair(
     llm: LlmProvider,
     emb: EmbeddingProvider,
     trace: list,
-    walks: dict | None = None,
+    walks: dict,
 ) -> tuple[str, ...]:
     """Search the graph for an executable relation chain of the given depth.
 
     The depth is capped by cfg.max_depth_cap. At every depth below the
     target the selector keeps up to beam_width paths; at the final depth
     it keeps exactly one, which is returned. Every level walks through
-    the walk memo ``walks`` (a fresh one when None). The search appends
-    its events to ``trace``: the blueprint, each dead end and one event
-    per depth. Raises RepairFailed when all beam paths dead-end, and
-    RepairError for a depth below 1.
+    the walk memo ``walks``. The search appends its events to ``trace``:
+    the blueprint, each dead end and one event per depth. Raises
+    RepairFailed when all beam paths dead-end, and RepairError for a depth
+    below 1.
     """
     if depth < 1:
         raise RepairError("repair depth must be at least 1")
     d_eff = min(depth, cfg.max_depth_cap)
 
-    walks = {} if walks is None else walks
     blueprint = generate_blueprint(llm, question)
     trace.append({"event": "blueprint", "steps": list(blueprint)})
 

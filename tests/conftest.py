@@ -7,6 +7,7 @@ from typing import Callable, TypeVar
 
 import pytest
 
+from kgrelay.execute import TIER_FULL, execute_with_relaxation
 from kgrelay.kg import load_tsv
 from kgrelay.reasoning import ground_reasoning_path, parse_reasoning_path
 
@@ -41,6 +42,12 @@ def timed(call: Callable[[], T]) -> tuple[T, float]:
     finally:
         if enabled:
             gc.enable()
+
+
+def full_answers(g, rp, walks=None):
+    """The answers of ``rp`` with every constraint, its tier-0 walk, through
+    ``walks`` when given, else through a memo of its own."""
+    return execute_with_relaxation(g, rp, {} if walks is None else walks, (TIER_FULL,)).answers
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,18 @@ def keyset(nodes) -> frozenset:
     return frozenset(node_key(n) for n in nodes)
 
 
+# --- reference answer text ---
+
+def normalize_answer(text: str) -> str:
+    """Whitespace runs collapsed to one space, trimmed, casefolded."""
+    return " ".join(text.split()).casefold()
+
+
+def node_text(node) -> str:
+    """An entity symbol as itself, a literal as its text."""
+    return node if isinstance(node, str) else node.text
+
+
 # --- brute-force reach ---
 
 def oracle_reach(og: OracleGraph, start: str, relations) -> frozenset:

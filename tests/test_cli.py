@@ -372,6 +372,61 @@ def test_eval_unusable_http_provider_exits_2(tmp_path, data_dir, monkeypatch, ur
     assert not out.exists()
 
 
+def test_eval_unusable_out_exits_2_before_any_record(cfg_path, data_dir, tmp_path, monkeypatch):
+    built = []
+    real = kgrelay.config.provider_factory
+
+    def counting(settings, need_specialized=True):
+        factory = real(settings, need_specialized)
+
+        def build():
+            built.append(1)
+            return factory()
+        return build
+
+    monkeypatch.setattr(kgrelay.config, "provider_factory", counting)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    dataset = str(data_dir / "routing_eval.jsonl")
+    result = run("--config", cfg_path, "eval", dataset, "--out", str(blocker / "o"))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: cannot write output: ")
+    assert built == []
+    # The same run with a usable --out builds providers for all 20 records.
+    result = run("--config", cfg_path, "eval", dataset, "--out", str(tmp_path / "o"))
+    assert result.exit_code == 0
+    assert len(built) == 20
+
+
+@pytest.mark.parametrize("source, key, value", [
+    ("file", "price_general_input", "nan"),
+    ("file", "price_specialized_output", "-0.5"),
+    ("file", "workers", "0"),
+    ("env", "price_general_output", "inf"),
+    ("env", "price_specialized_input", "-inf"),
+    ("env", "workers", "-3"),
+    ("flag", "workers", "0"),
+    ("flag", "workers", "-3"),
+])
+def test_eval_unusable_setting_exits_2(cfg_path, data_dir, tmp_path, monkeypatch,
+                                       source, key, value):
+    """Settings checks its own fields, wherever a value comes from, so a
+    price cannot write NaN into summary.json."""
+    args = ["--config", cfg_path]
+    if source == "file":
+        with open(cfg_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{key} = {value}\n")
+    elif source == "env":
+        monkeypatch.setenv(f"KGRELAY_{key.upper()}", value)
+    else:
+        args.append(f"--{key}={value}")
+    out = tmp_path / "o"
+    result = run(*args, "eval", str(data_dir / "routing_eval.jsonl"), "--out", str(out))
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {key} must be ")
+    assert not out.exists()
+
+
 def test_importing_the_cli_does_not_load_requests():
     # The standard library carries the HTTP transport; click is the one
     # runtime dependency. The transport itself, with ssl, loads only when
@@ -475,40 +530,49 @@ def test_convert_empty_input(tmp_path):
     assert "no blocks" in result.stderr
 
 
-# --- repair-demo ---
+# --- watching a repair: ask --stage2-only ---
 
-def test_repair_demo(cfg_path):
+def test_ask_stage2_only_traces_the_repair(cfg_path):
     result = run(
-        "--config", cfg_path, "repair-demo", "who was president",
+        "--config", cfg_path, "--trace", "ask", "--stage2-only", "who was president",
         "--topic", "usa", "--depth", "2",
     )
     assert result.exit_code == 0
-    assert "path: country.presidents -> president.office_holder\n" in result.output
-    assert "reaches (3):\n  Clinton\n  GWBush\n  Obama\n" in result.output
+    assert result.stdout == (
+        "route: stage2_only\nrelaxation_tier: 0\npath:\n  TOPIC: usa\n"
+        "  PATH: country.presidents -> president.office_holder\n"
+        "answers (3):\n  Clinton\n  GWBush\n  Obama\n"
+    )
     events = [json.loads(ln) for ln in result.stderr.splitlines()]
-    assert events[0]["event"] == "blueprint"
+    assert [ev["event"] for ev in events] == ["blueprint", "depth", "depth"]
+    assert events[2]["chosen"] == ["country.presidents -> president.office_holder"]
 
 
-def test_repair_demo_failure(cfg_path):
+def test_ask_stage2_only_repair_failure(cfg_path):
     result = run(
-        "--config", cfg_path, "repair-demo", "q",
+        "--config", cfg_path, "--trace", "ask", "--stage2-only", "q",
         "--topic", "Harvard", "--depth", "2",
     )
     assert result.exit_code == 1
-    assert "repair failed: repair failed at depth 1" in result.stderr
-
-
-def test_repair_demo_unknown_topic(cfg_path):
-    result = run(
-        "--config", cfg_path, "repair-demo", "q",
-        "--topic", "Narnia", "--depth", "2",
+    assert "route: repair_failed_fallback\n" in result.stdout
+    events = [json.loads(ln) for ln in result.stderr.splitlines()[:-1]]
+    assert [ev["event"] for ev in events] == ["blueprint", "dead_end", "error"]
+    assert result.stderr.splitlines()[-1] == (
+        "error: repair: RepairFailed: repair failed at depth 1: all beam paths dead-ended"
     )
-    assert result.exit_code == 2
-    assert "error:" in result.stderr
+
+
+def test_ask_stage2_only_unknown_topic(cfg_path):
+    # An unknown topic is a failed record, as in eval: a fallback row.
+    result = run(
+        "--config", cfg_path, "ask", "--stage2-only", "q", "--topic", "Narnia", "--depth", "2",
+    )
+    assert result.exit_code == 1
+    assert result.stdout == "route: repair_failed_fallback\nrelaxation_tier: 0\nanswers (0):\n"
+    assert result.stderr == "error: repair: UnknownEntity: unknown entity: 'Narnia'\n"
 
 
 @pytest.mark.parametrize("command", [
-    ("repair-demo", "q", "--topic", "usa"),
     ("ask", "q", "--stage2-only", "--topic", "usa"),
 ])
 def test_depth_below_one_is_a_usage_error(cfg_path, command):

@@ -24,10 +24,9 @@ from kgrelay.execute import (
     TIERS,
     AnswerSet,
     evaluate_query,
-    execute_full,
     execute_with_relaxation,
 )
-from kgrelay.kg import NUMERIC, KnowledgeGraph, Literal, load_tsv, node_text
+from kgrelay.kg import NUMERIC, KnowledgeGraph, Literal, answer_texts, load_tsv
 from kgrelay.reasoning import (
     ComparisonOp,
     Constraint,
@@ -38,7 +37,7 @@ from kgrelay.reasoning import (
     parse_reasoning_path,
 )
 from kgrelay.sparql import parse_sparql, path_to_sparql
-from conftest import timed
+from conftest import full_answers, timed
 from oracle import (
     keyset,
     oracle_execute,
@@ -61,26 +60,26 @@ def grounded(g, text):
 
 
 def texts(answers):
-    return {node_text(a) for a in answers}
+    return set(answer_texts(answers))
 
 
 # --- worked example ---
 
 def test_worked_full(presidents, worked_path):
-    assert execute_full(presidents, worked_path) == frozenset({"Obama", "GWBush"})
+    assert full_answers(presidents, worked_path) == frozenset({"Obama", "GWBush"})
 
 
 def test_worked_argmax(presidents, worked_argmax_path):
-    assert execute_full(presidents, worked_argmax_path) == frozenset({"Obama"})
+    assert full_answers(presidents, worked_argmax_path) == frozenset({"Obama"})
 
 
 def test_worked_skeleton(presidents):
-    got = presidents.reach("USA", ("country.presidents", "president.office_holder"))
+    got = presidents.reach("USA", ("country.presidents", "president.office_holder"), {})
     assert got == frozenset({"Obama", "GWBush", "Clinton"})
 
 
 def test_worked_relaxation_stops_at_full(presidents, worked_path):
-    result = execute_with_relaxation(presidents, worked_path)
+    result = execute_with_relaxation(presidents, worked_path, {})
     assert result == AnswerSet(frozenset({"Obama", "GWBush"}), TIER_FULL)
     assert bool(result)
 
@@ -88,7 +87,7 @@ def test_worked_relaxation_stops_at_full(presidents, worked_path):
 def test_ungrounded_topic_raises(presidents):
     rp = ReasoningPath("USA", ("country.presidents",))
     with pytest.raises(UngroundedTopic):
-        execute_full(presidents, rp)
+        full_answers(presidents, rp)
 
 
 # --- frontier mechanics ---
@@ -99,7 +98,7 @@ def test_literal_final_hop_kept(presidents):
         "TOPIC: USA\nPATH: country.presidents -> president.office_holder"
         " -> position.from",
     )
-    assert texts(execute_full(presidents, rp)) == {"1993", "2001", "2009"}
+    assert texts(full_answers(presidents, rp)) == {"1993", "2001", "2009"}
 
 
 def test_constraint_at_literal_hop_drops_literals(presidents):
@@ -109,18 +108,18 @@ def test_constraint_at_literal_hop_drops_literals(presidents):
         ' -> position.from\nCONSTRAINT: hop=3; rel=position.from; op=GE; value="2000"',
     )
     # the constrained frontier holds no entities, so nothing survives
-    assert execute_full(presidents, rp) == frozenset()
+    assert full_answers(presidents, rp) == frozenset()
 
 
 def test_dead_relation_mid_chain(presidents):
     rp = grounded(presidents, "TOPIC: USA\nPATH: country.presidents -> nope")
-    assert execute_full(presidents, rp) == frozenset()
+    assert full_answers(presidents, rp) == frozenset()
 
 
 def test_literal_cannot_continue_chain(tmp_path):
     g = graph(tmp_path, 'S\tr\t"leaf"\n')
     rp = ReasoningPath("S", ("r", "r2"), (), topic_entity="S")
-    assert execute_full(g, rp) == frozenset()
+    assert full_answers(g, rp) == frozenset()
 
 
 # --- constraint semantics ---
@@ -129,14 +128,14 @@ def test_entity_constraint(tmp_path):
     g = graph(tmp_path, "S\tr\tA\nS\tr\tB\nA\te\tX\nB\te\tY\n")
     keep_x = Constraint(1, "e", EntityMatch("X", entity="X"))
     rp = ReasoningPath("S", ("r",), (keep_x,), topic_entity="S")
-    assert execute_full(g, rp) == frozenset({"A"})
+    assert full_answers(g, rp) == frozenset({"A"})
 
 
 def test_entity_constraint_ungrounded_matches_nothing(tmp_path):
     g = graph(tmp_path, "S\tr\tA\n")
     c = Constraint(1, "r", EntityMatch("nosuch"))
     rp = ReasoningPath("S", ("r",), (c,), topic_entity="S")
-    assert execute_full(g, rp) == frozenset()
+    assert full_answers(g, rp) == frozenset()
 
 
 def test_execution_does_not_ground_entity_constraints(tmp_path):
@@ -146,8 +145,8 @@ def test_execution_does_not_ground_entity_constraints(tmp_path):
     c = Constraint(1, "e", EntityMatch("x"))
     assert g.ground_entity("x") == "X"
     rp = ReasoningPath("S", ("r",), (c,), topic_entity="S")
-    assert execute_full(g, rp) == frozenset()
-    assert execute_full(g, ground_reasoning_path(g, rp)) == frozenset({"A"})
+    assert full_answers(g, rp) == frozenset()
+    assert full_answers(g, ground_reasoning_path(g, rp)) == frozenset({"A"})
 
 
 def test_string_match_trims_and_ignores_lang(tmp_path):
@@ -157,9 +156,9 @@ def test_string_match_trims_and_ignores_lang(tmp_path):
     )
     rp = grounded(g, 'TOPIC: R\nPATH: q\nCONSTRAINT: hop=1; rel=n; string="Bob"')
     # trimmed exact match, case preserved: the lowercase variant never helps
-    assert execute_full(g, rp) == frozenset({"S", "T"})
+    assert full_answers(g, rp) == frozenset({"S", "T"})
     rp2 = grounded(g, 'TOPIC: R\nPATH: q\nCONSTRAINT: hop=1; rel=n; string="bob"')
-    assert execute_full(g, rp2) == frozenset({"S"})
+    assert full_answers(g, rp2) == frozenset({"S"})
 
 
 @pytest.mark.parametrize(
@@ -183,7 +182,7 @@ def test_binary_numeric_ops(tmp_path, op, threshold, expected):
     rp = grounded(
         g, f'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op={op}; value="{threshold}"'
     )
-    assert execute_full(g, rp) == frozenset(expected)
+    assert full_answers(g, rp) == frozenset(expected)
 
 
 def test_datetime_prefix_comparison(tmp_path):
@@ -194,16 +193,16 @@ def test_datetime_prefix_comparison(tmp_path):
         'C\td\t"2002-01-01"^^xsd:dateTime\n',
     )
     rp = grounded(g, 'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=d; op=GT; value="2001"')
-    assert execute_full(g, rp) == frozenset({"B", "C"})
+    assert full_answers(g, rp) == frozenset({"B", "C"})
     rp2 = grounded(g, 'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=d; op=LE; value="2001-05"')
-    assert execute_full(g, rp2) == frozenset({"A", "B"})
+    assert full_answers(g, rp2) == frozenset({"A", "B"})
 
 
 def test_string_value_fails_binary_silently(tmp_path, caplog):
     g = graph(tmp_path, 'S\tr\tA\nA\tv\t"abc"\n')
     rp = grounded(g, 'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=GE; value="2"')
     with caplog.at_level(logging.WARNING, logger="kgrelay.execute"):
-        assert execute_full(g, rp) == frozenset()
+        assert full_answers(g, rp) == frozenset()
     assert not caplog.records
 
 
@@ -211,7 +210,7 @@ def test_cross_kind_comparison_warns(tmp_path, caplog):
     g = graph(tmp_path, 'S\tr\tA\nA\tv\t"2003"^^xsd:dateTime\n')
     rp = grounded(g, 'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=GE; value="2"')
     with caplog.at_level(logging.WARNING, logger="kgrelay.execute"):
-        assert execute_full(g, rp) == frozenset()
+        assert full_answers(g, rp) == frozenset()
     assert any("non-comparable" in r.message for r in caplog.records)
 
 
@@ -225,7 +224,7 @@ def test_cross_kind_comparison_warns_once_per_step(tmp_path, caplog):
         "SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c ."
         ' FILTER(?c >= "2"^^xsd:integer) FILTER(?c <= "3"^^xsd:integer) }'
     )
-    for run in (lambda: execute_full(g, rp), lambda: evaluate_query(g, conj)):
+    for run in (lambda: full_answers(g, rp), lambda: evaluate_query(g, conj, {})):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="kgrelay.execute"):
             assert run() == frozenset()
@@ -247,7 +246,7 @@ def test_cross_kind_comparison_warns_once_per_keep_call(tmp_path, caplog):
         'CONSTRAINT: hop=2; rel=v; op=GE; value="2"',
     )
     with caplog.at_level(logging.WARNING, logger="kgrelay.execute"):
-        assert execute_with_relaxation(g, rp) == AnswerSet(
+        assert execute_with_relaxation(g, rp, {}) == AnswerSet(
             frozenset({"B1", "B2"}), TIER_DROP_STRING_NUMERIC
         )
     assert len([r for r in caplog.records if "non-comparable" in r.message]) == 2
@@ -255,13 +254,13 @@ def test_cross_kind_comparison_warns_once_per_keep_call(tmp_path, caplog):
 
 _WARN_SCRIPT = """
 import logging, sys
-from kgrelay.execute import execute_full
+from kgrelay.execute import TIER_FULL, execute_with_relaxation
 from kgrelay.kg import load_tsv
 from kgrelay.reasoning import ground_reasoning_path, parse_reasoning_path
 logging.basicConfig(format="%(message)s")
 g = load_tsv(sys.argv[1])
 rp = parse_reasoning_path('TOPIC: S\\nPATH: r\\nCONSTRAINT: hop=1; rel=v; op=GE; value="2"')
-print(len(execute_full(g, ground_reasoning_path(g, rp))))
+print(len(execute_with_relaxation(g, ground_reasoning_path(g, rp), {}, (TIER_FULL,)).answers))
 """
 
 
@@ -298,7 +297,7 @@ def test_extremal_ties_survive(tmp_path):
         'A\tv\t"7"^^xsd:integer\nB\tv\t"7.0"^^xsd:float\nC\tv\t"3"^^xsd:integer\n',
     )
     rp = grounded(g, "TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=ARGMAX")
-    assert execute_full(g, rp) == frozenset({"A", "B"})
+    assert full_answers(g, rp) == frozenset({"A", "B"})
 
 
 def test_extremal_mixed_kinds_deterministic(tmp_path):
@@ -310,14 +309,14 @@ def test_extremal_mixed_kinds_deterministic(tmp_path):
     )
     up = grounded(g, "TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=ARGMAX")
     down = grounded(g, "TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=ARGMIN")
-    assert execute_full(g, up) == frozenset({"A"})
-    assert execute_full(g, down) == frozenset({"B"})
+    assert full_answers(g, up) == frozenset({"A"})
+    assert full_answers(g, down) == frozenset({"B"})
 
 
 def test_extremal_ignores_string_only_entities(tmp_path):
     g = graph(tmp_path, 'S\tr\tA\nS\tr\tB\nA\tv\t"zed"\nB\tv\t"1"^^xsd:integer\n')
     rp = grounded(g, "TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=ARGMAX")
-    assert execute_full(g, rp) == frozenset({"B"})
+    assert full_answers(g, rp) == frozenset({"B"})
 
 
 def test_extremal_per_entity_best_then_global(tmp_path):
@@ -328,7 +327,7 @@ def test_extremal_per_entity_best_then_global(tmp_path):
         'A\tv\t"1"^^xsd:integer\nA\tv\t"9"^^xsd:integer\nB\tv\t"5"^^xsd:integer\n',
     )
     rp = grounded(g, "TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=ARGMAX")
-    assert execute_full(g, rp) == frozenset({"A"})
+    assert full_answers(g, rp) == frozenset({"A"})
 
 
 def test_binary_runs_before_extremal(tmp_path):
@@ -350,8 +349,8 @@ def test_binary_runs_before_extremal(tmp_path):
         "TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=w; op=ARGMAX\n"
         'CONSTRAINT: hop=1; rel=v; op=LE; value="6"',
     )
-    assert execute_full(g, first) == frozenset({"B"})
-    assert execute_full(g, second) == frozenset({"B"})
+    assert full_answers(g, first) == frozenset({"B"})
+    assert full_answers(g, second) == frozenset({"B"})
 
 
 # --- relaxation tiers ---
@@ -369,7 +368,7 @@ def test_tier_zero_not_monotone_when_string_gates_extremal(tmp_path):
         'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=s; string="x"\n'
         "CONSTRAINT: hop=1; rel=v; op=ARGMAX",
     )
-    per_tier = [execute_with_relaxation(g, rp, tiers=(t,)).answers for t in TIERS]
+    per_tier = [execute_with_relaxation(g, rp, {}, (t,)).answers for t in TIERS]
     assert per_tier[0] == frozenset({"A"})
     assert per_tier[1] == frozenset({"B"})
     assert per_tier[2] == frozenset({"A", "B"})
@@ -377,7 +376,7 @@ def test_tier_zero_not_monotone_when_string_gates_extremal(tmp_path):
     assert not per_tier[0] <= per_tier[1]
     assert per_tier[1] <= per_tier[2] <= per_tier[3]
     # relaxation still reports the strictest non-empty tier
-    assert execute_with_relaxation(g, rp) == AnswerSet(frozenset({"A"}), TIER_FULL)
+    assert execute_with_relaxation(g, rp, {}) == AnswerSet(frozenset({"A"}), TIER_FULL)
 
 
 def test_relaxation_reaches_tier_two(tmp_path):
@@ -387,7 +386,7 @@ def test_relaxation_reaches_tier_two(tmp_path):
         'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=n; string="gone"\n'
         'CONSTRAINT: hop=1; rel=v; op=GE; value="5"',
     )
-    assert execute_with_relaxation(g, rp) == AnswerSet(
+    assert execute_with_relaxation(g, rp, {}) == AnswerSet(
         frozenset({"A"}), TIER_DROP_STRING_NUMERIC
     )
 
@@ -398,7 +397,7 @@ def test_relaxation_reaches_skeleton(tmp_path):
         "S", ("r",), (Constraint(1, "e", EntityMatch("Y", entity="Y")),),
         topic_entity="S",
     )
-    assert execute_with_relaxation(g, rp) == AnswerSet(
+    assert execute_with_relaxation(g, rp, {}) == AnswerSet(
         frozenset({"A"}), TIER_SKELETON
     )
 
@@ -422,14 +421,14 @@ def test_relaxation_expands_topic_once():
         'CONSTRAINT: hop=2; rel=v; op=GE; value="5"\n'
         "CONSTRAINT: hop=2; rel=e; entity=Y",
     )
-    assert execute_with_relaxation(g, rp) == AnswerSet(frozenset({"B"}), TIER_SKELETON)
+    assert execute_with_relaxation(g, rp, {}) == AnswerSet(frozenset({"B"}), TIER_SKELETON)
     assert g.topic_expansions == 1
 
 
 def test_relaxation_empty_everywhere(tmp_path):
     g = graph(tmp_path, "S\tr\tA\n")
     rp = ReasoningPath("S", ("r", "gone"), (), topic_entity="S")
-    result = execute_with_relaxation(g, rp)
+    result = execute_with_relaxation(g, rp, {})
     assert result == AnswerSet(frozenset(), TIER_SKELETON)
     assert not result
 
@@ -439,7 +438,7 @@ def test_relaxation_empty_everywhere(tmp_path):
 def test_evaluate_query_matches_worked(presidents, worked_path, worked_argmax_path):
     for rp in (worked_path, worked_argmax_path):
         q = path_to_sparql(rp)
-        assert evaluate_query(presidents, q) == execute_full(presidents, rp)
+        assert evaluate_query(presidents, q, {}) == full_answers(presidents, rp)
 
 
 def test_evaluate_query_existence_branch(presidents):
@@ -449,7 +448,7 @@ def test_evaluate_query_existence_branch(presidents):
             "SELECT DISTINCT ?x WHERE { :USA :country.presidents ?t ."
             f" ?t :president.office_holder ?x . ?x :{relation} ?e . }}"
         )
-        assert evaluate_query(presidents, q) == frozenset({"Obama", "GWBush", "Clinton"})
+        assert evaluate_query(presidents, q, {}) == frozenset({"Obama", "GWBush", "Clinton"})
 
 
 def test_evaluate_query_literal_object_branch(tmp_path):
@@ -457,7 +456,7 @@ def test_evaluate_query_literal_object_branch(tmp_path):
     g = graph(tmp_path, 'S\tr\tA\nS\tr\tB\nA\tn\t"Bob"@en\nB\tn\t"Ann"\n')
     for literal in ('"Bob"', '"Bob"@de'):
         q = parse_sparql(f'SELECT DISTINCT ?x WHERE {{ :S :r ?x . ?x :n {literal} . }}')
-        assert evaluate_query(g, q) == frozenset({"A"})
+        assert evaluate_query(g, q, {}) == frozenset({"A"})
 
 
 def test_evaluate_query_filter_conjunction_single_binding(tmp_path):
@@ -472,7 +471,7 @@ def test_evaluate_query_filter_conjunction_single_binding(tmp_path):
         'SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :d ?c .'
         ' FILTER(?c >= "1990"^^xsd:dateTime) FILTER(?c <= "1999"^^xsd:dateTime) }'
     )
-    assert evaluate_query(g, q) == frozenset({"B"})
+    assert evaluate_query(g, q, {}) == frozenset({"B"})
 
 
 def test_evaluate_query_filtered_extremal_single_binding(tmp_path):
@@ -488,19 +487,19 @@ def test_evaluate_query_filtered_extremal_single_binding(tmp_path):
         'SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c .'
         ' FILTER(?c >= "2"^^xsd:integer) } ORDER BY ASC(?c) LIMIT 1'
     )
-    assert evaluate_query(g, q) == frozenset({"B"})
+    assert evaluate_query(g, q, {}) == frozenset({"B"})
     # B's "x" passes a string filter, but a string never wins an extremal
     q = parse_sparql(
         'SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c .'
         ' FILTER(?c = "x") } ORDER BY ASC(?c) LIMIT 1'
     )
-    assert evaluate_query(g, q) == frozenset()
+    assert evaluate_query(g, q, {}) == frozenset()
     rp = grounded(
         g,
         'TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=GE; value="2"\n'
         "CONSTRAINT: hop=1; rel=v; op=ARGMIN",
     )
-    assert execute_full(g, rp) == frozenset({"A"})
+    assert full_answers(g, rp) == frozenset({"A"})
 
 
 @pytest.mark.parametrize(
@@ -548,7 +547,7 @@ def test_evaluate_query_filtered_extremal_single_binding(tmp_path):
 )
 def test_evaluate_query_unclassifiable(presidents, text, message):
     with pytest.raises(UnclassifiableBranch, match=message):
-        evaluate_query(presidents, parse_sparql(text))
+        evaluate_query(presidents, parse_sparql(text), {})
 
 
 def test_long_walk_is_linear():
@@ -581,10 +580,10 @@ def test_random_execution_matches_oracle(tmp_path_factory, seed):
     og = parse_tsv(tsv)
     for _ in range(3):
         rp = random_reasoning_path(rng, og)
-        got = execute_full(g, rp)
+        got = full_answers(g, rp)
         assert keyset(got) == oracle_execute(og, rp)
         q = path_to_sparql(rp)
-        assert evaluate_query(g, q) == got
+        assert evaluate_query(g, q, {}) == got
         # each tier alone answers as the oracle does on the constraints the
         # tier keeps, and relaxation answers at the first non-empty one
         per_tier = [
@@ -592,9 +591,9 @@ def test_random_execution_matches_oracle(tmp_path_factory, seed):
             for t in TIERS
         ]
         for t in TIERS:
-            assert keyset(execute_with_relaxation(g, rp, tiers=(t,)).answers) == per_tier[t]
+            assert keyset(execute_with_relaxation(g, rp, {}, (t,)).answers) == per_tier[t]
         tier = next((t for t, answers in enumerate(per_tier) if answers), TIER_SKELETON)
-        relaxed = execute_with_relaxation(g, rp)
+        relaxed = execute_with_relaxation(g, rp, {})
         assert relaxed.relaxation_tier == tier
         assert keyset(relaxed.answers) == per_tier[tier]
 
@@ -623,9 +622,9 @@ def test_relaxation_from_the_skeleton_walk_is_unchanged(tmp_path_factory, seed):
             for k in range(len(chain) + 1):
                 reached = g.reach(topic, chain[:k], walks)
                 assert keyset(reached) == oracle_reach(og, topic, chain[:k])
-        assert g.reach(rp.topic_entity, rp.path, walks) == g.reach(rp.topic_entity, rp.path)
-        assert execute_full(g, rp, walks) == execute_full(g, rp)
-        assert execute_with_relaxation(g, rp, walks) == execute_with_relaxation(g, rp)
+        assert g.reach(rp.topic_entity, rp.path, walks) == g.reach(rp.topic_entity, rp.path, {})
+        assert full_answers(g, rp, walks) == full_answers(g, rp)
+        assert execute_with_relaxation(g, rp, walks) == execute_with_relaxation(g, rp, {})
         # Gold queries read the filled memo: one along the same chain with
         # the path's own constraints (one extremal at most), one anywhere.
         extremal = [
@@ -636,7 +635,7 @@ def test_relaxation_from_the_skeleton_walk_is_unchanged(tmp_path_factory, seed):
             [c for c in rp.constraints if c not in extremal] + extremal[:1]))
         for gold in (same_chain, random_reasoning_path(rng, og)):
             q = path_to_sparql(gold)
-            assert evaluate_query(g, q, walks) == evaluate_query(g, q)
+            assert evaluate_query(g, q, walks) == evaluate_query(g, q, {})
 
 
 # --- one filter per equal constraint in a question ---
@@ -677,7 +676,7 @@ def test_gold_query_through_the_relaxation_memo_is_unchanged(tmp_path_factory, s
         for gold in golds:
             q = path_to_sparql(gold)
             for query in (q, _shuffled(q, rng)):
-                assert evaluate_query(g, query, walks) == evaluate_query(g, query)
+                assert evaluate_query(g, query, walks) == evaluate_query(g, query, {})
         at_tier = path_to_sparql(golds[relaxed.relaxation_tier])
         assert evaluate_query(g, at_tier, walks) == relaxed.answers
 
@@ -733,7 +732,7 @@ def test_thresholds_of_other_kinds_do_not_share_a_filter(tmp_path):
         'SELECT DISTINCT ?x WHERE { :S :r ?x . ?x :v ?c . FILTER(?c >= "2001"^^xsd:integer) }'
     )
     assert evaluate_query(g, q, walks) == frozenset({"B"})
-    assert execute_full(g, rp, walks) == frozenset({"A"})
+    assert full_answers(g, rp, walks) == frozenset({"A"})
 
 
 @pytest.mark.parametrize("query_first", [False, True])
@@ -751,6 +750,6 @@ def test_a_filter_conjunction_does_not_share_the_split_constraints(tmp_path, que
         ' FILTER(?c >= "5"^^xsd:integer) FILTER(?c <= "10"^^xsd:integer) }'
     )
     walks: dict = {}
-    runs = [lambda: evaluate_query(g, q, walks), lambda: execute_full(g, rp, walks)]
+    runs = [lambda: evaluate_query(g, q, walks), lambda: full_answers(g, rp, walks)]
     got = [run() for run in (runs[::-1] if query_first else runs)]
     assert got == ([frozenset({"A"}), frozenset()] if query_first else [frozenset(), frozenset({"A"})])

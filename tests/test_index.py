@@ -10,10 +10,11 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgrelay.execute import evaluate_query, execute_full
+from kgrelay.execute import evaluate_query
 from kgrelay.kg import NUMERIC, STRING, KnowledgeGraph, Literal, load_tsv, parse_literal_token
 from kgrelay.reasoning import Constraint, EntityMatch, ReasoningPath
 from kgrelay.sparql import path_to_sparql
+from conftest import full_answers
 from oracle import keyset, oracle_execute, oracle_reach, parse_tsv
 
 _RELATIONS = ["one", "many", "mixed", "link"]
@@ -90,7 +91,7 @@ def test_index_matches_a_scan_of_the_triples(tmp_path_factory, seed):
             *(og.objects(e, r) for e in frontier))
         start = rng.choice(names)
         chain = tuple(rng.choices(sorted(og.relations) + ["nope"], k=rng.randint(0, 3)))
-        reached = g.reach(start, chain)
+        reached = g.reach(start, chain, {})
         assert keyset(reached) == oracle_reach(og, start, chain)
         # A walked frontier goes to outgoing_relations as it is; its
         # literals contribute nothing, alone or among entities.
@@ -117,11 +118,11 @@ def test_index_matches_a_scan_of_the_triples(tmp_path_factory, seed):
             ),
             topic_entity=rng.choice(sorted(subjects)),
         )
-        got = execute_full(g, rp)
+        got = full_answers(g, rp)
         assert keyset(got) == oracle_execute(og, rp)
         grounded = replace(rp, constraints=tuple(
             c for c in rp.constraints if c.value.entity is not None))
-        assert evaluate_query(g, path_to_sparql(grounded)) == execute_full(g, grounded)
+        assert evaluate_query(g, path_to_sparql(grounded), {}) == full_answers(g, grounded)
 
 
 def test_equal_object_sets_are_one_object():
@@ -153,7 +154,7 @@ def test_image_of_one_node_is_the_graph_own_set():
     own = g.objects("r")["a"]
     assert g.image({"a"}, "r") is own
     assert g.image(frozenset({"a"}), "r") is own
-    assert g.reach("a", ("r",)) is own
+    assert g.reach("a", ("r",), {}) is own
     # no objects: the absent subject, the absent relation and a literal
     assert g.image({"ghost"}, "r") == g.image({"a"}, "nope") == frozenset()
     assert g.image({Literal(NUMERIC, "7")}, "s") == frozenset()
@@ -162,7 +163,7 @@ def test_image_of_one_node_is_the_graph_own_set():
     assert type(union) is frozenset
     assert union == {"x", "y", "z"}
     assert g.image(set(), "r") == frozenset()
-    assert type(g.reach("a", ())) is frozenset
+    assert type(g.reach("a", (), {})) is frozenset
 
 
 def test_index_memory_per_triple():

@@ -15,10 +15,10 @@ from kgrelay.kg import (
     STRING,
     KnowledgeGraph,
     Literal,
+    answer_texts,
     escape_quotes,
     load_tsv,
     node_sort_key,
-    node_text,
     parse_literal_token,
     unescape_quotes,
 )
@@ -46,7 +46,7 @@ def test_fixture_counts(presidents, presidents_tsv_text):
 def test_fixture_reach_worked(presidents, presidents_tsv_text):
     og = parse_tsv(presidents_tsv_text)
     chain = ("country.presidents", "president.office_holder")
-    got = presidents.reach("USA", chain)
+    got = presidents.reach("USA", chain, {})
     assert keyset(got) == oracle_reach(og, "USA", chain)
     assert got == {"Obama", "GWBush", "Clinton"}
 
@@ -195,7 +195,7 @@ def test_alias_to_unknown_entity_is_accepted(tmp_path):
     p.write_text("a\trel\tb\n@alias\tghost\tNowhere\n", encoding="utf-8")
     g = load_tsv(p)
     assert g.ground_entity("ghost") == "Nowhere"
-    assert g.reach("Nowhere", ("rel",)) == set()
+    assert g.reach("Nowhere", ("rel",), {}) == set()
 
 
 def test_alias_line_after_the_triples_grounds(tmp_path):
@@ -243,11 +243,11 @@ def test_neighbors_and_outgoing_sorted(presidents):
 
 
 def test_reach_empty_chain_is_start(presidents):
-    assert presidents.reach("USA", ()) == {"USA"}
+    assert presidents.reach("USA", (), {}) == {"USA"}
 
 
 def test_reach_dead_relation(presidents):
-    assert presidents.reach("USA", ("country.presidents", "nope")) == set()
+    assert presidents.reach("USA", ("country.presidents", "nope"), {}) == set()
 
 
 def test_reach_drops_intermediate_literals(tmp_path):
@@ -257,8 +257,8 @@ def test_reach_drops_intermediate_literals(tmp_path):
     )
     g = load_tsv(p)
     # the literal cannot expand; only the entity path continues
-    assert g.reach("a", ("r", "r")) == {"c"}
-    assert g.reach("a", ("r",)) == {"b", Literal(NUMERIC, "5")}
+    assert g.reach("a", ("r", "r"), {}) == {"c"}
+    assert g.reach("a", ("r",), {}) == {"b", Literal(NUMERIC, "5")}
 
 
 def test_walk_shares_memo_entries_by_filter_key():
@@ -300,7 +300,7 @@ def test_graph_constructible_from_triples():
     assert len(g) == 2
     assert g.entities == {"a", "b", "c"}
     assert g.relations == {"r", "s"}
-    assert g.reach("a", ("r", "s")) == {"c"}
+    assert g.reach("a", ("r", "s"), {}) == {"c"}
     # neighbour sets are frozen, so a shared graph cannot be changed through them
     assert isinstance(g.neighbors("a", "r"), frozenset)
     assert isinstance(g.neighbors("a", "missing"), frozenset)
@@ -310,8 +310,7 @@ def test_graph_constructible_from_triples():
 # --- node helpers ---
 
 def test_node_text_and_sort_key():
-    assert node_text("Obama") == "Obama"
-    assert node_text(Literal(NUMERIC, "5")) == "5"
+    assert answer_texts([Literal(NUMERIC, "5"), "Obama"]) == ["Obama", "5"]
     nodes = [Literal(STRING, "a"), "Z", "A", Literal(NUMERIC, "1")]
     ordered = sorted(nodes, key=node_sort_key)
     assert ordered == ["A", "Z", Literal(NUMERIC, "1"), Literal(STRING, "a")]
@@ -331,4 +330,4 @@ def test_random_graphs_match_oracle(tmp_path_factory, seed):
     assert len(g) == len(og.triples)
     start = rng.choice(sorted(og.entities))
     chain = tuple(rng.choice(sorted(og.relations)) for _ in range(rng.randint(0, 3)))
-    assert keyset(g.reach(start, chain)) == oracle_reach(og, start, chain)
+    assert keyset(g.reach(start, chain, {})) == oracle_reach(og, start, chain)

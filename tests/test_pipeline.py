@@ -90,7 +90,7 @@ def test_run_stage1_parses_reply():
 
 def test_stage1_only_route(presidents):
     result = answer_question(
-        presidents, "who was president", spec_llm(WORKED_REPLY), general_llm(), EMB
+        presidents, "who was president", spec_llm(WORKED_REPLY), general_llm(), EMB, walks={}
     )
     assert result.route == Route.STAGE1_ONLY
     assert result.answers == AnswerSet(frozenset({"Obama", "GWBush"}), TIER_FULL)
@@ -110,7 +110,7 @@ def test_stage1_only_keeps_reachable_but_empty_answers(presidents):
         'CONSTRAINT: hop=2; rel=education.institution; string="nowhere"\n'
     )
     result = answer_question(
-        presidents, "q", spec_llm(reply), general_llm(), EMB
+        presidents, "q", spec_llm(reply), general_llm(), EMB, walks={}
     )
     assert result.route == Route.STAGE1_ONLY
     assert result.answers == AnswerSet(
@@ -143,7 +143,9 @@ LAST_HOP_REPLY = (
 
 def test_stage1_relaxation_starts_from_the_routing_walk(presidents, monkeypatch):
     images = count_calls(monkeypatch, "image")
-    result = answer_question(presidents, "q", spec_llm(LAST_HOP_REPLY), general_llm(), EMB)
+    result = answer_question(
+        presidents, "q", spec_llm(LAST_HOP_REPLY), general_llm(), EMB, walks={}
+    )
     assert result.route == Route.STAGE1_ONLY
     assert result.answers == AnswerSet(
         frozenset({"Obama", "GWBush", "Clinton"}), TIER_SKELETON
@@ -172,7 +174,7 @@ def test_gold_scoring_starts_from_the_routing_walk(presidents, monkeypatch):
 def test_stage1_routing_check_is_one_reach(presidents, monkeypatch):
     # kgbench times the routing check as the one kg.reach span of a question.
     reaches = count_calls(monkeypatch, "reach")
-    result = answer_question(presidents, "q", spec_llm(WORKED_REPLY), general_llm(), EMB)
+    result = answer_question(presidents, "q", spec_llm(WORKED_REPLY), general_llm(), EMB, walks={})
     assert result.route == Route.STAGE1_ONLY
     # The call also passes the question's walk memo; only the chain counts.
     assert [(start, rels) for start, rels, *_ in reaches] == [
@@ -187,7 +189,7 @@ def test_relax_disabled_returns_full_tier_only(presidents, monkeypatch):
         'CONSTRAINT: hop=2; rel=education.institution; string="nowhere"\n'
     )
     result = answer_question(
-        presidents, "q", spec_llm(reply), general_llm(), EMB, relax=False
+        presidents, "q", spec_llm(reply), general_llm(), EMB, relax=False, walks={}
     )
     assert result.answers == AnswerSet(frozenset(), TIER_FULL)
     # The full tier starts from the routing walk too.
@@ -203,7 +205,7 @@ def test_repaired_path_executes_from_the_repair_walks(presidents, monkeypatch):
         "CONSTRAINT: hop=2; rel=education.institution; entity=Harvard\n"
     )
     result = answer_question(
-        presidents, "who was president", spec_llm(reply), general_llm(), EMB
+        presidents, "who was president", spec_llm(reply), general_llm(), EMB, walks={}
     )
     assert result.route == Route.STAGE1_PLUS_2
     assert result.answers == AnswerSet(frozenset({"Obama", "GWBush"}), TIER_FULL)
@@ -220,7 +222,7 @@ def test_repair_route_restores_constraints(presidents):
         "CONSTRAINT: hop=2; rel=education.institution; entity=Harvard\n"
     )
     result = answer_question(
-        presidents, "who was president", spec_llm(reply), general_llm(), EMB
+        presidents, "who was president", spec_llm(reply), general_llm(), EMB, walks={}
     )
     assert result.route == Route.STAGE1_PLUS_2
     assert result.crp_final.path == (
@@ -241,7 +243,7 @@ def test_repair_drops_out_of_range_constraints(tmp_path):
         "TOPIC: S\nPATH: r1 -> r2 -> r3 -> r4 -> r5\n"
         "CONSTRAINT: hop=5; rel=x; entity=A\n"
     )
-    result = answer_question(g, "q", spec_llm(reply), general_llm(), EMB)
+    result = answer_question(g, "q", spec_llm(reply), general_llm(), EMB, walks={})
     assert result.route == Route.STAGE1_PLUS_2
     # depth 5 capped at 4, so the hop-5 constraint has nowhere to anchor
     assert result.crp_final.path == (
@@ -257,7 +259,7 @@ def test_repair_drops_out_of_range_constraints(tmp_path):
 
 def test_generation_parse_failure(presidents):
     result = answer_question(
-        presidents, "q", spec_llm("I cannot answer that."), general_llm(), EMB
+        presidents, "q", spec_llm("I cannot answer that."), general_llm(), EMB, walks={}
     )
     assert result.route == Route.FALLBACK
     assert result.answers == AnswerSet(frozenset(), TIER_FULL)
@@ -269,7 +271,7 @@ def test_generation_parse_failure(presidents):
 
 def test_grounding_failure(presidents):
     result = answer_question(
-        presidents, "q", spec_llm("TOPIC: Narnia\nPATH: r\n"), general_llm(), EMB
+        presidents, "q", spec_llm("TOPIC: Narnia\nPATH: r\n"), general_llm(), EMB, walks={}
     )
     assert result.route == Route.FALLBACK
     assert result.error.startswith("grounding: UnknownEntity")
@@ -281,7 +283,7 @@ def test_repair_failure(presidents):
     # Harvard is a leaf, so the beam dead-ends immediately
     result = answer_question(
         presidents, "q", spec_llm("TOPIC: Harvard\nPATH: made.up\n"),
-        general_llm(), EMB,
+        general_llm(), EMB, walks={},
     )
     assert result.route == Route.FALLBACK
     assert result.error.startswith("repair: RepairFailed: repair failed at depth 1")
@@ -293,7 +295,7 @@ def test_repair_failure(presidents):
 def test_failures_never_raise(presidents):
     # a provider with no matching script entry surfaces as a result error
     broken = ScriptedLlm([])
-    result = answer_question(presidents, "q", broken, general_llm(), EMB)
+    result = answer_question(presidents, "q", broken, general_llm(), EMB, walks={})
     assert result.route == Route.FALLBACK
     assert "NoScriptMatch" in result.error
 
@@ -308,7 +310,7 @@ def load_tsv_text(tmp_path, text):
 
 def test_stage2_only_depth2(presidents):
     result = run_stage2_only(
-        presidents, "who was president", "usa", 2, general_llm(), EMB
+        presidents, "who was president", "usa", 2, general_llm(), EMB, walks={}
     )
     assert result.route == Route.STAGE2_ONLY
     assert result.answers == AnswerSet(
@@ -340,19 +342,19 @@ def test_stage2_only_answers_from_the_repair_walks(presidents, monkeypatch):
 
 
 def test_stage2_only_depth1(presidents):
-    result = run_stage2_only(presidents, "q", "USA", 1, general_llm(), EMB)
+    result = run_stage2_only(presidents, "q", "USA", 1, general_llm(), EMB, walks={})
     assert result.answers == AnswerSet(frozenset({"T1", "T2", "T3"}), TIER_FULL)
     assert result.ledger.calls() == 2
 
 
 def test_stage2_only_unknown_topic(presidents):
-    result = run_stage2_only(presidents, "q", "Narnia", 2, general_llm(), EMB)
+    result = run_stage2_only(presidents, "q", "Narnia", 2, general_llm(), EMB, walks={})
     assert result.route == Route.FALLBACK
     assert result.error.startswith("repair: UnknownEntity")
     assert result.ledger.calls() == 0
 
 
 def test_stage2_only_bad_depth(presidents):
-    result = run_stage2_only(presidents, "q", "USA", 0, general_llm(), EMB)
+    result = run_stage2_only(presidents, "q", "USA", 0, general_llm(), EMB, walks={})
     assert result.route == Route.FALLBACK
     assert "RepairError" in result.error

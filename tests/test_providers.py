@@ -397,6 +397,9 @@ def test_http_needs_one_attempt(sleeps):
     "localhost:9/v1", "file:///etc/passwd", "ftp://host/v1", "data:,x",
     "http:///v1", "http://host:port/v1", "http://host:99999/v1",
     "http://user:pw@host/v1", "http://host/v 1", "http://host/v\n1", "http://höst/v1",
+    # The resolver encodes the host as IDNA first and raises a UnicodeError,
+    # a ValueError, for an empty label or one longer than 63 characters.
+    "http://a..b/v1", "http://" + "a" * 64 + ".example/v1",
 ])
 def test_http_rejects_unusable_url(sleeps, url):
     with pytest.raises(ValueError, match="URL must be http or https with a host"):

@@ -90,9 +90,9 @@ def test_blueprint_empty_raises():
 
 def test_expand_beam_walks_graph(presidents):
     bp = ("presidents", "office holder")
-    out = expand_beam(presidents, "USA", [()], bp, EMB, x=4, trace=[])
+    out = expand_beam(presidents, "USA", [()], bp, EMB, x=4, trace=[], walks={})
     assert out == [("country.presidents",)]
-    out2 = expand_beam(presidents, "USA", out, bp, EMB, x=4, trace=[])
+    out2 = expand_beam(presidents, "USA", out, bp, EMB, x=4, trace=[], walks={})
     assert out2 == [("country.presidents", "president.office_holder")]
 
 
@@ -111,7 +111,7 @@ def test_repair_levels_expand_one_hop_per_beam_path(monkeypatch):
     ])
     llm = ReplyLlm("#1 go", "Path 1 Path 2", "Path 1 Path 2", "Path 1")
     trace: list = []
-    assert repair(g, "q", "S", 3, RepairConfig(), llm, EMB, trace) == ("a", "c", "e")
+    assert repair(g, "q", "S", 3, RepairConfig(), llm, EMB, trace, {}) == ("a", "c", "e")
     beams = [ev["beam"] for ev in trace if ev["event"] == "depth"]
     assert beams == [[""], ["a", "b"], ["a -> c", "b -> d"]]
     # Level 1 starts at the topic. Each later level expands each beam path
@@ -123,7 +123,7 @@ def test_expand_beam_dead_end_traced(presidents):
     bp = ("anything",)
     trace = []
     dead = ("country.presidents", "president.office_holder", "position.from")
-    out = expand_beam(presidents, "USA", [dead], bp, EMB, x=4, trace=trace)
+    out = expand_beam(presidents, "USA", [dead], bp, EMB, x=4, trace=trace, walks={})
     assert out == []
     assert trace == [{"event": "dead_end", "path": linearize(dead)}]
 
@@ -136,11 +136,11 @@ def test_expand_beam_relation_filter(tmp_path):
     )
     g = load_tsv(p)
     bp = ("find the beta",)
-    out = expand_beam(g, "S", [()], bp, EMB, x=1, trace=[])
+    out = expand_beam(g, "S", [()], bp, EMB, x=1, trace=[], walks={})
     assert out == [("beta.two",)]
     # two steps union their picks
     bp2 = ("find the beta", "find the gamma")
-    out2 = expand_beam(g, "S", [()], bp2, EMB, x=1, trace=[])
+    out2 = expand_beam(g, "S", [()], bp2, EMB, x=1, trace=[], walks={})
     assert sorted(out2) == [("beta.two",), ("gamma.three",)]
 
 
@@ -163,7 +163,7 @@ def sorted_key_expand(g, s1, beam, blueprint, emb, x):
     """expand_beam as written before ``rank``: one sort key per pair."""
     candidates = {}
     for path in beam:
-        rels = g.outgoing_relations(g.reach(s1, path))
+        rels = g.outgoing_relations(g.reach(s1, path, {}))
         keep = set()
         for step in blueprint:
             keep.update(sorted(rels, key=lambda r: (-emb.similarity(step, r), r))[:x])
@@ -196,7 +196,7 @@ def test_expand_beam_ranks_without_pair_scores(tmp_path_factory, seed):
         assert out == sorted_key_expand(g, start, beam, blueprint, EMB, x)
         assert emb.calls["similarity"] == 0
         assert emb.calls["rank"] == sum(
-            bool(g.outgoing_relations(g.reach(start, path))) for path in beam
+            bool(g.outgoing_relations(g.reach(start, path, {}))) for path in beam
         )
         beam = rng.sample(out, min(len(out), 3))
         if not beam:
@@ -209,7 +209,7 @@ def test_expand_beam_dedups_across_paths(tmp_path):
     g = load_tsv(p)
     bp = ("step",)
     beam = [("r",), ("s",)]
-    out = expand_beam(g, "S", beam, bp, EMB, x=4, trace=[])
+    out = expand_beam(g, "S", beam, bp, EMB, x=4, trace=[], walks={})
     assert sorted(out) == [("r", "t"), ("s", "t")]
 
 
@@ -310,7 +310,7 @@ def test_repair_worked_chain(presidents):
     trace = []
     rels = repair(
         presidents, "who was president", "USA", 2, RepairConfig(), llm, EMB,
-        trace=trace,
+        trace=trace, walks={},
     )
     assert rels == ("country.presidents", "president.office_holder")
     assert llm.calls == 3
@@ -321,7 +321,7 @@ def test_repair_worked_chain(presidents):
 
 def test_repair_depth_must_be_positive(presidents):
     with pytest.raises(RepairError, match="repair depth must be at least 1"):
-        repair(presidents, "q", "USA", 0, RepairConfig(), ReplyLlm(), EMB, [])
+        repair(presidents, "q", "USA", 0, RepairConfig(), ReplyLlm(), EMB, [], {})
 
 
 def test_repair_depth_capped(tmp_path):
@@ -331,7 +331,7 @@ def test_repair_depth_capped(tmp_path):
     p.write_text(tsv, encoding="utf-8")
     g = load_tsv(p)
     llm = FirstPathLlm(2)
-    rels = repair(g, "q", "S", 9, RepairConfig(), llm, EMB, [])
+    rels = repair(g, "q", "S", 9, RepairConfig(), llm, EMB, [], {})
     assert rels == ("hop.fwd", "hop.back", "hop.fwd", "hop.back")
     assert llm.calls == 5
     assert oracle_reach(parse_tsv(tsv), "S", rels) == frozenset({("e", "S")})
@@ -344,7 +344,7 @@ def test_repair_failure_reports_depth(tmp_path):
     g = load_tsv(p)
     llm = FirstPathLlm(2)
     with pytest.raises(RepairFailed) as err:
-        repair(g, "q", "S", 3, RepairConfig(), llm, EMB, [])
+        repair(g, "q", "S", 3, RepairConfig(), llm, EMB, [], {})
     assert err.value.depth_reached == 3
     assert "depth 3" in str(err.value)
 
@@ -361,7 +361,7 @@ def test_repair_call_budget_random():
         g = load_tsv(f.name)
         llm = GoldSelectorLlm(gold, start)
         cfg = RepairConfig(beam_width=3, relation_filter=10, path_filter=64)
-        rels = repair(g, "q", start, depth, cfg, llm, EMB, [])
+        rels = repair(g, "q", start, depth, cfg, llm, EMB, [], {})
         assert rels == gold
         assert llm.calls == depth + 1
 
