@@ -573,6 +573,7 @@ def test_ask_stage2_only_unknown_topic(cfg_path):
 
 
 @pytest.mark.parametrize("command", [
+    ("ask", "q", "--topic", "usa"),
     ("ask", "q", "--stage2-only", "--topic", "usa"),
 ])
 def test_depth_below_one_is_a_usage_error(cfg_path, command):
