@@ -90,19 +90,21 @@ def load_check(ctx):
 @click.pass_context
 def ask(ctx, question, stage2_only, topic, depth):
     """Answer one question and print the row eval would write for it."""
+    if stage2_only and (topic is None or depth is None):
+        _die("--stage2-only needs --topic and --depth", 2)
+    if not stage2_only and (topic is not None or depth is not None):
+        _die("--topic and --depth need --stage2-only", 2)
     settings = ctx.obj["settings"]
     g = _load_graph(settings)
     try:
         repair_cfg = cfg.repair_config(settings)
-        factory = cfg.provider_factory(settings, need_specialized=not stage2_only)
+        factory = cfg.provider_factory(settings, stage2_only)
     except KgRelayError as exc:
         _die(str(exc), 2)
-    if stage2_only and (topic is None or depth is None):
-        _die("--stage2-only needs --topic and --depth", 2)
 
     _, (row,) = run_batch(
         g, [DatasetRecord("ask", question, topic=topic, depth=depth)], factory, repair_cfg,
-        relax=settings.relaxation, stage2_only=stage2_only, include_trace=ctx.obj["trace"],
+        relax=settings.relaxation, include_trace=ctx.obj["trace"],
     )
     for event in row.get("trace", ()):
         click.echo(json.dumps(event, ensure_ascii=False), err=True)
@@ -133,7 +135,7 @@ def eval_cmd(ctx, dataset, out_dir, stage2_only):
     try:
         records = load_dataset(dataset)
         repair_cfg = cfg.repair_config(settings)
-        factory = cfg.provider_factory(settings, need_specialized=not stage2_only)
+        factory = cfg.provider_factory(settings, stage2_only)
     except KgRelayError as exc:
         _die(str(exc), 2)
     out = Path(out_dir)
@@ -144,8 +146,7 @@ def eval_cmd(ctx, dataset, out_dir, stage2_only):
 
     report, rows = run_batch(
         g, records, factory, repair_cfg, cfg.price_table(settings),
-        workers=settings.workers, relax=settings.relaxation,
-        stage2_only=stage2_only, include_trace=ctx.obj["trace"],
+        workers=settings.workers, relax=settings.relaxation, include_trace=ctx.obj["trace"],
     )
     try:
         write_results(out / "results.jsonl", rows)

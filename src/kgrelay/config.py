@@ -155,37 +155,37 @@ def _load_script(path: str) -> list[ScriptEntry]:
         raise ConfigError(f"bad entry in script {path}: {exc}") from exc
 
 
-def _role_provider(settings: Settings, role: str, needed: bool):
-    """Checked script entries, a shared HTTP client, or None for one role."""
+def _role_provider(settings: Settings, role: str):
+    """Checked script entries or a shared HTTP client for one role."""
     script, url, model, key_env = (
         getattr(settings, f"{role}_{key}") for key in ("script", "url", "model", "key_env")
     )
     if script:
         return _load_script(script)
-    if url:
-        if not model:
-            raise ConfigError(f"{role}_model is required with {role}_url")
-        try:
-            return HttpLlm(url, model, key_env=key_env)
-        except ValueError as exc:
-            raise ConfigError(f"{role} provider: {exc}") from exc
-    if needed:
+    if not url:
         raise ConfigError(f"no {role} provider configured")
-    return None
+    if not model:
+        raise ConfigError(f"{role}_model is required with {role}_url")
+    try:
+        return HttpLlm(url, model, key_env=key_env)
+    except ValueError as exc:
+        raise ConfigError(f"{role} provider: {exc}") from exc
 
 
-def provider_factory(settings: Settings, need_specialized: bool = True):
+def provider_factory(settings: Settings, stage2_only: bool = False):
     """Build a per-question provider factory from the settings.
 
     Script files are read and checked once, here; every call gets fresh
     use counters over the same entries, so replay state never leaks
-    between questions. HTTP providers are shared. Raises
-    ConfigError when a needed role has no provider configured or an HTTP
+    between questions. HTTP providers are shared. With ``stage2_only``
+    the specialized role is neither built nor required, and its slot is
+    None, so every question takes the repair-only route. Raises
+    ConfigError when a built role has no provider configured or an HTTP
     role's URL or API key is unusable, and MissingKey when its key is unset.
     """
     roles = (
-        _role_provider(settings, ROLE_SPECIALIZED, need_specialized),
-        _role_provider(settings, ROLE_GENERAL, True),
+        None if stage2_only else _role_provider(settings, ROLE_SPECIALIZED),
+        _role_provider(settings, ROLE_GENERAL),
     )
 
     def factory():

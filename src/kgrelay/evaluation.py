@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 from .errors import DatasetError, KgRelayError
 from .execute import evaluate_query
 from .kg import KnowledgeGraph, answer_texts
-from .pipeline import QuestionResult, Route, answer_question, run_stage2_only
+from .pipeline import QuestionResult, Route, answer_question
 from .providers import DEFAULT_PRICES, CostLedger, price_calls
 from .reasoning import (
     Constraint,
@@ -288,15 +288,16 @@ def run_batch(
     prices: dict | None = None,
     workers: int = 1,
     relax: bool = True,
-    stage2_only: bool = False,
     include_trace: bool = False,
 ) -> tuple[MetricReport, list[dict]]:
     """Run the pipeline over a dataset and score every record.
 
     Fresh providers per record (scripted state must not leak between
-    questions). Each record is answered and scored in one step, through
-    one walk memo, so the gold query reuses the question's own walks and
-    the memo and answer sets are freed when the record is done. Per-record
+    questions). A factory whose specialized slot is None makes every
+    record a repair-only question, answered from its topic and depth.
+    Each record is answered and scored in one step, through one walk
+    memo, so the gold query reuses the question's own walks and the memo
+    and answer sets are freed when the record is done. Per-record
     failures are flagged and score zero; the batch itself never aborts.
     With workers > 1 records run concurrently but aggregation stays in
     dataset order, so output is identical. Every report figure is a sum
@@ -313,16 +314,10 @@ def run_batch(
         result = None
         if not rec.error:
             specialized, general, embedder = provider_factory()
-            if stage2_only:
-                result = run_stage2_only(
-                    g, rec.question, rec.topic, rec.depth, general, embedder, repair_cfg,
-                    walks=walks,
-                )
-            else:
-                result = answer_question(
-                    g, rec.question, specialized, general, embedder, repair_cfg, relax,
-                    walks=walks,
-                )
+            result = answer_question(
+                g, rec.question, specialized, general, embedder, repair_cfg, relax,
+                walks=walks, topic=rec.topic, depth=rec.depth,
+            )
         row, f1 = _row(g, rec, result, walks, include_trace)
         return row, f1, result.ledger.records if result else []
 

@@ -4,15 +4,17 @@ graph, repair it when it cannot execute, then answer with relaxation.
 Routing is decided by the constraint-free skeleton: if the main path
 reaches anything from the topic entity, the generated path is kept as is;
 otherwise the repair search replaces the main path and the original
-constraints are re-attached where their hop still exists.
+constraints are re-attached where their hop still exists. The repair-only
+ablation is a question with no specialized model: its topic and depth are
+given, and its path is always the repaired one.
 
 Each question has one walk memo (see ``KnowledgeGraph.walk``), and every
 walk of the question goes through it: the routing check, which is one
 ``KnowledgeGraph.reach`` call, each repair level, which expands only the
 last hop of each beam path, the answers, and gold scoring when the caller
 passes the memo on. So a chain prefix is expanded once per question.
-Every answered question, stage-2-only ones too, gets its answers from
-one ``execute_with_relaxation`` call.
+Both routes share the repair call, the one failure exit and the one
+``execute_with_relaxation`` call that gives every answer set.
 """
 
 from __future__ import annotations
@@ -82,89 +84,66 @@ def _fallback(
 def answer_question(
     g: KnowledgeGraph,
     question: str,
-    specialized: LlmProvider,
+    specialized: LlmProvider | None,
     general: LlmProvider,
     embedder: EmbeddingProvider,
     repair_cfg: RepairConfig = RepairConfig(),
     relax: bool = True,
     *,
     walks: dict,
+    topic: str | None = None,
+    depth: int | None = None,
 ) -> QuestionResult:
     """Answer one question; never raises on provider or path failures.
 
+    With a specialized model its path is grounded and kept when it reaches
+    anything, else repaired to its own depth; ``topic`` and ``depth`` are
+    not read. Without one (``specialized`` None) the question takes the
+    repair-only route: ``topic`` is grounded and repaired to ``depth``,
+    with no constraints, and either missing gives the fallback result.
     Failures degrade to the fallback route with empty answers and the
-    error recorded on the result. The final path is answered at every
-    relaxation tier when ``relax`` holds, else at tier 0 only. ``walks``
+    error, named by the stage reached, recorded on the result. The final
+    path is answered at every relaxation tier when ``relax`` holds, else
+    at tier 0 only; a repaired path without constraints reaches a
+    non-empty frontier, so it is answered at tier 0 either way. ``walks``
     is the question's walk memo; the routing check, repair and execution
     fill it, and the caller may score the answers through it.
     """
     ledger = CostLedger()
-    spec_llm = TrackedLlm(specialized, ROLE_SPECIALIZED, ledger)
     gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
     trace: list = []
+    stage, rp_initial, rp = "repair", None, None
+    constraints: tuple = ()
     try:
-        rp_initial = run_stage1(spec_llm, question)
-    except KgRelayError as exc:
-        return _fallback(question, ledger, trace, "generation", exc)
-    try:
-        rp = ground_reasoning_path(g, rp_initial)
-    except KgRelayError as exc:
-        return _fallback(question, ledger, trace, "grounding", exc, rp_initial)
-
-    if g.reach(rp.topic_entity, rp.path, walks):
-        route = Route.STAGE1_ONLY
-        rp_final = rp
-    else:
-        route = Route.STAGE1_PLUS_2
-        try:
-            new_path = repair(
-                g, question, rp.topic_entity, rp.depth, repair_cfg, gen_llm, embedder,
-                trace, walks,
+        if specialized is None:
+            route = Route.STAGE2_ONLY
+            if topic is None or depth is None:
+                return _fallback(question, ledger, trace, stage, "record lacks topic or depth")
+            entity = g.ground_entity(topic)
+        else:
+            stage = "generation"
+            rp_initial = run_stage1(TrackedLlm(specialized, ROLE_SPECIALIZED, ledger), question)
+            stage = "grounding"
+            rp = rp_final = ground_reasoning_path(g, rp_initial)
+            stage = "repair"
+            topic, entity, depth, constraints = (
+                rp.topic_surface, rp.topic_entity, rp.depth, rp.constraints
             )
-        except KgRelayError as exc:
-            return _fallback(question, ledger, trace, "repair", exc, rp_initial, rp)
-        kept = tuple(c for c in rp.constraints if c.hop <= len(new_path))
-        for c in rp.constraints:
-            if c.hop > len(new_path):
-                trace.append(
-                    {"event": "constraint_dropped", "hop": c.hop, "relation": c.relation}
-                )
-        rp_final = ReasoningPath(
-            rp.topic_surface, tuple(new_path), kept, rp.topic_entity
-        )
+            reached = g.reach(entity, rp.path, walks)
+            route = Route.STAGE1_ONLY if reached else Route.STAGE1_PLUS_2
+        if route is not Route.STAGE1_ONLY:
+            new_path = repair(
+                g, question, entity, depth, repair_cfg, gen_llm, embedder, trace, walks
+            )
+            kept = tuple(c for c in constraints if c.hop <= len(new_path))
+            for c in constraints:
+                if c.hop > len(new_path):
+                    trace.append(
+                        {"event": "constraint_dropped", "hop": c.hop, "relation": c.relation}
+                    )
+            rp_final = ReasoningPath(topic, tuple(new_path), kept, entity)
+    except KgRelayError as exc:
+        return _fallback(question, ledger, trace, stage, exc, rp_initial, rp)
 
     answers = execute_with_relaxation(g, rp_final, walks, TIERS if relax else TIERS[:1])
     return QuestionResult(route, answers, rp_initial, rp_final, ledger, trace)
-
-
-def run_stage2_only(
-    g: KnowledgeGraph,
-    question: str,
-    topic_surface: str | None,
-    depth: int | None,
-    general: LlmProvider,
-    embedder: EmbeddingProvider,
-    repair_cfg: RepairConfig = RepairConfig(),
-    *,
-    walks: dict,
-) -> QuestionResult:
-    """Repair-only ablation: no specialized model, no constraints.
-
-    The topic and search depth come from the caller (dataset fields);
-    either missing gives the fallback result. The answers are the
-    repaired skeleton's tier-0 walk, read from the walks repair left in
-    the walk memo ``walks``.
-    """
-    ledger = CostLedger()
-    gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
-    trace: list = []
-    if topic_surface is None or depth is None:
-        return _fallback(question, ledger, trace, "repair", "record lacks topic or depth")
-    try:
-        topic = g.ground_entity(topic_surface)
-        path = repair(g, question, topic, depth, repair_cfg, gen_llm, embedder, trace, walks)
-    except KgRelayError as exc:
-        return _fallback(question, ledger, trace, "repair", exc)
-    rp = ReasoningPath(topic_surface, tuple(path), (), topic)
-    answers = execute_with_relaxation(g, rp, walks, TIERS[:1])
-    return QuestionResult(Route.STAGE2_ONLY, answers, None, rp, ledger, trace)

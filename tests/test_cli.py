@@ -301,6 +301,36 @@ def test_eval_stage2_only_matches_golden_outputs(
     )
 
 
+@GOLDEN_RUNS
+def test_eval_stage2_only_is_answered_at_tier_0_without_relaxation(
+    cfg_path, data_dir, tmp_path, monkeypatch, trace, results_file
+):
+    # A repaired path has no constraints and reaches something, so the
+    # first tier answers it whether or not later tiers are tried.
+    monkeypatch.setenv("KGRELAY_RELAXATION", "false")
+    check_golden(
+        cfg_path, data_dir, tmp_path / "out", trace, results_file,
+        GOLDEN / "stage2_only", "--stage2-only",
+    )
+
+
+def test_eval_stage2_only_needs_no_specialized_provider(data_dir, tmp_path, monkeypatch):
+    # The specialized role points at an HTTP server whose key is unset;
+    # a repair-only run neither builds nor calls it.
+    monkeypatch.delenv("KGRELAY_API_KEY", raising=False)
+    cfg = tmp_path / "general_only.cfg"
+    cfg.write_text(
+        f"kg = {data_dir / 'presidents.tsv'}\n"
+        "specialized_url = http://127.0.0.1:9/v1\nspecialized_model = m\n"
+        f"general_script = {data_dir / 'scripts' / 'general.json'}\n",
+        encoding="utf-8",
+    )
+    check_golden(
+        str(cfg), data_dir, tmp_path / "out", False, "results.jsonl",
+        GOLDEN / "stage2_only", "--stage2-only",
+    )
+
+
 def test_golden_summaries_hold_the_route_trade_off():
     # On the demo, routing answers with fewer calls, at a third of the
     # cost and with a higher F1 than the repair-only ablation.
@@ -376,8 +406,8 @@ def test_eval_unusable_out_exits_2_before_any_record(cfg_path, data_dir, tmp_pat
     built = []
     real = kgrelay.config.provider_factory
 
-    def counting(settings, need_specialized=True):
-        factory = real(settings, need_specialized)
+    def counting(*args, **kwargs):
+        factory = real(*args, **kwargs)
 
         def build():
             built.append(1)
@@ -580,3 +610,18 @@ def test_depth_below_one_is_a_usage_error(cfg_path, command):
     result = run("--config", cfg_path, *command, "--depth", "0")
     assert result.exit_code == 2
     assert "Invalid value for '--depth'" in result.stderr
+
+
+@pytest.mark.parametrize("given", [
+    ("--topic", "usa"),
+    ("--depth", "2"),
+    ("--topic", "usa", "--depth", "2"),
+], ids=["topic", "depth", "both"])
+def test_topic_or_depth_without_stage2_only_is_a_usage_error(cfg_path, monkeypatch, given):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a provider factory was built")
+
+    monkeypatch.setattr(kgrelay.config, "provider_factory", unbuilt)
+    result = run("--config", cfg_path, "ask", "who was president", *given)
+    assert result.exit_code == 2
+    assert result.stderr == "error: --topic and --depth need --stage2-only\n"

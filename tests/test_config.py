@@ -172,10 +172,8 @@ def test_factory_requires_roles(tmp_path):
     spec = script_file(tmp_path, "spec.json", [])
     with pytest.raises(ConfigError, match="no general provider"):
         provider_factory(Settings(specialized_script=spec))
-    # ablations can waive a role explicitly
-    factory = provider_factory(
-        Settings(general_script=gen), need_specialized=False
-    )
+    # the repair-only ablation neither builds nor requires the specialized role
+    factory = provider_factory(Settings(general_script=gen), stage2_only=True)
     specialized, general, _ = factory()
     assert specialized is None
     assert isinstance(general, ScriptedLlm)

@@ -231,11 +231,12 @@ SKELETON_REPLY = "TOPIC: USA\nPATH: country.presidents -> president.office_holde
 BROKEN_REPLY = "TOPIC: USA\nPATH: country.presidents -> made.up\n"
 
 
-def make_factory():
-    """Fresh scripted providers per question, matched on question text."""
+def make_factory(stage2_only=False):
+    """Fresh scripted providers per question, matched on question text;
+    with ``stage2_only`` no specialized model, as the config builds it."""
 
     def factory():
-        specialized = ScriptedLlm([
+        specialized = None if stage2_only else ScriptedLlm([
             {"match": "harvard after 2000", "reply": WORKED_REPLY},
             {"match": "all presidents", "reply": SKELETON_REPLY},
             {"match": "needs repair", "reply": BROKEN_REPLY},
@@ -424,9 +425,7 @@ def test_run_batch_flags_a_record_without_gold(presidents, stage2_only):
     # answered, scored 0 and flagged; only a failed question has an error.
     answered = DatasetRecord("n", "all presidents", topic="USA", depth=2)
     failed = DatasetRecord("u", "nobody scripted this")
-    report, rows = run_batch(
-        presidents, [answered, failed], make_factory(), stage2_only=stage2_only
-    )
+    report, rows = run_batch(presidents, [answered, failed], make_factory(stage2_only))
     assert rows[0]["answers"] == ["Clinton", "GWBush", "Obama"]
     assert (rows[0]["hits_at_1"], rows[0]["f1"], rows[0]["flagged"]) == (0, 0.0, True)
     assert "error" not in rows[0]
@@ -592,9 +591,7 @@ def test_run_batch_stage2_only(presidents, tmp_path):
         + json.dumps({"id": "t", "question": "who?", "answers": ["x"]}) + "\n",
         encoding="utf-8",
     )
-    report, rows = run_batch(
-        presidents, load_dataset(p), make_factory(), stage2_only=True
-    )
+    report, rows = run_batch(presidents, load_dataset(p), make_factory(stage2_only=True))
     assert rows[0]["route"] == "stage2_only"
     assert rows[0]["hits_at_1"] == 1
     assert rows[0]["f1"] == 1.0
@@ -606,7 +603,7 @@ def test_run_batch_stage2_only(presidents, tmp_path):
     # The record without topic or depth fails like any other question:
     # same row error, and its trace ends with the error event.
     _, traced = run_batch(
-        presidents, load_dataset(p), make_factory(), stage2_only=True, include_trace=True
+        presidents, load_dataset(p), make_factory(stage2_only=True), include_trace=True
     )
     assert traced[1]["error"] == "record lacks topic or depth"
     assert traced[1]["trace"][-1]["event"] == "error"
@@ -623,7 +620,7 @@ def test_run_batch_stage2_only_flags_mistyped_depth(presidents, tmp_path):
                       "answers": ["Obama", "GWBush", "Clinton"]}) + "\n",
         encoding="utf-8",
     )
-    report, rows = run_batch(presidents, load_dataset(p), make_factory(), stage2_only=True)
+    report, rows = run_batch(presidents, load_dataset(p), make_factory(stage2_only=True))
     assert rows[0]["flagged"] is True
     assert rows[0]["error"] == "line 1: depth is not an integer"
     assert rows[1]["hits_at_1"] == 1
@@ -691,9 +688,9 @@ def test_run_batch_keeps_its_promise(presidents, tmp_path_factory, stage2_only, 
 
     def factory():
         llm = FlakyLlm(outcomes)
-        return llm, llm, TokenOverlapEmbedder()
+        return None if stage2_only else llm, llm, TokenOverlapEmbedder()
 
-    report, rows = run_batch(presidents, records, factory, stage2_only=stage2_only)
+    report, rows = run_batch(presidents, records, factory)
     assert len(records) == len(lines)
     assert [row["id"] for row in rows] == [rec.id for rec in records]
     assert report.questions == len(records)

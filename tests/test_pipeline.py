@@ -12,7 +12,6 @@ from kgrelay.pipeline import (
     Route,
     answer_question,
     run_stage1,
-    run_stage2_only,
 )
 from kgrelay.prompts import blueprint_prompt, generation_prompt, selection_prompt
 from kgrelay.providers import (
@@ -309,8 +308,8 @@ def load_tsv_text(tmp_path, text):
 
 
 def test_stage2_only_depth2(presidents):
-    result = run_stage2_only(
-        presidents, "who was president", "usa", 2, general_llm(), EMB, walks={}
+    result = answer_question(
+        presidents, "who was president", None, general_llm(), EMB, walks={}, topic="usa", depth=2
     )
     assert result.route == Route.STAGE2_ONLY
     assert result.answers == AnswerSet(
@@ -331,9 +330,7 @@ def test_stage2_only_answers_from_the_repair_walks(presidents, monkeypatch):
         "?t :president.office_holder ?x . }"
     )
     records = [DatasetRecord("a", "who was president", sparql=gold, topic="USA", depth=2)]
-    _, [row] = run_batch(
-        presidents, records, lambda: (None, general_llm(), EMB), stage2_only=True
-    )
+    _, [row] = run_batch(presidents, records, lambda: (None, general_llm(), EMB))
     assert row["route"] == Route.STAGE2_ONLY.value
     assert row["answers"] == ["Clinton", "GWBush", "Obama"] and row["f1"] == 1.0
     # Repair walks the first hop at level 2; the answers and the gold query
@@ -342,19 +339,47 @@ def test_stage2_only_answers_from_the_repair_walks(presidents, monkeypatch):
 
 
 def test_stage2_only_depth1(presidents):
-    result = run_stage2_only(presidents, "q", "USA", 1, general_llm(), EMB, walks={})
+    result = answer_question(
+        presidents, "q", None, general_llm(), EMB, walks={}, topic="USA", depth=1
+    )
     assert result.answers == AnswerSet(frozenset({"T1", "T2", "T3"}), TIER_FULL)
     assert result.ledger.calls() == 2
 
 
 def test_stage2_only_unknown_topic(presidents):
-    result = run_stage2_only(presidents, "q", "Narnia", 2, general_llm(), EMB, walks={})
+    result = answer_question(
+        presidents, "q", None, general_llm(), EMB, walks={}, topic="Narnia", depth=2
+    )
     assert result.route == Route.FALLBACK
     assert result.error.startswith("repair: UnknownEntity")
     assert result.ledger.calls() == 0
 
 
 def test_stage2_only_bad_depth(presidents):
-    result = run_stage2_only(presidents, "q", "USA", 0, general_llm(), EMB, walks={})
+    result = answer_question(
+        presidents, "q", None, general_llm(), EMB, walks={}, topic="USA", depth=0
+    )
     assert result.route == Route.FALLBACK
     assert "RepairError" in result.error
+
+
+def test_specialized_route_ignores_topic_and_depth(presidents):
+    # With a specialized model the path's own topic and depth are used,
+    # on the repair route too.
+    reply = (
+        "TOPIC: USA\nPATH: country.presidents -> made.up_relation\n"
+        "CONSTRAINT: hop=2; rel=education.institution; entity=Harvard\n"
+    )
+
+    def answer(**given):
+        return answer_question(
+            presidents, "who was president", spec_llm(reply), general_llm(), EMB, walks={},
+            **given,
+        )
+
+    plain, given = answer(), answer(topic="Narnia", depth=9)
+    assert given.route == plain.route == Route.STAGE1_PLUS_2
+    assert (given.answers, given.crp_initial, given.crp_final, given.trace) == (
+        plain.answers, plain.crp_initial, plain.crp_final, plain.trace
+    )
+    assert given.ledger.records == plain.ledger.records
