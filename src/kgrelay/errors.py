@@ -143,7 +143,8 @@ class ProviderUnreachable(ProviderError):
 
 
 class MalformedReply(ProviderError):
-    """A 200 reply is not JSON or has no ``choices[0].message.content``."""
+    """A 200 reply is not JSON or has no ``choices[0].message.content``,
+    or a reply's text does not encode as UTF-8."""
 
 
 # --- repair ---

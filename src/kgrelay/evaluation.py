@@ -9,7 +9,6 @@ the records where that derivation succeeds and stay null otherwise.
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -20,7 +19,7 @@ from .errors import DatasetError, KgRelayError
 from .execute import evaluate_query
 from .kg import KnowledgeGraph, answer_texts
 from .pipeline import QuestionResult, Route, answer_question
-from .providers import DEFAULT_PRICES, CostLedger, price_calls
+from .providers import DEFAULT_PRICES, price_calls
 from .reasoning import (
     Constraint,
     EntityMatch,
@@ -30,8 +29,6 @@ from .reasoning import (
 )
 from .repair import RepairConfig
 from .sparql import parse_sparql, sparql_to_path
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -46,8 +43,11 @@ class DatasetRecord:
 
 
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
-    """Read a JSONL dataset. Unparsable lines become flagged records so a
-    batch run can score the rest; an unreadable or empty file raises."""
+    """Read a JSONL dataset. Unparsable lines become flagged records whose
+    ``error`` names the line, so a batch run can score the rest; nothing
+    is logged. A line whose text does not encode as UTF-8 (a lone
+    surrogate, which a JSON escape can carry) is unparsable too. An
+    unreadable or empty file raises."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -81,10 +81,13 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
                 raise ValueError("topic is not a string")
             if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int)):
                 raise ValueError("depth is not an integer")
+            texts = (rid, question, sparql or "", topic or "", *answers)
+            if not all(map(str.isascii, texts)):
+                for text in texts:  # a UnicodeEncodeError is a ValueError
+                    text.encode("utf-8")
             records.append(DatasetRecord(rid, question, answers, sparql, topic, depth))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             # json.loads raises RecursionError on a line nested too deeply.
-            log.warning("dataset line %d unusable: %s", line_no, exc)
             records.append(
                 DatasetRecord(f"line-{line_no}", "", error=f"line {line_no}: {exc}")
             )
@@ -215,7 +218,7 @@ def _row(
     non-empty set is its own gold and scores hits 1 and F1 1.0, however
     normalization would collapse its texts.
     """
-    ledger = result.ledger if result else CostLedger()
+    calls = result.calls if result else []
     initial = final = None
     if result:
         initial = _path_text(result.crp_initial)
@@ -230,9 +233,9 @@ def _row(
         "relaxation_tier": result.answers.relaxation_tier if result else None,
         "crp_initial": initial,
         "crp_final": final,
-        "llm_calls": ledger.calls(),
-        "prompt_tokens": ledger.prompt_tokens(),
-        "completion_tokens": ledger.completion_tokens(),
+        "llm_calls": len(calls),
+        "prompt_tokens": sum(c.usage.prompt_tokens for c in calls),
+        "completion_tokens": sum(c.usage.completion_tokens for c in calls),
     }
     if result is None:
         row.update(flagged=True, error=rec.error)
@@ -298,12 +301,14 @@ def run_batch(
     Each record is answered and scored in one step, through one walk
     memo, so the gold query reuses the question's own walks and the memo
     and answer sets are freed when the record is done. Per-record
-    failures are flagged and score zero; the batch itself never aborts.
+    failures are flagged and score zero, and each is reported once, as its
+    row's ``error``, never logged; the batch itself never aborts.
     With workers > 1 records run concurrently but aggregation stays in
     dataset order, so output is identical. Every report figure is a sum
-    or mean over the rows, except cost. Calls are priced here and nowhere
-    else, under ``prices`` (default ``DEFAULT_PRICES``), summed in dataset
-    order, then call order. An empty ``records`` raises DatasetError.
+    or mean over the rows, except cost. Each question's ``calls`` are
+    priced here and nowhere else, under ``prices`` (default
+    ``DEFAULT_PRICES``), summed in dataset order, then call order. An
+    empty ``records`` raises DatasetError.
     """
     if not records:
         raise DatasetError("no records in dataset")
@@ -319,7 +324,7 @@ def run_batch(
                 walks=walks, topic=rec.topic, depth=rec.depth,
             )
         row, f1 = _row(g, rec, result, walks, include_trace)
-        return row, f1, result.ledger.records if result else []
+        return row, f1, result.calls if result else []
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

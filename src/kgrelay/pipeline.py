@@ -19,7 +19,6 @@ Both routes share the repair call, the one failure exit and the one
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,15 +29,13 @@ from .prompts import generation_prompt
 from .providers import (
     ROLE_GENERAL,
     ROLE_SPECIALIZED,
-    CostLedger,
+    CallRecord,
     EmbeddingProvider,
     LlmProvider,
     TrackedLlm,
 )
 from .reasoning import ReasoningPath, ground_reasoning_path, parse_reasoning_path
 from .repair import RepairConfig, repair
-
-log = logging.getLogger(__name__)
 
 
 class Route(str, Enum):
@@ -54,7 +51,7 @@ class QuestionResult:
     answers: AnswerSet
     crp_initial: ReasoningPath | None
     crp_final: ReasoningPath | None
-    ledger: CostLedger
+    calls: list[CallRecord]
     trace: list = field(default_factory=list)
     error: str | None = None
 
@@ -66,17 +63,17 @@ def run_stage1(llm: LlmProvider, question: str) -> ReasoningPath:
 
 
 def _fallback(
-    question: str, ledger: CostLedger, trace: list, stage: str, error: Exception | str,
+    calls: list[CallRecord], trace: list, stage: str, error: Exception | str,
     initial: ReasoningPath | None = None, final: ReasoningPath | None = None,
 ) -> QuestionResult:
-    """The one failed outcome: no answers at the full tier, an ``error``
-    event on the trace and one warning line. An exception is described
-    by stage and type; a string is the whole message."""
+    """The one failed outcome: no answers at the full tier, the message as
+    ``error`` and an ``error`` event on the trace; nothing is logged, so
+    the failure reaches the user once, in its row. An exception is
+    described by stage and type; a string is the whole message."""
     message = error if isinstance(error, str) else f"{stage}: {type(error).__name__}: {error}"
-    log.warning("question %r failed, %s", question, message)
     trace.append({"event": "error", "stage": stage, "message": message})
     return QuestionResult(
-        Route.FALLBACK, AnswerSet(frozenset(), TIER_FULL), initial, final, ledger, trace,
+        Route.FALLBACK, AnswerSet(frozenset(), TIER_FULL), initial, final, calls, trace,
         error=message,
     )
 
@@ -102,15 +99,17 @@ def answer_question(
     repair-only route: ``topic`` is grounded and repaired to ``depth``,
     with no constraints, and either missing gives the fallback result.
     Failures degrade to the fallback route with empty answers and the
-    error, named by the stage reached, recorded on the result. The final
-    path is answered at every relaxation tier when ``relax`` holds, else
-    at tier 0 only; a repaired path without constraints reaches a
-    non-empty frontier, so it is answered at tier 0 either way. ``walks``
-    is the question's walk memo; the routing check, repair and execution
-    fill it, and the caller may score the answers through it.
+    error, named by the stage reached, recorded on the result and not
+    logged. Every LLM call is appended to the result's ``calls``, a list
+    the question owns, in call order. The final path is answered at
+    every relaxation tier when ``relax`` holds, else at tier 0 only; a
+    repaired path without constraints reaches a non-empty frontier, so it
+    is answered at tier 0 either way. ``walks`` is the question's walk
+    memo; the routing check, repair and execution fill it, and the caller
+    may score the answers through it.
     """
-    ledger = CostLedger()
-    gen_llm = TrackedLlm(general, ROLE_GENERAL, ledger)
+    calls: list[CallRecord] = []
+    gen_llm = TrackedLlm(general, ROLE_GENERAL, calls)
     trace: list = []
     stage, rp_initial, rp = "repair", None, None
     constraints: tuple = ()
@@ -118,11 +117,11 @@ def answer_question(
         if specialized is None:
             route = Route.STAGE2_ONLY
             if topic is None or depth is None:
-                return _fallback(question, ledger, trace, stage, "record lacks topic or depth")
+                return _fallback(calls, trace, stage, "record lacks topic or depth")
             entity = g.ground_entity(topic)
         else:
             stage = "generation"
-            rp_initial = run_stage1(TrackedLlm(specialized, ROLE_SPECIALIZED, ledger), question)
+            rp_initial = run_stage1(TrackedLlm(specialized, ROLE_SPECIALIZED, calls), question)
             stage = "grounding"
             rp = rp_final = ground_reasoning_path(g, rp_initial)
             stage = "repair"
@@ -143,7 +142,7 @@ def answer_question(
                     )
             rp_final = ReasoningPath(topic, tuple(new_path), kept, entity)
     except KgRelayError as exc:
-        return _fallback(question, ledger, trace, stage, exc, rp_initial, rp)
+        return _fallback(calls, trace, stage, exc, rp_initial, rp)
 
     answers = execute_with_relaxation(g, rp_final, walks, TIERS if relax else TIERS[:1])
-    return QuestionResult(route, answers, rp_initial, rp_final, ledger, trace)
+    return QuestionResult(route, answers, rp_initial, rp_final, calls, trace)

@@ -1,9 +1,10 @@
 """LLM and embedding providers, plus per-call usage accounting.
 
-Providers are tiny protocols so tests can substitute scripted fakes. The
-cost ledger records every call with its role ("specialized" for the path
-generator, "general" for repair); ``price_calls`` turns call records into
-USD from a per-million-token price table.
+Providers are tiny protocols so tests can substitute scripted fakes. A
+question owns a plain list of its calls, in call order: ``TrackedLlm``
+appends one ``CallRecord`` per call with its role ("specialized" for the
+path generator, "general" for repair), and ``price_calls`` turns call
+records into USD from a per-million-token price table.
 """
 
 from __future__ import annotations
@@ -325,9 +326,10 @@ class HttpLlm:
                     raise MalformedReply("reply content is not text")
                 usage = body.get("usage") or {}
                 if "prompt_tokens" in usage and "completion_tokens" in usage:
-                    return text, LlmUsage(
-                        int(usage["prompt_tokens"]), int(usage["completion_tokens"])
-                    )
+                    counts = int(usage["prompt_tokens"]), int(usage["completion_tokens"])
+                    # A negative count is no count: approximate, as without usage.
+                    if min(counts) >= 0:
+                        return text, LlmUsage(*counts)
             except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
                 # json.loads raises RecursionError on a body nested too deeply.
                 raise MalformedReply(f"unreadable reply: {type(exc).__name__}: {exc}") from exc
@@ -366,28 +368,6 @@ class CallRecord:
     usage: LlmUsage
 
 
-class CostLedger:
-    """Thread-safe per-call usage log for one question. The totals count
-    every call; each record keeps its role, which pricing reads."""
-
-    def __init__(self):
-        self.records: list[CallRecord] = []
-        self._lock = threading.Lock()
-
-    def record(self, role: str, usage: LlmUsage) -> None:
-        with self._lock:
-            self.records.append(CallRecord(role, usage))
-
-    def calls(self) -> int:
-        return len(self.records)
-
-    def prompt_tokens(self) -> int:
-        return sum(r.usage.prompt_tokens for r in self.records)
-
-    def completion_tokens(self) -> int:
-        return sum(r.usage.completion_tokens for r in self.records)
-
-
 def price_calls(
     records: Iterable[CallRecord], prices: dict[str, tuple[float, float]]
 ) -> float:
@@ -403,14 +383,25 @@ def price_calls(
 
 
 class TrackedLlm:
-    """Wraps a provider so every call lands in a ledger under one role."""
+    """Wraps a provider so every call is appended, under one role, to
+    ``calls``, the list of calls the question owns. A reply that does not
+    encode as UTF-8 (a lone surrogate, which a JSON escape can carry)
+    raises MalformedReply once its call is recorded, so it never reaches
+    a path, a trace or a result file."""
 
-    def __init__(self, inner: LlmProvider, role: str, ledger: CostLedger):
+    def __init__(self, inner: LlmProvider, role: str, calls: list[CallRecord]):
         self.inner = inner
         self.role = role
-        self.ledger = ledger
+        self.calls = calls
 
     def complete(self, prompt: str, temperature: float = 0.0) -> tuple[str, LlmUsage]:
         text, usage = self.inner.complete(prompt, temperature)
-        self.ledger.record(self.role, usage)
+        self.calls.append(CallRecord(self.role, usage))
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise MalformedReply(
+                    f"reply does not encode as UTF-8 at character {exc.start}: {exc.reason}"
+                ) from exc
         return text, usage

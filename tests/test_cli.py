@@ -343,10 +343,64 @@ def test_golden_summaries_hold_the_route_trade_off():
 
 
 def test_eval_flagged_records_exit_1(cfg_path, tmp_path):
+    # An unusable line still gets its flagged row, which names the line.
     ds = tmp_path / "d.jsonl"
-    ds.write_text('{"broken json\n', encoding="utf-8")
-    result = run("--config", cfg_path, "eval", str(ds), "--out", str(tmp_path / "o"))
+    ds.write_text(
+        '{"broken json\n{"id": "ok", "question": "q", "answers": ["Obama"]}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    result = run("--config", cfg_path, "eval", str(ds), "--out", str(out))
     assert result.exit_code == 1
+    rows = [json.loads(ln) for ln in (out / "results.jsonl").read_text("utf-8").splitlines()]
+    assert [r["id"] for r in rows] == ["line-1", "ok"]
+    assert rows[0]["flagged"] is True
+    assert rows[0]["error"].startswith("line 1: ")
+
+
+def _eval_output(cfg_path, ds, out):
+    """Run eval; its exit code and its rows and summary read as strict UTF-8."""
+    result = run("--config", cfg_path, "eval", str(ds), "--out", str(out))
+    rows = [
+        json.loads(ln)
+        for ln in (out / "results.jsonl").read_bytes().decode("utf-8").splitlines()
+    ]
+    summary = json.loads((out / "summary.json").read_bytes().decode("utf-8"))
+    return result.exit_code, rows, summary
+
+
+def test_eval_flags_a_dataset_line_with_a_lone_surrogate(cfg_path, tmp_path):
+    ds = tmp_path / "d.jsonl"
+    ds.write_text(
+        '{"id": "s", "question": "who \\ud800 was president", "answers": ["Obama"]}\n',
+        encoding="utf-8",
+    )
+    code, rows, summary = _eval_output(cfg_path, ds, tmp_path / "o")
+    assert code == 1
+    assert rows[0]["id"] == "line-1" and rows[0]["flagged"] is True
+    assert rows[0]["error"].startswith("line 1: ")
+    assert summary["flagged"] == 1
+
+
+def test_eval_flags_a_reply_with_a_lone_surrogate(cfg_path, data_dir, tmp_path):
+    script = tmp_path / "specialized.json"
+    script.write_text(
+        '[{"match": "{who was president}", "reply": "TOPIC: USA\\ud800\\nPATH: x.y"}]',
+        encoding="utf-8",
+    )
+    Path(cfg_path).write_text(
+        f"kg = {data_dir / 'presidents.tsv'}\nspecialized_script = {script}\n"
+        f"general_script = {data_dir / 'scripts' / 'general.json'}\n",
+        encoding="utf-8",
+    )
+    ds = tmp_path / "d.jsonl"
+    ds.write_text('{"id": "r", "question": "who was president", "answers": ["Obama"]}\n',
+                  encoding="utf-8")
+    code, rows, summary = _eval_output(cfg_path, ds, tmp_path / "o")
+    assert code == 1
+    assert rows[0]["flagged"] is True and rows[0]["llm_calls"] == 1
+    assert rows[0]["error"].startswith("generation: MalformedReply: ")
+    assert summary["flagged"] == 1
 
 
 def test_eval_fallback_rows_are_flagged(cfg_path, tmp_path):
@@ -600,6 +654,23 @@ def test_ask_stage2_only_unknown_topic(cfg_path):
     assert result.exit_code == 1
     assert result.stdout == "route: repair_failed_fallback\nrelaxation_tier: 0\nanswers (0):\n"
     assert result.stderr == "error: repair: UnknownEntity: unknown entity: 'Narnia'\n"
+
+
+def test_failed_ask_prints_its_error_once(data_dir):
+    # Outside pytest's log capture: a logged warning would be a second line.
+    src = Path(kgrelay.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "from kgrelay.cli import main; main()",
+         "--config", "data/demo.cfg", "ask", "--stage2-only", "q",
+         "--topic", "Narnia", "--depth", "2"],
+        cwd=data_dir.parent, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "error: repair: UnknownEntity: unknown entity: 'Narnia'"
+    ]
 
 
 @pytest.mark.parametrize("command", [

@@ -48,7 +48,6 @@ from kgrelay.kg import (
 from kgrelay.execute import TIER_FULL, AnswerSet
 from kgrelay.pipeline import QuestionResult, Route
 from kgrelay.providers import (
-    CostLedger,
     LlmUsage,
     ScriptedLlm,
     TokenOverlapEmbedder,
@@ -751,7 +750,7 @@ def _scored_row(g, rec, answers, monkeypatch):
 
     monkeypatch.setattr(evaluation, "_norm_set", spy)
     rp = ground_reasoning_path(g, parse_reasoning_path("TOPIC: T\nPATH: c.r\n"))
-    result = QuestionResult(Route.STAGE1_ONLY, AnswerSet(answers, TIER_FULL), rp, rp, CostLedger())
+    result = QuestionResult(Route.STAGE1_ONLY, AnswerSet(answers, TIER_FULL), rp, rp, [])
     row, f1 = evaluation._row(g, rec, result, {}, False)
     return row, f1, normalized
 

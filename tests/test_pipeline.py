@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from kgrelay.evaluation import DatasetRecord, run_batch
@@ -47,7 +49,7 @@ def general_llm():
 
 
 def role_calls(result, role):
-    return sum(r.role == role for r in result.ledger.records)
+    return sum(r.role == role for r in result.calls)
 
 
 # --- prompt plumbing ---
@@ -115,7 +117,7 @@ def test_stage1_only_keeps_reachable_but_empty_answers(presidents):
     assert result.answers == AnswerSet(
         frozenset({"Obama", "GWBush", "Clinton"}), TIER_DROP_STRING
     )
-    assert result.ledger.calls() == 1
+    assert len(result.calls) == 1
 
 
 def count_calls(monkeypatch, name):
@@ -343,7 +345,7 @@ def test_stage2_only_depth1(presidents):
         presidents, "q", None, general_llm(), EMB, walks={}, topic="USA", depth=1
     )
     assert result.answers == AnswerSet(frozenset({"T1", "T2", "T3"}), TIER_FULL)
-    assert result.ledger.calls() == 2
+    assert len(result.calls) == 2
 
 
 def test_stage2_only_unknown_topic(presidents):
@@ -352,7 +354,17 @@ def test_stage2_only_unknown_topic(presidents):
     )
     assert result.route == Route.FALLBACK
     assert result.error.startswith("repair: UnknownEntity")
-    assert result.ledger.calls() == 0
+    assert len(result.calls) == 0
+
+
+def test_failed_question_is_not_logged(presidents, caplog):
+    # The failure is reported once, in the result's error, never as a log line.
+    with caplog.at_level(logging.DEBUG):
+        result = answer_question(
+            presidents, "q", None, general_llm(), EMB, walks={}, topic="Narnia", depth=2
+        )
+    assert result.error == "repair: UnknownEntity: unknown entity: 'Narnia'"
+    assert caplog.records == []
 
 
 def test_stage2_only_bad_depth(presidents):
@@ -382,4 +394,4 @@ def test_specialized_route_ignores_topic_and_depth(presidents):
     assert (given.answers, given.crp_initial, given.crp_final, given.trace) == (
         plain.answers, plain.crp_initial, plain.crp_final, plain.trace
     )
-    assert given.ledger.records == plain.ledger.records
+    assert given.calls == plain.calls

@@ -1,4 +1,4 @@
-"""Scripted and HTTP providers, overlap embedding, cost ledger."""
+"""Scripted and HTTP providers, overlap embedding, call accounting."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from kgrelay.providers import (
     DEFAULT_PRICES,
     ROLE_GENERAL,
     ROLE_SPECIALIZED,
-    CostLedger,
     HttpLlm,
     LlmUsage,
     ScriptEntry,
@@ -225,37 +224,46 @@ def test_approx_tokens():
     assert approx_tokens("one  two\nthree") == 3
 
 
-# --- cost ledger ---
+# --- call accounting ---
 
 def test_ledger_totals_and_cost():
-    ledger = CostLedger()
-    ledger.record(ROLE_SPECIALIZED, LlmUsage(100, 10))
-    ledger.record(ROLE_GENERAL, LlmUsage(200, 20))
-    ledger.record(ROLE_GENERAL, LlmUsage(300, 30, provider_reported=False))
-    assert ledger.calls() == 3
-    assert ledger.prompt_tokens() == 600
-    assert not all(r.usage.provider_reported for r in ledger.records)
+    calls = [
+        providers.CallRecord(ROLE_SPECIALIZED, LlmUsage(100, 10)),
+        providers.CallRecord(ROLE_GENERAL, LlmUsage(200, 20)),
+        providers.CallRecord(ROLE_GENERAL, LlmUsage(300, 30, provider_reported=False)),
+    ]
+    assert not all(r.usage.provider_reported for r in calls)
     # hand arithmetic under the default price table
     expected = (100 * 0.05 + 10 * 0.25) / 1e6 + (500 * 0.15 + 50 * 0.60) / 1e6
-    assert price_calls(ledger.records, DEFAULT_PRICES) == pytest.approx(expected)
+    assert price_calls(calls, DEFAULT_PRICES) == pytest.approx(expected)
 
 
 def test_ledger_custom_prices():
-    ledger = CostLedger()
-    ledger.record(ROLE_SPECIALIZED, LlmUsage(1_000_000, 500_000))
-    assert price_calls(ledger.records, {"specialized": (1.0, 2.0)}) == pytest.approx(2.0)
+    calls = [providers.CallRecord(ROLE_SPECIALIZED, LlmUsage(1_000_000, 500_000))]
+    assert price_calls(calls, {"specialized": (1.0, 2.0)}) == pytest.approx(2.0)
 
 
 def test_tracked_llm_records_role():
-    ledger = CostLedger()
+    calls: list = []
     inner = ScriptedLlm([ScriptEntry("q", "a b c", repeat=None)])
-    llm = TrackedLlm(inner, ROLE_GENERAL, ledger)
+    llm = TrackedLlm(inner, ROLE_GENERAL, calls)
     text, usage = llm.complete("the q prompt")
     assert text == "a b c"
-    assert ledger.records == [
+    assert calls == [
         providers.CallRecord(ROLE_GENERAL, LlmUsage(3, 3, provider_reported=False))
     ]
     assert usage.completion_tokens == 3
+
+
+def test_tracked_llm_refuses_a_reply_that_is_not_utf8_after_recording_it():
+    # A lone surrogate, as a JSON escape in a script or an HTTP body carries.
+    calls: list = []
+    llm = TrackedLlm(ScriptedLlm([("q", "a \ud800 b")]), ROLE_SPECIALIZED, calls)
+    with pytest.raises(MalformedReply, match="does not encode as UTF-8 at character 2"):
+        llm.complete("q")
+    assert calls == [
+        providers.CallRecord(ROLE_SPECIALIZED, LlmUsage(1, 3, provider_reported=False))
+    ]
 
 
 def test_default_price_table():
@@ -459,6 +467,28 @@ def test_http_success_without_usage(stub, sleeps):
     stub.replies = [(200, {}, json.dumps({"choices": [{"message": {"content": "a b"}}]}))]
     _, usage = stub_llm(stub).complete("one two three")
     assert usage == LlmUsage(3, 2, provider_reported=False)
+
+
+@pytest.mark.parametrize("counts", [(-500_000, -3), (-1, 7), (11, -1)])
+def test_http_negative_usage_is_approximated(sleeps, monkeypatch, counts):
+    # A negative count is treated as no usage at all, not trusted.
+    body = json.dumps({
+        "choices": [{"message": {"content": "a b"}}],
+        "usage": {"prompt_tokens": counts[0], "completion_tokens": counts[1]},
+    })
+    monkeypatch.setattr(HttpLlm, "_post", lambda self, request: (200, {}, body.encode()))
+    _, usage = HttpLlm("http://x", "m").complete("one two three")
+    assert usage == LlmUsage(3, 2, provider_reported=False)
+
+
+def test_http_reply_with_a_lone_surrogate_is_malformed_once_tracked(sleeps, monkeypatch):
+    body = json.dumps({"choices": [{"message": {"content": "x \ud800"}}]})
+    monkeypatch.setattr(HttpLlm, "_post", lambda self, request: (200, {}, body.encode()))
+    calls: list = []
+    llm = TrackedLlm(HttpLlm("http://x", "m"), ROLE_GENERAL, calls)
+    with pytest.raises(MalformedReply):
+        llm.complete("p")
+    assert len(calls) == 1
 
 
 def test_http_retries_429_then_succeeds(stub, sleeps):
