@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -46,8 +47,8 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Read a JSONL dataset. Unparsable lines become flagged records whose
     ``error`` names the line, so a batch run can score the rest; nothing
     is logged. A line whose text does not encode as UTF-8 (a lone
-    surrogate, which a JSON escape can carry) is unparsable too. An
-    unreadable or empty file raises."""
+    surrogate, which a JSON escape can carry) is unparsable too, its error
+    naming the field. An unreadable or empty file raises."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -61,7 +62,10 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
             obj = json.loads(raw)
             if not isinstance(obj, dict):
                 raise ValueError("record is not an object")
-            rid = str(obj.get("id", f"line-{line_no}"))
+            rid = obj.get("id", f"line-{line_no}")
+            if type(rid) not in (str, int, float):
+                raise ValueError("id is not a string or a number")
+            rid = str(rid)
             question = obj["question"]
             if not isinstance(question, str) or not question:
                 raise ValueError("missing question")
@@ -83,8 +87,15 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
                 raise ValueError("depth is not an integer")
             texts = (rid, question, sparql or "", topic or "", *answers)
             if not all(map(str.isascii, texts)):
-                for text in texts:  # a UnicodeEncodeError is a ValueError
-                    text.encode("utf-8")
+                names = chain(("id", "question", "sparql", "topic"), repeat("an answer"))
+                for name, text in zip(names, texts):
+                    try:
+                        text.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise ValueError(
+                            f"{name} does not encode as UTF-8"
+                            f" at character {exc.start}: {exc.reason}"
+                        ) from None
             records.append(DatasetRecord(rid, question, answers, sparql, topic, depth))
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             # json.loads raises RecursionError on a line nested too deeply.

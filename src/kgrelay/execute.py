@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from decimal import Decimal
 from operator import eq, ge, gt, itemgetter, le, lt
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import UngroundedTopic
-from .kg import NUMERIC, STRING, EntityId, KnowledgeGraph, Literal, NodeRef
+from .kg import STRING, EntityId, KnowledgeGraph, Literal, NodeRef
 from .reasoning import (
     ComparisonOp,
     ConstraintValue,
@@ -60,13 +59,6 @@ class AnswerSet:
         return bool(self.answers)
 
 
-def _value_key(lit: Literal) -> tuple:
-    # Orders extremal candidates; kinds never mix in the second slot.
-    if lit.kind == NUMERIC:
-        return (NUMERIC, lit.decimal())
-    return (lit.kind, lit.text)
-
-
 # --- the step keys ---
 
 _NO_NODES: frozenset = frozenset()
@@ -74,11 +66,11 @@ _NO_NODES: frozenset = frozenset()
 # A test is what a step reads of one constraint value, its kind at its
 # head: ("entity", id), or ("entity",) when ungrounded (None would not
 # order against an id); ("string", trimmed text); ("extremal", op); and
-# ("comparison", op, threshold kind, threshold text). This table gives the
-# tier at which relaxation drops each kind. Steps at a hop run in the
-# reverse order, entity first: they commute, so the steps a tier keeps at
-# a hop are then a prefix of the tier before, and the walk memo computes
-# them once.
+# ("comparison", op, threshold kind, threshold text, threshold value), so
+# keys compare by text. This table gives the tier at which relaxation
+# drops each kind. Steps at a hop run in the reverse order, entity first:
+# they commute, so the steps a tier keeps at a hop are then a prefix of
+# the tier before, and the walk memo computes them once.
 _DROPPED_AT = {
     "string": TIER_DROP_STRING,
     "comparison": TIER_DROP_STRING_NUMERIC,
@@ -86,9 +78,9 @@ _DROPPED_AT = {
     "entity": TIER_SKELETON,
 }
 _PICK = {ComparisonOp.ARGMAX.value: max, ComparisonOp.ARGMIN.value: min}
-# Each binary operator on a literal's value and a threshold of its kind:
-# numbers compare as decimals, dates as ISO text (so "2001" < "2001-05"
-# < "2002").
+# Each binary operator on the ``value`` of a literal and of a threshold of
+# its kind: numbers compare as decimals, dates as ISO text (so "2001" <
+# "2001-05" < "2002").
 _HOLDS = {
     ComparisonOp.EQ.value: eq,
     ComparisonOp.GE.value: ge,
@@ -109,7 +101,7 @@ def _test(v: ConstraintValue) -> tuple[str, ...]:
         return ("string", v.text.strip())
     if v.threshold is None:
         return ("extremal", v.op.value)
-    return ("comparison", v.op.value, v.threshold.kind, v.threshold.text)
+    return ("comparison", v.op.value, v.threshold.kind, v.threshold.text, v.threshold.value)
 
 
 def _keep(g: KnowledgeGraph, frontier: AbstractSet[NodeRef], key: tuple) -> AbstractSet[NodeRef]:
@@ -121,7 +113,8 @@ def _keep(g: KnowledgeGraph, frontier: AbstractSet[NodeRef], key: tuple) -> Abst
     entity among their objects, as one intersection with ``g.subjects``;
     an ungrounded one keeps nothing. Any other tests are ones that one
     literal object must all pass, checked in order up to the first that
-    fails. A string test is trimmed, case-sensitive equality. A
+    fails. A string test is trimmed, case-sensitive equality; the others
+    compare the literal's ``value``, so "5" and "5.0" are one number. A
     comparison of a number with a date threshold, or the reverse, does
     not match. Every literal object of the frontier is checked, and a call
     logs at most one warning, naming the smallest such (value kind, value
@@ -145,8 +138,8 @@ def _keep(g: KnowledgeGraph, frontier: AbstractSet[NodeRef], key: tuple) -> Abst
         elif head == "string":
             checks.append((_trimmed_eq, STRING, rest[0], None))
         else:
-            op, kind, text = rest
-            checks.append((_HOLDS[op], kind, Decimal(text) if kind == NUMERIC else text, text))
+            op, kind, text, bound = rest
+            checks.append((_HOLDS[op], kind, bound, text))
     mismatched: list[tuple[str, str, str, str]] = []
     kept: set[EntityId] = set()
     best_of: dict[EntityId, tuple] = {}
@@ -159,13 +152,13 @@ def _keep(g: KnowledgeGraph, frontier: AbstractSet[NodeRef], key: tuple) -> Abst
                     if STRING not in (o.kind, kind):
                         mismatched.append((o.kind, o.text, kind, text))
                     break
-                if not holds(o.decimal() if kind == NUMERIC else o.text, bound):
+                if not holds(o.value, bound):
                     break
             else:
                 if pick is None:
                     kept.add(e)
                 else:
-                    value = _value_key(o)
+                    value = (o.kind, o.value)  # kinds never mix in the second slot
                     best_of[e] = pick(best_of.get(e, value), value)
     if mismatched:
         log.warning(

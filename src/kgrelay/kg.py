@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from itertools import chain, repeat
 from pathlib import Path
@@ -65,17 +65,20 @@ class Literal:
     """A typed literal value.
 
     kind is one of ``string``, ``numeric``, ``datetime``. The text is kept
-    verbatim; numeric comparison parses it on demand. ``lang`` is only
-    meaningful for strings.
+    verbatim; ``value``, set once here, is what comparison reads: a
+    ``Decimal`` for a number, else the text. It is left out of ``==``,
+    hashing and ``repr``. ``lang`` is only meaningful for strings.
     """
 
     kind: str
     text: str
     lang: str | None = None
+    value: Decimal | str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (STRING, NUMERIC, DATETIME):
             raise ValueError(f"unknown literal kind: {self.kind!r}")
+        value = self.text
         if self.kind == NUMERIC:
             try:
                 value = Decimal(self.text)
@@ -87,10 +90,7 @@ class Literal:
             raise ValueError(f"not a date: {self.text!r}")
         if self.lang is not None and self.kind != STRING:
             raise ValueError("only strings carry a language tag")
-
-    def decimal(self) -> Decimal:
-        # Valid by construction for numeric literals.
-        return Decimal(self.text)
+        object.__setattr__(self, "value", value)
 
     def token(self) -> str:
         """Render in the surface syntax used by TSV files and queries."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from decimal import Decimal, InvalidOperation
 from enum import Enum
 
 from .errors import HopOutOfRange, ParseError, UnknownEntity
@@ -140,17 +139,12 @@ _STRING_BODY_RE = re.compile(r"^string=(.+)$")
 
 
 def classify_threshold(text: str, line: int = 0) -> Literal:
-    """Type a quoted comparison value: date-shaped text is a date,
-    anything that parses as a decimal is numeric."""
-    if DATETIME_RE.match(text):
-        return Literal(DATETIME, text)
+    """Type a quoted comparison value: date-shaped text is a date, any
+    other must be a finite number, which ``Literal`` checks."""
     try:
-        value = Decimal(text)
-    except InvalidOperation:
-        raise ParseError(f"value {text!r} is neither numeric nor a date", line)
-    if not value.is_finite():
-        raise ParseError(f"value {text!r} is not finite", line)
-    return Literal(NUMERIC, text)
+        return Literal(DATETIME if DATETIME_RE.match(text) else NUMERIC, text)
+    except ValueError as exc:
+        raise ParseError(f"bad comparison value: {exc}", line) from None
 
 
 def _parse_quoted(token: str, line: int) -> str:

@@ -378,7 +378,9 @@ def test_eval_flags_a_dataset_line_with_a_lone_surrogate(cfg_path, tmp_path):
     code, rows, summary = _eval_output(cfg_path, ds, tmp_path / "o")
     assert code == 1
     assert rows[0]["id"] == "line-1" and rows[0]["flagged"] is True
-    assert rows[0]["error"].startswith("line 1: ")
+    assert rows[0]["error"] == (
+        "line 1: question does not encode as UTF-8 at character 4: surrogates not allowed"
+    )
     assert summary["flagged"] == 1
 
 

@@ -197,6 +197,35 @@ def test_load_dataset_flags_bad_lines(tmp_path, line):
     assert records[1].error.startswith("line 2:")
 
 
+@pytest.mark.parametrize("rid", [None, ["a"], True, {"k": "a"}])
+def test_load_dataset_flags_an_id_that_is_not_a_string_or_a_number(tmp_path, rid):
+    # str() would name these rows "None", "['a']", "True" and "{'k': 'a'}".
+    p = tmp_path / "d.jsonl"
+    p.write_text(
+        json.dumps({"id": rid, "question": "q", "answers": ["a"]}) + "\n"
+        + json.dumps({"id": 7, "question": "q", "answers": ["a"]}) + "\n"
+        + json.dumps({"question": "q", "answers": ["a"]}) + "\n",
+        encoding="utf-8",
+    )
+    flagged, numbered, unnamed = load_dataset(p)
+    assert flagged.error == "line 1: id is not a string or a number"
+    assert (numbered.id, numbered.error) == ("7", None)
+    assert (unnamed.id, unnamed.error) == ("line-3", None)
+
+
+@pytest.mark.parametrize("field", ["question", "sparql"])
+def test_load_dataset_names_the_field_holding_a_lone_surrogate(tmp_path, field):
+    record = {"id": "s", "question": "who", "answers": ["a"], "sparql": "SELECT"}
+    at = len(record[field])
+    record[field] += "\ud800"
+    p = tmp_path / "d.jsonl"
+    p.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    [flagged] = load_dataset(p)
+    assert flagged.error == (
+        f"line 1: {field} does not encode as UTF-8 at character {at}: surrogates not allowed"
+    )
+
+
 def test_load_dataset_keeps_numeric_answers_as_text(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text(json.dumps({"question": "q", "answers": ["a", 1999, 2.5]}) + "\n",

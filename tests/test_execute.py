@@ -25,6 +25,8 @@ from kgrelay.execute import (
     AnswerSet,
     evaluate_query,
     execute_with_relaxation,
+    _filter,
+    _keep,
 )
 from kgrelay.kg import NUMERIC, KnowledgeGraph, Literal, answer_texts, load_tsv
 from kgrelay.reasoning import (
@@ -298,6 +300,16 @@ def test_extremal_ties_survive(tmp_path):
     )
     rp = grounded(g, "TOPIC: S\nPATH: r\nCONSTRAINT: hop=1; rel=v; op=ARGMAX")
     assert full_answers(g, rp) == frozenset({"A", "B"})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [NumericCompare(ComparisonOp.ARGMAX), NumericCompare(ComparisonOp.GE, Literal(NUMERIC, "5"))],
+)
+def test_keep_compares_numbers_by_value_across_texts(value):
+    g = KnowledgeGraph([("A", "v", Literal(NUMERIC, "5")), ("B", "v", Literal(NUMERIC, "5.0"))])
+    _, key = _filter("v", [value])
+    assert _keep(g, frozenset({"A", "B"}), key) == {"A", "B"}
 
 
 def test_extremal_mixed_kinds_deterministic(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,17 @@ def test_parse_literal_token_rejects(token):
 def test_literal_validation(kind, text):
     with pytest.raises(ValueError):
         Literal(kind, text)
+
+
+def test_literal_value_is_set_once_and_left_out_of_equality():
+    assert Literal(NUMERIC, "1e3").value == Decimal("1e3")
+    assert Literal(DATETIME, "2001-05").value == "2001-05"
+    assert Literal(STRING, "hi", lang="en").value == "hi"
+    five, five_point_zero = Literal(NUMERIC, "5"), Literal(NUMERIC, "5.0")
+    assert five.value == five_point_zero.value
+    assert five != five_point_zero
+    assert repr(five) == "Literal(kind='numeric', text='5', lang=None)"
+    assert repr(five_point_zero) == "Literal(kind='numeric', text='5.0', lang=None)"
 
 
 def test_literal_lang_only_for_strings():

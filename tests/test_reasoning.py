@@ -166,6 +166,15 @@ def test_classify_threshold_rejects(text):
         classify_threshold(text)
 
 
+@pytest.mark.parametrize("text", ["abc", "inf"])
+def test_classify_threshold_error_names_the_line_and_the_value(text):
+    with pytest.raises(ParseError) as err:
+        classify_threshold(text, 3)
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: ")
+    assert repr(text) in str(err.value)
+
+
 # --- serialization ---
 
 def test_serialize_worked_example_is_canonical():
